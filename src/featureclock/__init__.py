@@ -12,14 +12,12 @@ group centers showing what separates neighboring groups.
 from .clockcore import (
     Clock,
     ClockArrow,
-    ProjectionFactor,
     build_clock,
     build_global_clock,
     build_local_clocks,
     circle_sweep,
     fit_axis_regressions,
     max_contribution,
-    project_at_angle,
 )
 from .errors import (
     ClockWarning,
@@ -27,6 +25,7 @@ from .errors import (
     FeatureClockError,
     GroupTooSmallError,
     InputDataError,
+    RankDeficientError,
 )
 from .grouping import (
     NOISE,
@@ -41,12 +40,10 @@ from .grouping import (
 from .ingest import Dataset, RunConfig, load_dataset, save_dataset, validate_config
 from .intergroup import IntergroupClock, LogisticFit, build_intergroup_clocks, logistic_fit
 from .numstats import (
-    PcaModel,
     RegressionFit,
     center_columns,
     normal_two_sided_p,
     ols_fit,
-    pca_2d,
     regularized_incomplete_beta,
     standardize_columns,
     student_t_two_sided_p,
@@ -70,8 +67,7 @@ __all__ = [
     "IntergroupClock",
     "LogisticFit",
     "MstEdges",
-    "PcaModel",
-    "ProjectionFactor",
+    "RankDeficientError",
     "RegressionFit",
     "RunConfig",
     "Scene",
@@ -91,8 +87,6 @@ __all__ = [
     "mst_over_centers",
     "normal_two_sided_p",
     "ols_fit",
-    "pca_2d",
-    "project_at_angle",
     "regularized_incomplete_beta",
     "render_circles",
     "render_clock",

@@ -5,8 +5,8 @@ which that feature's linear influence is strongest. Two regressions (targets:
 the x and y coordinates of the centered embedding) give the coefficient pair
 (beta0, beta90) per feature; the strongest contribution has magnitude
 sqrt(beta0^2 + beta90^2) at the full-quadrant angle of that pair, so no sweep
-over angles is needed. A sweep is still available, both derived analytically
-from the axis pair and as literal per-angle refits for cross-checking.
+over angles is needed. A sweep is still available, derived analytically from
+the axis pair.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClockWarning, ComputationError, GroupTooSmallError
+from .errors import ClockWarning, ComputationError, GroupTooSmallError, RankDeficientError
 from .ingest import Dataset, RunConfig
 from .numstats import (
-    EPS_VAR,
     RegressionFit,
     as_matrix,
     center_columns,
+    constant_columns,
+    negligible,
     ols_fit,
     standardize_columns,
 )
@@ -44,38 +45,12 @@ def unit_vector(angle_deg: float) -> tuple[float, float]:
     return math.cos(rad), math.sin(rad)
 
 
-@dataclass(frozen=True)
-class ProjectionFactor:
-    """Scalar coordinates of 2D points projected onto the line at angle_deg."""
-
-    angle_deg: float
-    values: np.ndarray
-
-
-def project_at_angle(y_centered, angle_deg: float) -> ProjectionFactor:
-    """Project centered embedding points onto the line at the given angle.
-
-    0 degrees reproduces the x column and 90 degrees the y column exactly.
-    """
-    if not 0.0 <= angle_deg < 180.0:
-        raise ComputationError(f"projection angle must be in [0, 180), got {angle_deg}")
+def fit_axis_regressions(x_std, y_centered) -> tuple[RegressionFit, RegressionFit]:
+    """Fit the x- and y-axis regressions (the two embedding columns) with one factorization."""
     y = as_matrix(y_centered, name="embedding")
     if y.shape[1] != 2:
         raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
-    ux, uy = unit_vector(angle_deg)
-    return ProjectionFactor(angle_deg, y[:, 0] * ux + y[:, 1] * uy)
-
-
-def fit_axis_regressions(x_std, y_centered) -> tuple[RegressionFit, RegressionFit]:
-    """Fit the two independent regressions against the x- and y-axis projections."""
-    fits = []
-    for angle in (0.0, 90.0):
-        target = project_at_angle(y_centered, angle)
-        try:
-            fits.append(ols_fit(x_std, target.values))
-        except ComputationError as exc:
-            raise ComputationError(f"{angle:.0f}-degree axis fit failed: {exc}") from exc
-    return fits[0], fits[1]
+    return ols_fit(x_std, y)
 
 
 def max_contribution(beta0: float, beta90: float) -> tuple[float, float]:
@@ -95,28 +70,19 @@ def max_contribution(beta0: float, beta90: float) -> tuple[float, float]:
     return magnitude, angle
 
 
-def circle_sweep(x_std, y_centered, m: int, *, refit: bool = False):
+def circle_sweep(beta0, beta90, m: int):
     """Coefficient of every feature at each of m projection angles i*180/m.
 
-    By default the sweep is derived from the two axis fits through
-    beta_theta = beta0*cos(theta) + beta90*sin(theta); with ``refit=True``
-    every angle gets its own least-squares fit (slower, used to cross-check
-    the identity). Returns, per feature, a list of (angle_deg, coefficient).
+    The sweep follows from the two axis coefficient vectors through
+    beta_theta = beta0*cos(theta) + beta90*sin(theta). Returns, per feature,
+    a list of (angle_deg, coefficient).
     """
     if m < 2:
         raise ComputationError(f"need at least 2 projection lines, got {m}")
     angles = [i * 180.0 / m for i in range(m)]
-    if refit:
-        columns = []
-        for angle in angles:
-            target = project_at_angle(y_centered, angle)
-            columns.append(ols_fit(x_std, target.values).coefficients)
-        coef = np.column_stack(columns)
-    else:
-        fit0, fit90 = fit_axis_regressions(x_std, y_centered)
-        cos = np.array([unit_vector(a)[0] for a in angles])
-        sin = np.array([unit_vector(a)[1] for a in angles])
-        coef = np.outer(fit0.coefficients, cos) + np.outer(fit90.coefficients, sin)
+    cos = np.array([unit_vector(a)[0] for a in angles])
+    sin = np.array([unit_vector(a)[1] for a in angles])
+    coef = np.outer(beta0, cos) + np.outer(beta90, sin)
     return [
         [(angles[i], float(coef[j, i])) for i in range(m)]
         for j in range(coef.shape[0])
@@ -196,15 +162,13 @@ def build_clock(
     label = group if group is not None else variant
 
     rows = list(members)
-    xm = x[rows]
     ym = y[rows]
     if len(members) < 3:
         raise GroupTooSmallError(
             f"group {label!r} too small for clock: {len(members)} points"
         )
 
-    stds = xm.std(axis=0, ddof=1)
-    keep = stds > EPS_VAR
+    keep = ~constant_columns(x[rows])
     kept = [j for j in range(d) if keep[j]]
     if not kept:
         raise ComputationError(f"group {label!r}: every feature is constant")
@@ -221,19 +185,25 @@ def build_clock(
             f"{len(kept)} features (need at least {len(kept) + 2})"
         )
 
-    xk = xm[:, kept]
-    if config.standardize_x:
-        xs, _, _ = standardize_columns(xk)
-    else:
-        xs = center_columns(xk)
-    yc = center_columns(ym) if config.center_y else ym.copy()
+    xk = x[np.ix_(rows, kept)]
+    xs = standardize_columns(xk)[0] if config.standardize_x else center_columns(xk)
+    yc = center_columns(ym) if config.center_y else ym
 
-    fit0, fit90 = fit_axis_regressions(xs, yc)
+    try:
+        fit0, fit90 = fit_axis_regressions(xs, yc)
+    except RankDeficientError as exc:
+        dependent = [kept[i] for i in exc.columns]
+        raise RankDeficientError(
+            f"group {label!r}: features are linear combinations of the others: "
+            f"{', '.join(names[j] for j in dependent)}",
+            dependent,
+        ) from exc
     b0 = fit0.coefficients.copy()
     b90 = fit90.coefficients.copy()
     if config.standardize_betas:
-        pooled = float(np.concatenate([b0, b90]).std(ddof=1))
-        if pooled > EPS_VAR:
+        both = np.concatenate([b0, b90])
+        pooled = float(both.std(ddof=1))
+        if not negligible(pooled, np.abs(both).max()):
             b0 /= pooled
             b90 /= pooled
 
@@ -285,7 +255,7 @@ def build_clock(
     out_variant = variant
     if config.circles:
         m = max(2, int(round(180.0 / config.theta_step_deg)))
-        sweep = circle_sweep(xs, yc, m)
+        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, m)
         circles = {names[j]: tuple(sweep[slot[j]]) for j in kept}
         out_variant = "circles"
 

@@ -19,3 +19,11 @@ class GroupTooSmallError(ComputationError):
 
 class ClockWarning(UserWarning):
     """Non-fatal conditions: dropped features, skipped groups, adjusted options."""
+
+
+class RankDeficientError(ComputationError):
+    """A design matrix has linearly dependent columns; ``columns`` lists them."""
+
+    def __init__(self, message: str, columns):
+        super().__init__(message)
+        self.columns = tuple(columns)

@@ -18,7 +18,7 @@ from .clockcore import ClockArrow
 from .errors import ClockWarning, ComputationError
 from .grouping import GroupingResult, MstEdges
 from .ingest import Dataset, RunConfig
-from .numstats import EPS_VAR, as_matrix, normal_two_sided_p, standardize_columns
+from .numstats import as_matrix, constant_columns, normal_two_sided_p, standardize_columns
 
 # Ridge on the coefficients (never the intercept). Keeps the fit finite and
 # flagged instead of divergent when the two groups are linearly separable.
@@ -166,8 +166,8 @@ def build_intergroup_clocks(
         rows = list(ga.members) + list(gb.members)
         labels = np.concatenate([np.zeros(len(ga.members)), np.ones(len(gb.members))])
         xu = x[rows]
-        stds = xu.std(axis=0, ddof=1)
-        kept = [j for j in range(d) if stds[j] > EPS_VAR]
+        constant = constant_columns(xu)
+        kept = [j for j in range(d) if not constant[j]]
         if not kept:
             warnings.warn(
                 f"skipping edge {ga.name!r}-{gb.name!r}: every feature is constant",
@@ -176,7 +176,7 @@ def build_intergroup_clocks(
             )
             continue
         if len(kept) < d:
-            dropped = [names[j] for j in range(d) if stds[j] <= EPS_VAR]
+            dropped = [names[j] for j in range(d) if constant[j]]
             warnings.warn(
                 f"edge {ga.name!r}-{gb.name!r}: dropping zero-variance features: "
                 f"{', '.join(dropped)}",

@@ -1,9 +1,8 @@
 """Self-contained numerical kernel used by the clock builders.
 
-Column standardization, ordinary least squares with classical t-tests,
-Student-t tail probabilities, and a small deterministic PCA. Every routine is
-a pure function of its inputs: no caching, no shared mutable state, safe to
-call concurrently.
+Column standardization, ordinary least squares with classical t-tests, and
+Student-t tail probabilities. Every routine is a pure function of its inputs:
+no caching, no shared mutable state, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -13,22 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError
+from .errors import ComputationError, RankDeficientError
 
-# Sample standard deviations at or below this are treated as zero variance:
-# standardization leaves such columns centered only and callers drop them.
-EPS_VAR = 1e-12
+# Rounding noise relative to the magnitude of the numbers it comes from. Every
+# "is this zero?" decision goes through :func:`negligible` with this ratio, so
+# each one is relative to its own data and survives any rescaling of it.
+NOISE_RATIO = 64.0 * float(np.finfo(float).eps)
 
 # Relative tolerance for the numerical rank of a design matrix.
 RANK_TOL = 1e-10
 
-# A regression counts as an exact fit when the residual variance falls below
-# EXACT_FIT_EPS * (mean(y^2) + 1). t statistics are meaningless there, so
-# p-values are pinned to 0 (|beta| > 1e-10) or 1 (idle feature).
-EXACT_FIT_EPS = 1e-14
-
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
+
+
+def negligible(spread, magnitude):
+    """True where ``spread`` is rounding noise next to ``magnitude``."""
+    return np.asarray(spread) <= NOISE_RATIO * np.asarray(magnitude)
 
 
 def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int = 1) -> np.ndarray:
@@ -45,6 +45,14 @@ def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int 
     return arr
 
 
+def constant_columns(x, stds=None) -> np.ndarray:
+    """Mask of columns whose sample std is rounding noise next to their largest |value|."""
+    x = np.asarray(x, dtype=float)
+    if stds is None:
+        stds = x.std(axis=0, ddof=1)
+    return negligible(stds, np.maximum(x.max(axis=0), -x.min(axis=0)))
+
+
 def center_columns(m) -> np.ndarray:
     """Subtract each column's mean. Two passes keep residual means near machine zero."""
     x = as_matrix(m)
@@ -56,68 +64,52 @@ def center_columns(m) -> np.ndarray:
 def standardize_columns(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center columns and scale to unit sample (n-1) standard deviation.
 
-    Returns ``(standardized, means, stds)``. Columns with std <= EPS_VAR are
-    centered but not scaled; callers detect them through the returned stds
-    and decide whether to drop the feature.
+    Returns ``(standardized, means, stds)``. Constant columns (see
+    :func:`constant_columns`) are centered but not scaled; callers decide
+    whether to drop them.
     """
     x = as_matrix(m, min_rows=2, name="matrix")
     means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1)
     centered = x - means
     centered -= centered.mean(axis=0)
-    safe = np.where(stds > EPS_VAR, stds, 1.0)
-    return centered / safe, means, stds
+    centered /= np.where(constant_columns(x, stds), 1.0, stds)
+    return centered, means, stds
 
 
-def _householder_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-    """Householder QR with greedy column pivoting.
+def _pivoted_rank(r: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical rank of a square R factor by Householder QR with greedy column pivoting.
 
-    Returns ``(r, perm, reflectors)`` with x[:, perm] = Q R. Q is never formed;
-    apply the reflectors with :func:`_apply_qt`. Column norms are recomputed at
-    every step, which is exact and cheap at the widths this package handles.
+    Returns ``(rank, perm)``: the first ``rank`` entries of perm are the
+    independent columns in pivot order, the rest the dependent ones. The
+    columns are first scaled to unit norm (R's column norms are X's), so the
+    rank does not depend on the units of any feature. Column norms are
+    recomputed at every step, which is exact and cheap for d x d.
     """
-    a = np.array(x, dtype=float)
-    n, d = a.shape
+    scale = np.sqrt((r * r).sum(axis=0))
+    a = r / np.where(scale > 0.0, scale, 1.0)
+    d = a.shape[1]
     perm = np.arange(d)
-    reflectors: list[np.ndarray | None] = []
-    for k in range(min(n, d)):
+    diag = np.zeros(d)
+    for k in range(d):
         sub = a[k:, k:]
         norms = np.sqrt((sub * sub).sum(axis=0))
-        j = k + int(np.argmax(norms))
+        # The first column of largest norm, up to rounding: standardized
+        # columns tie at the first step, and rounding must not pick for them.
+        j = k + int(np.argmax(negligible(norms.max() - norms, norms.max())))
         if j != k:
             a[:, [k, j]] = a[:, [j, k]]
             perm[[k, j]] = perm[[j, k]]
         col = a[k:, k]
-        normx = float(np.linalg.norm(col))
-        if normx == 0.0:
-            reflectors.append(None)
+        diag[k] = float(np.linalg.norm(col))
+        if diag[k] == 0.0:
             continue
         v = col.copy()
-        v[0] += normx if v[0] >= 0 else -normx
+        v[0] += diag[k] if v[0] >= 0 else -diag[k]
         v /= np.linalg.norm(v)
         a[k:, k:] -= 2.0 * np.outer(v, v @ a[k:, k:])
-        reflectors.append(v)
-    r = np.triu(a[: min(n, d), :])
-    return r, perm, reflectors
-
-
-def _apply_qt(reflectors: list[np.ndarray | None], y: np.ndarray) -> np.ndarray:
-    """Apply Q^T from the stored Householder reflectors to a vector."""
-    out = np.array(y, dtype=float)
-    for k, v in enumerate(reflectors):
-        if v is None:
-            continue
-        out[k:] -= 2.0 * v * float(v @ out[k:])
-    return out
-
-
-def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution for an upper-triangular system."""
-    d = r.shape[0]
-    z = np.zeros_like(b, dtype=float)
-    for i in range(d - 1, -1, -1):
-        z[i] = (b[i] - r[i, i + 1 :] @ z[i + 1 :]) / r[i, i]
-    return z
+    tol = RANK_TOL * math.sqrt(float((a * a).sum()))
+    return int(np.sum(diag > tol)), perm
 
 
 @dataclass(frozen=True)
@@ -132,19 +124,25 @@ class RegressionFit:
     residual_variance: float
 
 
-def ols_fit(x, y) -> RegressionFit:
-    """Least squares of a centered target on a centered/standardized design.
+def ols_fit(x, y) -> RegressionFit | tuple[RegressionFit, ...]:
+    """Least squares of centered targets on a centered/standardized design.
 
-    The solve goes through a rank-revealing pivoted QR, never an explicit
-    inverse. Standard errors come from s^2 * diag((X^T X)^-1) with
-    s^2 = RSS / dof and dof = n - d - 1 (one degree lost to the centering that
-    absorbed the intercept). p-values are two-sided Student-t tails.
+    ``y`` is one target of shape (n,), which returns one RegressionFit, or k
+    targets of shape (n, k), which return a tuple of k fits. All of them come
+    from one LAPACK QR of the augmented matrix [X | Y] = QR: with R11 the
+    leading d x d block, R12 the block beside it and R22 the block below,
+    beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and diag((X^T X)^-1) is the
+    row sums of squares of R11^-1. A column-pivoted QR of R11 (d x d, so its
+    cost does not grow with n) checks the rank first. Standard errors are
+    s^2 * diag((X^T X)^-1) with s^2 = RSS / dof and dof = n - d - 1 (one
+    degree lost to the centering that absorbed the intercept). p-values are
+    two-sided Student-t tails.
     """
     x = as_matrix(x, name="design matrix")
-    yv = np.asarray(y, dtype=float).ravel()
+    yv = np.asarray(y, dtype=float)
     n, d = x.shape
-    if yv.shape[0] != n:
-        raise ComputationError(f"target length {yv.shape[0]} does not match {n} rows")
+    if yv.ndim not in (1, 2) or yv.shape[0] != n:
+        raise ComputationError(f"target of shape {yv.shape} does not match {n} rows")
     if not np.all(np.isfinite(yv)):
         raise ComputationError("target contains NaN or infinite values")
     if n < d + 2:
@@ -152,42 +150,44 @@ def ols_fit(x, y) -> RegressionFit:
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
 
-    r, perm, reflectors = _householder_qr(x)
-    diag = np.abs(np.diag(r))
-    tol = RANK_TOL * math.sqrt(float((x * x).sum()))
-    rank = int(np.sum(diag > tol))
+    targets = yv.reshape(n, -1)
+    k = targets.shape[1]
+    r = np.linalg.qr(np.column_stack([x, targets]), mode="r")
+    r11 = r[:d, :d]
+    rank, perm = _pivoted_rank(r11)
     if rank < d:
         dependent = sorted(int(perm[i]) for i in range(rank, d))
-        raise ComputationError(
+        raise RankDeficientError(
             f"design matrix is rank deficient (rank {rank} of {d}); "
-            f"offending columns: {dependent}"
+            f"offending columns: {dependent}",
+            dependent,
         )
 
-    qty = _apply_qt(reflectors, yv)[:d]
-    solution = _solve_upper(r[:, :d], qty)
-    beta = np.empty(d)
-    beta[perm] = solution
-
-    residuals = yv - x @ beta
-    rss = float(residuals @ residuals)
+    # One solve against [R12 | I] gives beta and R11^-1 together.
+    solution = np.linalg.solve(r11, np.column_stack([r[:d, d:], np.eye(d)]))
+    rinv = solution[:, k:]
+    xtx_inv_diag = (rinv * rinv).sum(axis=1)
+    rss = (r[d:, d:] ** 2).sum(axis=0)
+    target_norms = np.sqrt((targets * targets).sum(axis=0))
     dof = n - d - 1
-    s2 = rss / dof
 
-    # diag((X^T X)^-1) = row sums of squares of R^-1, mapped back through perm
-    rinv = _solve_upper(r[:, :d], np.eye(d))
-    unscaled = (rinv * rinv).sum(axis=1)
-    xtx_inv_diag = np.empty(d)
-    xtx_inv_diag[perm] = unscaled
-
-    se = np.sqrt(s2 * xtx_inv_diag)
-    t = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-
-    if s2 < EXACT_FIT_EPS * (float((yv * yv).mean()) + 1.0):
-        p = np.where(np.abs(beta) > 1e-10, 0.0, 1.0)
-    else:
-        p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
-
-    return RegressionFit(beta, se, t, p, dof, s2)
+    fits = []
+    for j in range(k):
+        beta = solution[:, j].copy()
+        s2 = float(rss[j]) / dof
+        se = np.sqrt(s2 * xtx_inv_diag)
+        t = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
+        if negligible(math.sqrt(rss[j]), target_norms[j]):
+            # Exact fit: t statistics are ratios of rounding noise. A feature
+            # counts as idle when its coefficient is within the rounding
+            # noise that the target's size and the design's conditioning
+            # allow (the same ratio as for the residual).
+            idle = negligible(np.abs(beta) / np.sqrt(xtx_inv_diag), target_norms[j])
+            p = np.where(idle, 1.0, 0.0)
+        else:
+            p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
+        fits.append(RegressionFit(beta, se, t, p, dof, s2))
+    return fits[0] if yv.ndim == 1 else tuple(fits)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -269,85 +269,3 @@ def normal_two_sided_p(z: float) -> float:
     if not math.isfinite(z):
         raise ComputationError("z statistic must be finite")
     return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def _jacobi_eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps until the off-diagonal Frobenius norm drops below 1e-12 (relative
-    to the matrix norm when that norm exceeds 1, so the loop terminates on any
-    scale). Returns (eigenvalues, eigenvectors as columns).
-    """
-    a = np.array(sym, dtype=float)
-    d = a.shape[0]
-    vectors = np.eye(d)
-    tol = 1e-12 * max(1.0, math.sqrt(float((a * a).sum())))
-    for _ in range(100):
-        off = math.sqrt(float((a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off < tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-    return np.diag(a).copy(), vectors
-
-
-@dataclass(frozen=True)
-class PcaModel:
-    """Top-2 principal directions of a data matrix.
-
-    components holds two unit-norm loading rows; the sign convention makes
-    each row's largest-magnitude entry positive, so results are reproducible.
-    """
-
-    components: np.ndarray
-    explained_variance: np.ndarray
-    mean: np.ndarray
-
-    def transform(self, x) -> np.ndarray:
-        """Project rows onto the two principal directions (scores)."""
-        arr = as_matrix(x, name="matrix")
-        return (arr - self.mean) @ self.components.T
-
-
-def pca_2d(x) -> PcaModel:
-    """Two-component PCA by Jacobi eigendecomposition of the sample covariance."""
-    arr = as_matrix(x, name="matrix")
-    n, d = arr.shape
-    if d < 2:
-        raise ComputationError(f"pca_2d needs at least 2 features, got {d}")
-    if n < 3:
-        raise ComputationError(f"pca_2d needs at least 3 rows, got {n}")
-    mean = arr.mean(axis=0)
-    centered = arr - mean
-    cov = (centered.T @ centered) / (n - 1)
-    eigenvalues, eigenvectors = _jacobi_eigh(cov)
-    order = np.argsort(-eigenvalues, kind="stable")[:2]
-    components = eigenvectors[:, order].T.copy()
-    for row in components:
-        lead = int(np.argmax(np.abs(row)))
-        if row[lead] < 0:
-            row *= -1.0
-    components /= np.linalg.norm(components, axis=1, keepdims=True)
-    explained = np.maximum(eigenvalues[order], 0.0)
-    return PcaModel(components, explained, mean)

@@ -2,12 +2,14 @@
 
 Each oracle deliberately takes a different path than the library code it
 checks: quadrature instead of continued fractions, extended-precision normal
-equations instead of pivoted QR, exhaustive enumeration instead of Kruskal,
-and bulk per-angle refits instead of the closed-form maximum.
+equations instead of QR, exhaustive enumeration instead of Kruskal, bulk
+per-angle refits instead of the closed-form maximum, and a PCA biplot from
+an eigendecomposition instead of regressions on the embedding.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +75,7 @@ def refit_sweep(x: np.ndarray, y_centered: np.ndarray, m: int):
 
     Every column of the target block is an independent least-squares fit of
     the projection at that angle; numpy's SVD-based lstsq is a different
-    solve path than the library's pivoted QR.
+    solve path than the library's QR.
     """
     angles = np.arange(m) * 180.0 / m
     rad = np.radians(angles)
@@ -82,6 +84,40 @@ def refit_sweep(x: np.ndarray, y_centered: np.ndarray, m: int):
     )
     coef, *_ = np.linalg.lstsq(x, targets, rcond=None)
     return angles, coef  # coef has shape (d, m)
+
+
+@dataclass(frozen=True)
+class PcaModel:
+    """Top-2 principal directions of a data matrix.
+
+    components holds two unit-norm loading rows; each row's largest-magnitude
+    entry is positive, so results are reproducible.
+    """
+
+    components: np.ndarray
+    explained_variance: np.ndarray
+    mean: np.ndarray
+
+    def transform(self, x) -> np.ndarray:
+        """Project rows onto the two principal directions (scores)."""
+        return (np.asarray(x, dtype=float) - self.mean) @ self.components.T
+
+
+def pca_2d(x) -> PcaModel:
+    """Two-component PCA by np.linalg.eigh of the sample covariance."""
+    arr = np.asarray(x, dtype=float)
+    n, d = arr.shape
+    if d < 2 or n < 3:
+        raise ValueError(f"pca_2d needs at least 3 rows and 2 features, got {n}x{d}")
+    mean = arr.mean(axis=0)
+    centered = arr - mean
+    eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered / (n - 1))
+    order = np.argsort(-eigenvalues, kind="stable")[:2]
+    components = eigenvectors[:, order].T.copy()
+    for row in components:
+        if row[int(np.argmax(np.abs(row)))] < 0:
+            row *= -1.0
+    return PcaModel(components, np.maximum(eigenvalues[order], 0.0), mean)
 
 
 def _pruefer_to_edges(seq, k):

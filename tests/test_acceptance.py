@@ -26,7 +26,6 @@ from featureclock import (
     logistic_fit,
     max_contribution,
     mst_over_centers,
-    pca_2d,
     standardize_columns,
     student_t_two_sided_p,
 )
@@ -36,6 +35,7 @@ from oracles import (
     logistic_penalized_gradient,
     min_spanning_weight,
     normal_equations_fit,
+    pca_2d,
     refit_sweep,
     simpson_t_two_sided,
 )

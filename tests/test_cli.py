@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from featureclock import from_labels, pca_2d, standardize_columns
+from featureclock import from_labels, standardize_columns
 from featureclock.cli import demo_paths, main
+
+from oracles import pca_2d
 
 
 def run(args):
@@ -94,6 +96,16 @@ class TestGlobalCommand:
         report = json.loads((out / "clock.json").read_text())
         assert report["clocks"][0]["arrows"] == []
         assert any("no significant" in w for w in report["warnings"])
+
+    def test_rank_deficient_features_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        a, b, e = rng.normal(size=(3, 40))
+        x = write_matrix(tmp_path / "x.csv", ["const", "a", "b", "a_plus_b", "e"],
+                         np.column_stack([np.full(40, 2.0), a, b, a + b, e]))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(40, 2)))
+        assert run(["global", "--x", x, "--y", y, "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"error: group 'global': .*: a_plus_b$", err, re.MULTILINE)
 
     def test_bad_alpha_exit_2(self, noise_inputs, capsys):
         x, y = noise_inputs

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from featureclock import (
     ClockWarning,
     ComputationError,
     GroupTooSmallError,
+    RankDeficientError,
     RunConfig,
     build_clock,
     build_global_clock,
@@ -18,13 +20,12 @@ from featureclock import (
     fit_axis_regressions,
     from_labels,
     max_contribution,
-    pca_2d,
-    project_at_angle,
     standardize_columns,
 )
+from featureclock.clockcore import unit_vector
 from featureclock.ingest import Dataset, Provenance
 
-from oracles import refit_sweep
+from oracles import pca_2d, refit_sweep
 
 
 def make_dataset(x, y, names=None, labels=None):
@@ -46,31 +47,36 @@ def identity_fixture(n=60, seed=0, d=2):
     return z, z[:, :2].copy()
 
 
+RANK_DEFICIENT_NAMES = ("const", "a", "b", "a_plus_b", "e")
+
+
+def rank_deficient_fixture(n=40, seed=0):
+    """Features const, a, b, a_plus_b = a + b, e and an unrelated embedding."""
+    rng = np.random.default_rng(seed)
+    a, b, e = rng.normal(size=(3, n))
+    return np.column_stack([np.full(n, 2.0), a, b, a + b, e]), rng.normal(size=(n, 2))
+
+
 class TestProjection:
+    """Projection onto the line at an angle: ``y @ unit_vector(angle)``."""
+
     def test_axis_zero(self):
-        pf = project_at_angle(np.array([[2.0, 3.0]]), 0.0)
-        assert pf.values[0] == 2.0
+        assert (np.array([[2.0, 3.0]]) @ unit_vector(0.0))[0] == 2.0
 
     def test_axis_ninety(self):
-        pf = project_at_angle(np.array([[2.0, 3.0]]), 90.0)
-        assert pf.values[0] == 3.0
+        assert (np.array([[2.0, 3.0]]) @ unit_vector(90.0))[0] == 3.0
 
     def test_forty_five(self):
-        pf = project_at_angle(np.array([[1.0, 1.0]]), 45.0)
-        assert pf.values[0] == pytest.approx(1.4142135624, abs=1e-9)
-
-    def test_angle_range(self):
-        with pytest.raises(ComputationError):
-            project_at_angle(np.array([[1.0, 1.0]]), 180.0)
+        value = (np.array([[1.0, 1.0]]) @ unit_vector(45.0))[0]
+        assert value == pytest.approx(1.4142135624, abs=1e-9)
 
     def test_definition_holds(self):
         rng = np.random.default_rng(1)
         y = center_columns(rng.normal(size=(30, 2)))
         for angle in (10.0, 77.3, 139.9):
-            pf = project_at_angle(y, angle)
             rad = math.radians(angle)
             expected = y[:, 0] * math.cos(rad) + y[:, 1] * math.sin(rad)
-            assert np.max(np.abs(pf.values - expected)) < 1e-12
+            assert np.max(np.abs(y @ unit_vector(angle) - expected)) < 1e-12
 
 
 class TestAxisRegressions:
@@ -100,10 +106,6 @@ class TestAxisRegressions:
         beta90, *_ = np.linalg.lstsq(x, y[:, 1], rcond=None)
         assert np.max(np.abs(fit0.coefficients - beta0)) < 1e-8
         assert np.max(np.abs(fit90.coefficients - beta90)) < 1e-8
-
-    def test_error_names_axis(self):
-        with pytest.raises(ComputationError, match="0-degree axis"):
-            fit_axis_regressions(np.ones((10, 3)) * [[1.0, 2.0, 3.0]], np.zeros((10, 2)))
 
 
 class TestMaxContribution:
@@ -152,7 +154,8 @@ class TestMaxContribution:
 class TestCircleSweep:
     def test_cosine_response(self):
         x, y = identity_fixture()
-        sweep = circle_sweep(x, y, 3)  # angles 0, 60, 120
+        fit0, fit90 = fit_axis_regressions(x, y)
+        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 3)  # angles 0, 60, 120
         angle, coef = sweep[0][1]
         assert angle == pytest.approx(60.0)
         assert coef == pytest.approx(0.5, abs=1e-10)
@@ -162,7 +165,7 @@ class TestCircleSweep:
         x, _, _ = standardize_columns(rng.normal(size=(30, 3)))
         y = center_columns(rng.normal(size=(30, 2)))
         fit0, fit90 = fit_axis_regressions(x, y)
-        sweep = circle_sweep(x, y, 2)
+        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 2)
         for j in range(3):
             assert sweep[j][0] == (0.0, pytest.approx(fit0.coefficients[j]))
             assert sweep[j][1] == (90.0, pytest.approx(fit90.coefficients[j]))
@@ -172,7 +175,7 @@ class TestCircleSweep:
         x, _, _ = standardize_columns(rng.normal(size=(50, 4)))
         y = center_columns(rng.normal(size=(50, 2)))
         fit0, fit90 = fit_axis_regressions(x, y)
-        sweep = circle_sweep(x, y, 36)
+        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 36)
         for j in range(4):
             b0 = float(fit0.coefficients[j])
             b90 = float(fit90.coefficients[j])
@@ -187,17 +190,17 @@ class TestCircleSweep:
         rng = np.random.default_rng(7)
         x, _, _ = standardize_columns(rng.normal(size=(40, 3)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fast = circle_sweep(x, y, 12)
-        slow = circle_sweep(x, y, 12, refit=True)
+        fit0, fit90 = fit_axis_regressions(x, y)
+        fast = circle_sweep(fit0.coefficients, fit90.coefficients, 12)
+        angles, slow = refit_sweep(x, y, 12)
         for j in range(3):
-            for (a1, c1), (a2, c2) in zip(fast[j], slow[j]):
-                assert a1 == a2
-                assert abs(c1 - c2) < 1e-9
+            for i, (angle, coef) in enumerate(fast[j]):
+                assert angle == pytest.approx(angles[i], abs=1e-12)
+                assert abs(coef - slow[j, i]) < 1e-9
 
     def test_m_too_small(self):
-        x, y = identity_fixture()
         with pytest.raises(ComputationError):
-            circle_sweep(x, y, 1)
+            circle_sweep(np.ones(2), np.zeros(2), 1)
 
 
 class TestBuildClock:
@@ -259,6 +262,15 @@ class TestBuildClock:
         with pytest.warns(ClockWarning, match="zero-variance"):
             clock = build_clock(x, y, range(len(x)), feature_names=["a", "b", "c", "const"])
         assert all(a.feature != "const" for a in clock.arrows)
+
+    def test_rank_deficiency_names_features(self):
+        # Feature slots count only the kept columns: after dropping "const",
+        # slot 2 is a_plus_b, while CSV column 2 is b.
+        x, y = rank_deficient_fixture()
+        with pytest.warns(ClockWarning, match="zero-variance"):
+            with pytest.raises(RankDeficientError, match=r"group 'global': .*: a_plus_b$") as info:
+                build_clock(x, y, range(len(x)), feature_names=RANK_DEFICIENT_NAMES)
+        assert info.value.columns == (3,)
 
     def test_group_too_small(self):
         x, y = identity_fixture(d=4)
@@ -360,6 +372,112 @@ class TestEquivariance:
             assert abs(a.magnitude - b.magnitude) < 1e-9
             assert abs(a.beta0 - b.beta0) < 1e-9
             assert abs(a.beta90 - b.beta90) < 1e-9
+
+
+def two_signal_fixture(n=80, seed=21):
+    """Six features; the embedding is linear in the first two plus noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 6))
+    y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]]) + 0.5 * rng.normal(size=(n, 2))
+    return x, y
+
+
+def all_arrows(x, y, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClockWarning)
+        clock = build_clock(x, y, range(len(x)), config)
+    return {a.feature: a for a in clock.arrows}
+
+
+class TestScaleInvariance:
+    """Units of X and Y must not change what a clock says.
+
+    Rescaling X columns cancels in the standardization, rescaling Y scales
+    every arrow by one factor, and offsets cancel in the centering, so
+    p-values, flags and angles stay put.
+    """
+
+    @given(
+        x_exp=st.lists(st.integers(-150, 150), min_size=6, max_size=6),
+        x_off=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+        y_exp=st.integers(-150, 150),
+        y_off=st.floats(-1e3, 1e3),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_flags_and_angles(self, x_exp, x_off, y_exp, y_off, exact):
+        x, y = two_signal_fixture()
+        if exact:  # embedding is exactly linear in the first two features
+            x, _, _ = standardize_columns(x)
+            y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]])
+            # An offset c rounds the data by about c * eps: a real residual
+            # far above rounding noise, so the fit is no longer exact.
+            x_off, y_off = [0.0] * 6, 0.0
+        factors = 10.0 ** np.array(x_exp, dtype=float)
+        x2 = (x + np.array(x_off)) * factors
+        y2 = (y + y_off) * 10.0 ** float(y_exp)
+        # alpha = 1 keeps every feature whose p-value is below 1
+        base = all_arrows(x, y, RunConfig(alpha=1.0))
+        after = all_arrows(x2, y2, RunConfig(alpha=1.0))
+        assert sorted(base) == sorted(after)
+        assert sorted(base) == (["f0", "f1"] if exact else [f"f{j}" for j in range(6)])
+        for name, a in base.items():
+            b = after[name]
+            assert abs(min(a.p0, a.p90) - 0.05) > 1e-3  # flags at alpha = 0.05 are stable
+            assert b.p0 == pytest.approx(a.p0, rel=1e-6, abs=1e-300)
+            assert b.p90 == pytest.approx(a.p90, rel=1e-6, abs=1e-300)
+            diff = (a.angle_deg - b.angle_deg) % 360.0
+            assert min(diff, 360.0 - diff) < 1e-6
+
+    def test_exact_fit_pins_only_the_signal(self):
+        x, _ = two_signal_fixture()
+        x, _, _ = standardize_columns(x)
+        y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]])
+        for scale in (1e-10, 1e-8, 1.0, 1e8):
+            arrows = all_arrows(x, y * scale, RunConfig())
+            assert sorted(arrows) == ["f0", "f1"]
+            assert all(a.p0 == 0.0 for a in arrows.values())
+
+    def test_small_noisy_embedding_is_not_an_exact_fit(self):
+        # Scaled by 1e-8, the residual variance is ~1e-17: far below any
+        # absolute cutoff, but still noise next to the target.
+        x, y = two_signal_fixture()
+        plain = all_arrows(x, y, RunConfig())
+        for scale in (1e-10, 1e-8):
+            small = all_arrows(x, y * scale, RunConfig())
+            assert sorted(small) == sorted(plain)
+            assert len(small) < 6  # the noise features are not all pinned to p = 0
+            for name in plain:
+                assert small[name].p0 == pytest.approx(plain[name].p0, rel=1e-6, abs=1e-300)
+
+    def test_small_raw_feature_is_not_dependent(self):
+        # Unstandardized, f2 is 1e-11 times smaller than the other features
+        # but independent of them: the rank check must keep it.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(100, 3)) * np.array([1.0, 1.0, 1e-11])
+        y = x[:, :2] + rng.normal(size=(100, 2))
+        plain = all_arrows(x, y, RunConfig(alpha=1.0))
+        raw = all_arrows(x, y, RunConfig(alpha=1.0, standardize_x=False))
+        assert sorted(raw) == sorted(plain) == ["f0", "f1", "f2"]
+        for name in plain:
+            assert raw[name].p0 == pytest.approx(plain[name].p0, rel=1e-9)
+
+
+class TestNullCalibration:
+    def test_or_rule_flag_rate(self):
+        # Under the null (embedding independent of the features) each axis
+        # test rejects with probability alpha, independently, so the OR rule
+        # flags a feature with probability 1 - (1 - alpha)^2 = 0.0975.
+        rng = np.random.default_rng(2024)
+        trials, d, flagged = 400, 5, 0
+        for _ in range(trials):
+            x = rng.normal(size=(40, d))
+            y = rng.normal(size=(40, 2))
+            flagged += len(all_arrows(x, y, RunConfig(alpha=0.05)))
+        rate = flagged / (trials * d)
+        expected = 1.0 - 0.95**2
+        sigma = math.sqrt(expected * (1.0 - expected) / (trials * d))
+        assert abs(rate - expected) < 4.0 * sigma
 
 
 class TestLocalClocks:

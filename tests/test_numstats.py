@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from featureclock import (
     regularized_incomplete_beta,
     ComputationError,
+    RankDeficientError,
     center_columns,
     normal_two_sided_p,
     ols_fit,
-    pca_2d,
     standardize_columns,
     student_t_two_sided_p,
 )
-from featureclock.numstats import EPS_VAR
+from featureclock.numstats import constant_columns
 
-from oracles import normal_equations_fit, simpson_t_two_sided
+from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided
 
 
 class TestStandardize:
@@ -28,9 +28,9 @@ class TestStandardize:
         assert stds[0] == pytest.approx(1.0)
 
     def test_constant_column_is_flagged(self):
-        z, _, stds = standardize_columns([[5.0], [5.0], [5.0]])
+        z, _, _ = standardize_columns([[5.0], [5.0], [5.0]])
         assert np.allclose(z, 0.0)
-        assert stds[0] <= EPS_VAR
+        assert constant_columns([[5.0], [5.0], [5.0]])[0]
 
     def test_random_moments_two_pass_oracle(self):
         rng = np.random.default_rng(7)
@@ -46,6 +46,19 @@ class TestStandardize:
     def test_needs_two_rows(self):
         with pytest.raises(ComputationError):
             standardize_columns([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1.0, 1e150])
+    def test_cutoff_follows_column_scale(self, scale):
+        z, _, _ = standardize_columns(np.array([[1.0], [2.0], [3.0]]) * scale)
+        assert np.allclose(z[:, 0], [-1.0, 0.0, 1.0])
+        assert not constant_columns(np.array([[1.0], [2.0], [3.0]]) * scale)[0]
+
+    def test_rounding_noise_on_large_offset_is_constant(self):
+        rng = np.random.default_rng(19)
+        column = 1e9 + 1e-7 * rng.normal(size=(50, 1))
+        assert constant_columns(column)[0]
+        z, _, _ = standardize_columns(column)
+        assert np.max(np.abs(z)) < 1e-6  # centered, not blown up to unit variance
 
 
 class TestCenter:
@@ -98,8 +111,10 @@ class TestOlsFit:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(20, 2))
         x = np.column_stack([x, x[:, 0] + x[:, 1]])
-        with pytest.raises(ComputationError, match="rank deficient"):
-            ols_fit(x, rng.normal(size=20))
+        for target in (rng.normal(size=20), rng.normal(size=(20, 2))):
+            with pytest.raises(RankDeficientError, match="rank deficient") as info:
+                ols_fit(x, target)
+            assert len(info.value.columns) == 1
 
     def test_orthonormal_columns_closed_form(self):
         rng = np.random.default_rng(8)
@@ -112,6 +127,30 @@ class TestOlsFit:
         rng = np.random.default_rng(9)
         fit = ols_fit(rng.normal(size=(20, 3)), rng.normal(size=20))
         assert fit.dof == 16
+
+    @given(
+        n_extra=st.integers(min_value=0, max_value=40),
+        d=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_targets_match_lstsq_and_single_fits(self, n_extra, d, seed):
+        rng = np.random.default_rng(seed)
+        n = d + 2 + n_extra  # n_extra = 0 is the smallest n the fit accepts
+        x = rng.normal(size=(n, d))
+        y = x @ rng.normal(size=(d, 2)) + rng.normal(size=(n, 2))
+        pair = ols_fit(x, y)
+        assert len(pair) == 2
+        reference, *_ = np.linalg.lstsq(x, y, rcond=None)
+        for j, fit in enumerate(pair):
+            single = ols_fit(x, y[:, j])
+            scale = 1.0 + np.max(np.abs(reference[:, j]))
+            assert np.max(np.abs(fit.coefficients - reference[:, j])) < 1e-9 * scale
+            assert np.max(np.abs(fit.coefficients - single.coefficients)) < 1e-12 * scale
+            assert np.allclose(fit.std_errors, single.std_errors, rtol=1e-9, atol=0)
+            assert np.allclose(fit.p_values, single.p_values, rtol=1e-7, atol=1e-12)
+            assert fit.dof == single.dof == n - d - 1
+            assert fit.residual_variance == pytest.approx(single.residual_variance, rel=1e-9)
 
     def test_scaling_cancels_through_standardization(self):
         rng = np.random.default_rng(10)
@@ -241,7 +280,7 @@ class TestPca2d:
             assert row[int(np.argmax(np.abs(row)))] > 0
 
     def test_needs_two_features(self):
-        with pytest.raises(ComputationError):
+        with pytest.raises(ValueError):
             pca_2d(np.ones((10, 1)))
 
     def test_transform_centers_scores(self):
