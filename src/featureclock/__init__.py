@@ -37,7 +37,7 @@ from .grouping import (
     kmeans,
     mst_over_centers,
 )
-from .ingest import Dataset, RunConfig, load_dataset, save_dataset, validate_config
+from .ingest import Dataset, RunConfig, load_dataset, validate_config
 from .intergroup import IntergroupClock, LogisticFit, build_intergroup_clocks, logistic_fit
 from .numstats import (
     RegressionFit,
@@ -92,7 +92,6 @@ __all__ = [
     "render_clock",
     "render_intergroup",
     "render_scatter",
-    "save_dataset",
     "standardize_columns",
     "student_t_two_sided_p",
     "validate_config",

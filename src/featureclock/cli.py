@@ -67,14 +67,13 @@ def _parse_cluster(text: str) -> dict:
     raise InputDataError(f"unknown clustering {text!r}; use kmeans:<k> or dbscan:<eps>,<min_pts>")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, need_inputs: bool = True) -> None:
-    if need_inputs:
-        parser.add_argument("--x", required=True, help="CSV of high-dimensional features")
-        parser.add_argument("--y", required=True, help="CSV of 2D embedding coordinates")
-        parser.add_argument("--labels", default=None, help="CSV of per-point labels")
-        parser.add_argument("--cluster", default=None, help="kmeans:<k> or dbscan:<eps>,<min_pts>")
-        parser.add_argument("--cluster-on", dest="cluster_on", choices=("x", "y"), default=None,
-                            help="space to cluster in (default: x)")
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--x", required=True, help="CSV of high-dimensional features")
+    parser.add_argument("--y", required=True, help="CSV of 2D embedding coordinates")
+    parser.add_argument("--labels", default=None, help="CSV of per-point labels")
+    parser.add_argument("--cluster", default=None, help="kmeans:<k> or dbscan:<eps>,<min_pts>")
+    parser.add_argument("--cluster-on", dest="cluster_on", choices=("x", "y"), default=None,
+                        help="space to cluster in (default: x)")
     parser.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
     parser.add_argument("--top-k", dest="top_k", type=int, default=None, help="keep only the k strongest arrows")
     parser.add_argument("--theta-step", dest="theta_step_deg", type=float, default=None,
@@ -104,17 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_global = sub.add_parser("global", help="one clock over all points")
-    _add_common_flags(p_global)
-    p_global.set_defaults(handler=_cmd_global)
-
-    p_local = sub.add_parser("local", help="one clock per group")
-    _add_common_flags(p_local)
-    p_local.set_defaults(handler=_cmd_local)
-
-    p_inter = sub.add_parser("intergroup", help="clocks along the MST between group centers")
-    _add_common_flags(p_inter)
-    p_inter.set_defaults(handler=_cmd_intergroup)
+    for view, help_text in (
+        ("global", "one clock over all points"),
+        ("local", "one clock per group"),
+        ("intergroup", "clocks along the MST between group centers"),
+    ):
+        p_view = sub.add_parser(view, help=help_text)
+        _add_common_flags(p_view)
+        p_view.set_defaults(handler=_cmd_view)
 
     p_demo = sub.add_parser("demo", help="run all three clocks on the bundled iris fixture")
     p_demo.add_argument("--out-dir", dest="out_dir", default="demo_out")
@@ -148,9 +144,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return validate_config(raw)
 
 
-def _resolve_grouping(args: argparse.Namespace, dataset: Dataset, config: RunConfig) -> GroupingResult:
-    if getattr(args, "labels", None):
+def _resolve_grouping(args: argparse.Namespace, dataset: Dataset, config: RunConfig) -> GroupingResult | None:
+    """Groups from --labels or --cluster; the global view colors by labels only."""
+    if dataset.labels is not None:
         return from_labels(dataset.labels, dataset.Y)
+    if args.command == "global":
+        return None
     if config.cluster_method == "kmeans":
         data = dataset.X if config.cluster_on == "x" else dataset.Y
         return kmeans(data, config.cluster_k, config.seed, dataset.Y)
@@ -250,58 +249,44 @@ def _write_outputs(out_dir, stem: str, scene, report: dict) -> None:
     (out / f"{stem}.json").write_text(format_report(report), encoding="utf-8")
 
 
-def _cmd_global(args: argparse.Namespace) -> list[str]:
-    notes: list[str] = []
-    with _capture_warnings(notes):
-        config = _config_from_args(args)
-        dataset = load_dataset(args.x, args.y, args.labels)
-        grouping = from_labels(dataset.labels, dataset.Y) if dataset.labels else None
-        clock = build_global_clock(dataset, config)
-    scene = render_scatter(dataset, grouping, canvas=config.canvas)
-    if clock.circles is not None:
-        render_circles(scene, clock, clock_scale=config.clock_scale)
-    else:
-        render_clock(scene, clock, clock_scale=config.clock_scale)
-    report = _report("global", config, dataset, [_clock_record(clock)], notes)
-    _write_outputs(args.out_dir, "clock", scene, report)
-    return notes
+def run_view(view: str, dataset: Dataset, grouping: GroupingResult | None, config: RunConfig,
+             notes: list[str]):
+    """Build the clocks of one view, render them and assemble the report.
 
-
-def _cmd_local(args: argparse.Namespace) -> list[str]:
-    notes: list[str] = []
+    ``view`` is ``global``, ``local`` or ``intergroup``. Warnings raised while
+    the clocks are built are appended to ``notes`` and echoed in the report.
+    Returns ``(scene, report)``.
+    """
     with _capture_warnings(notes):
-        config = _config_from_args(args)
-        dataset = load_dataset(args.x, args.y, args.labels)
-        grouping = _resolve_grouping(args, dataset, config)
-        clocks = build_local_clocks(dataset, grouping, config)
+        if view == "global":
+            clocks = [build_global_clock(dataset, config)]
+        elif view == "local":
+            clocks = build_local_clocks(dataset, grouping, config)
+        else:
+            mst = mst_over_centers(grouping)
+            clocks = build_intergroup_clocks(dataset, grouping, mst, config)
     scene = render_scatter(dataset, grouping, canvas=config.canvas)
+    if view == "intergroup":
+        render_intergroup(scene, clocks)
+        report = _report(view, config, dataset, [_intergroup_record(c) for c in clocks], notes)
+        by_id = {g.id: g.name for g in grouping.groups}
+        report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst.edges]
+        return scene, report
     for clock in clocks:
         if clock.circles is not None:
             render_circles(scene, clock, clock_scale=config.clock_scale)
         else:
             render_clock(scene, clock, clock_scale=config.clock_scale)
-    report = _report("local", config, dataset, [_clock_record(c) for c in clocks], notes)
-    _write_outputs(args.out_dir, "clock", scene, report)
-    return notes
+    return scene, _report(view, config, dataset, [_clock_record(c) for c in clocks], notes)
 
 
-def _cmd_intergroup(args: argparse.Namespace) -> list[str]:
+def _cmd_view(args: argparse.Namespace) -> list[str]:
     notes: list[str] = []
     with _capture_warnings(notes):
         config = _config_from_args(args)
         dataset = load_dataset(args.x, args.y, args.labels)
         grouping = _resolve_grouping(args, dataset, config)
-        if len(grouping.groups) < 2:
-            raise ComputationError(
-                f"inter-group clocks need at least 2 groups, found {len(grouping.groups)}"
-            )
-        mst = mst_over_centers(grouping)
-        clocks = build_intergroup_clocks(dataset, grouping, mst, config)
-    scene = render_scatter(dataset, grouping, canvas=config.canvas)
-    render_intergroup(scene, clocks)
-    by_id = {g.id: g.name for g in grouping.groups}
-    report = _report("intergroup", config, dataset, [_intergroup_record(c) for c in clocks], notes)
-    report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst.edges]
+    scene, report = run_view(args.command, dataset, grouping, config, notes)
     _write_outputs(args.out_dir, "clock", scene, report)
     return notes
 
@@ -317,41 +302,20 @@ def demo_paths() -> tuple[Path, Path, Path]:
 
 
 def _cmd_demo(args: argparse.Namespace) -> list[str]:
-    x_path, y_path, labels_path = demo_paths()
-    dataset = load_dataset(x_path, y_path, labels_path)
+    dataset = load_dataset(*demo_paths())
     config = validate_config({})
-    out = Path(args.out_dir)
+    grouping = from_labels(dataset.labels, dataset.Y)
     notes: list[str] = []
-
-    with _capture_warnings(notes):
-        grouping = from_labels(dataset.labels, dataset.Y)
-        global_clock = build_global_clock(dataset, config)
-    scene = render_scatter(dataset, grouping, canvas=config.canvas)
-    render_clock(scene, global_clock, clock_scale=config.clock_scale)
-    report = _report("global", config, dataset, [_clock_record(global_clock)], notes)
-    _write_outputs(out, "global_clock", scene, report)
-
-    local_notes: list[str] = []
-    with _capture_warnings(local_notes):
-        local_clocks = build_local_clocks(dataset, grouping, config)
-    scene = render_scatter(dataset, grouping, canvas=config.canvas)
-    for clock in local_clocks:
-        render_clock(scene, clock, clock_scale=config.clock_scale)
-    report = _report("local", config, dataset, [_clock_record(c) for c in local_clocks], local_notes)
-    _write_outputs(out, "local_clocks", scene, report)
-
-    inter_notes: list[str] = []
-    with _capture_warnings(inter_notes):
-        mst = mst_over_centers(grouping)
-        inter_clocks = build_intergroup_clocks(dataset, grouping, mst, config)
-    scene = render_scatter(dataset, grouping, canvas=config.canvas)
-    render_intergroup(scene, inter_clocks)
-    by_id = {g.id: g.name for g in grouping.groups}
-    report = _report("intergroup", config, dataset, [_intergroup_record(c) for c in inter_clocks], inter_notes)
-    report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst.edges]
-    _write_outputs(out, "intergroup_clocks", scene, report)
-
-    return notes + local_notes + inter_notes
+    for view, stem in (
+        ("global", "global_clock"),
+        ("local", "local_clocks"),
+        ("intergroup", "intergroup_clocks"),
+    ):
+        view_notes: list[str] = []
+        scene, report = run_view(view, dataset, grouping, config, view_notes)
+        _write_outputs(args.out_dir, stem, scene, report)
+        notes += view_notes
+    return notes
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,59 @@ def _is_significant(p0: float, p90: float, alpha: float, rule: str) -> bool:
     return min(p0, p90) < alpha
 
 
+def kept_features(x, names, where: str) -> list[int]:
+    """Indices of the non-constant columns of ``x``.
+
+    Constant columns are dropped with a warning that names them; ``where``
+    (for example ``group 'a'``) prefixes the message.
+    """
+    constant = constant_columns(x)
+    kept = [j for j in range(len(names)) if not constant[j]]
+    if 0 < len(kept) < len(names):
+        dropped = [names[j] for j in range(len(names)) if constant[j]]
+        warnings.warn(
+            f"{where}: dropping zero-variance features: {', '.join(dropped)}",
+            ClockWarning,
+            stacklevel=3,
+        )
+    return kept
+
+
+@contextmanager
+def naming_dependent(kept, names, where: str):
+    """Re-raise a RankDeficientError with feature names in place of column slots.
+
+    ``kept`` maps each design column to its feature index, as returned by
+    :func:`kept_features`.
+    """
+    try:
+        yield
+    except RankDeficientError as exc:
+        dependent = [kept[i] for i in exc.columns]
+        raise RankDeficientError(
+            f"{where}: features are linear combinations of the others: "
+            f"{', '.join(names[j] for j in dependent)}",
+            dependent,
+        ) from exc
+
+
+def select_arrows(arrows, config: RunConfig, where: str) -> tuple[ClockArrow, ...]:
+    """The significant arrows, strongest first, cut to ``config.top_k``.
+
+    Warns when none is left; ``where`` prefixes the message.
+    """
+    significant = sorted((a for a in arrows if a.significant), key=lambda a: -a.magnitude)
+    if config.top_k is not None:
+        significant = significant[: config.top_k]
+    if not significant:
+        warnings.warn(
+            f"{where}: no significant features at alpha={config.alpha}",
+            ClockWarning,
+            stacklevel=3,
+        )
+    return tuple(significant)
+
+
 def build_clock(
     x,
     y,
@@ -168,17 +222,9 @@ def build_clock(
             f"group {label!r} too small for clock: {len(members)} points"
         )
 
-    keep = ~constant_columns(x[rows])
-    kept = [j for j in range(d) if keep[j]]
+    kept = kept_features(x[rows], names, f"group {label!r}")
     if not kept:
         raise ComputationError(f"group {label!r}: every feature is constant")
-    if len(kept) < d:
-        dropped = [names[j] for j in range(d) if not keep[j]]
-        warnings.warn(
-            f"group {label!r}: dropping zero-variance features: {', '.join(dropped)}",
-            ClockWarning,
-            stacklevel=2,
-        )
     if len(members) < len(kept) + 2:
         raise GroupTooSmallError(
             f"group {label!r} too small for clock: {len(members)} points for "
@@ -189,15 +235,8 @@ def build_clock(
     xs = standardize_columns(xk)[0] if config.standardize_x else center_columns(xk)
     yc = center_columns(ym) if config.center_y else ym
 
-    try:
+    with naming_dependent(kept, names, f"group {label!r}"):
         fit0, fit90 = fit_axis_regressions(xs, yc)
-    except RankDeficientError as exc:
-        dependent = [kept[i] for i in exc.columns]
-        raise RankDeficientError(
-            f"group {label!r}: features are linear combinations of the others: "
-            f"{', '.join(names[j] for j in dependent)}",
-            dependent,
-        ) from exc
     b0 = fit0.coefficients.copy()
     b90 = fit90.coefficients.copy()
     if config.standardize_betas:
@@ -207,39 +246,24 @@ def build_clock(
             b0 /= pooled
             b90 /= pooled
 
-    slot = {j: i for i, j in enumerate(kept)}
     arrows_all = []
-    for j in range(d):
-        if keep[j]:
-            i = slot[j]
-            magnitude, angle = max_contribution(float(b0[i]), float(b90[i]))
-            p0 = float(fit0.p_values[i])
-            p90 = float(fit90.p_values[i])
-            arrows_all.append(
-                ClockArrow(
-                    names[j],
-                    float(b0[i]),
-                    float(b90[i]),
-                    magnitude,
-                    angle,
-                    p0,
-                    p90,
-                    _is_significant(p0, p90, config.alpha, config.significance_rule),
-                )
+    for i, j in enumerate(kept):
+        magnitude, angle = max_contribution(float(b0[i]), float(b90[i]))
+        p0 = float(fit0.p_values[i])
+        p90 = float(fit90.p_values[i])
+        arrows_all.append(
+            ClockArrow(
+                names[j],
+                float(b0[i]),
+                float(b90[i]),
+                magnitude,
+                angle,
+                p0,
+                p90,
+                _is_significant(p0, p90, config.alpha, config.significance_rule),
             )
-        else:
-            arrows_all.append(ClockArrow(names[j], 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, False))
-
-    significant = [a for a in arrows_all if a.significant]
-    significant.sort(key=lambda a: -a.magnitude)
-    if config.top_k is not None:
-        significant = significant[: config.top_k]
-    if not significant:
-        warnings.warn(
-            f"clock for group {label!r}: no significant features at alpha={config.alpha}",
-            ClockWarning,
-            stacklevel=2,
         )
+    arrows = select_arrows(arrows_all, config, f"clock for group {label!r}")
 
     anchor = config.anchor if config.anchor is not None else (
         float(ym[:, 0].mean()),
@@ -256,10 +280,10 @@ def build_clock(
     if config.circles:
         m = max(2, int(round(180.0 / config.theta_step_deg)))
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, m)
-        circles = {names[j]: tuple(sweep[slot[j]]) for j in kept}
+        circles = {names[j]: tuple(sweep[i]) for i, j in enumerate(kept)}
         out_variant = "circles"
 
-    return Clock(out_variant, anchor, scale, tuple(significant), members, circles, group)
+    return Clock(out_variant, anchor, scale, arrows, members, circles, group)
 
 
 def build_global_clock(dataset: Dataset, config: RunConfig | None = None) -> Clock:

@@ -224,10 +224,7 @@ def mst_over_centers(grouping: GroupingResult) -> MstEdges:
     Equal-length edges are taken in order of their (id_a, id_b) pair, so the
     tree is deterministic.
     """
-    groups = grouping.groups
-    if not groups:
-        raise ComputationError("no groups to span")
-    centers = {g.id: g.center for g in groups}
+    centers = {g.id: g.center for g in grouping.groups}
     ids = sorted(centers)
     candidates = []
     for i, a in enumerate(ids):

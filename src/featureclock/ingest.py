@@ -182,28 +182,6 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
     )
 
 
-def save_dataset(dataset: Dataset, x_path, y_path, labels_path=None) -> None:
-    """Write a dataset back to CSV files that :func:`load_dataset` round-trips."""
-    with open(x_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dataset.feature_names)
-        for row in dataset.X:
-            writer.writerow([repr(float(v)) for v in row])
-    with open(y_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y"])
-        for row in dataset.Y:
-            writer.writerow([repr(float(v)) for v in row])
-    if labels_path is not None:
-        if dataset.labels is None:
-            raise InputDataError("dataset has no labels to save")
-        with open(labels_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["label"])
-            for token in dataset.labels:
-                writer.writerow([token])
-
-
 def _nearest_divisor_step(step: float) -> float:
     """Smallest angle of the form 180/m (integer m >= 2) that is >= step.
 

@@ -8,17 +8,23 @@ coefficient points at the group encoded as class 1.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clockcore import ClockArrow
+from .clockcore import (
+    ClockArrow,
+    kept_features,
+    max_contribution,
+    naming_dependent,
+    select_arrows,
+    unit_vector,
+)
 from .errors import ClockWarning, ComputationError
 from .grouping import GroupingResult, MstEdges
 from .ingest import Dataset, RunConfig
-from .numstats import as_matrix, constant_columns, normal_two_sided_p, standardize_columns
+from .numstats import as_matrix, check_rank, normal_two_sided_p, standardize_columns
 
 # Ridge on the coefficients (never the intercept). Keeps the fit finite and
 # flagged instead of divergent when the two groups are linearly separable.
@@ -138,12 +144,17 @@ def build_intergroup_clocks(
 ) -> list[IntergroupClock]:
     """One clock per MST edge, fitted on the two endpoint groups.
 
-    Features are standardized over the union of the two groups. Arrows keep
-    features with Wald p below alpha, resolved along the center-to-center
-    axis; positive coefficients point at the second group of the edge.
-    Edges whose groups are too small are skipped with a warning.
+    Features are standardized over the union of the two groups; features
+    that are linear combinations of the others raise RankDeficientError.
+    Arrows keep features with Wald p below alpha, resolved along the
+    center-to-center axis; positive coefficients point at the second group
+    of the edge. Edges whose groups are too small are skipped with a warning.
     """
     config = config or RunConfig()
+    if len(grouping.groups) < 2:
+        raise ComputationError(
+            f"inter-group clocks need at least 2 groups, found {len(grouping.groups)}"
+        )
     x = as_matrix(dataset.X, name="X")
     d = x.shape[1]
     names = dataset.feature_names
@@ -153,11 +164,11 @@ def build_intergroup_clocks(
     clocks: list[IntergroupClock] = []
     for a, b, _length in mst.edges:
         ga, gb = by_id[a], by_id[b]
+        where = f"edge {ga.name!r}-{gb.name!r}"
         if len(ga.members) < need or len(gb.members) < need:
             small = ga.name if len(ga.members) < need else gb.name
             warnings.warn(
-                f"skipping edge {ga.name!r}-{gb.name!r}: group {small!r} has fewer "
-                f"than {need} members",
+                f"skipping {where}: group {small!r} has fewer than {need} members",
                 ClockWarning,
                 stacklevel=2,
             )
@@ -166,33 +177,21 @@ def build_intergroup_clocks(
         rows = list(ga.members) + list(gb.members)
         labels = np.concatenate([np.zeros(len(ga.members)), np.ones(len(gb.members))])
         xu = x[rows]
-        constant = constant_columns(xu)
-        kept = [j for j in range(d) if not constant[j]]
+        kept = kept_features(xu, names, where)
         if not kept:
             warnings.warn(
-                f"skipping edge {ga.name!r}-{gb.name!r}: every feature is constant",
+                f"skipping {where}: every feature is constant",
                 ClockWarning,
                 stacklevel=2,
             )
             continue
-        if len(kept) < d:
-            dropped = [names[j] for j in range(d) if constant[j]]
-            warnings.warn(
-                f"edge {ga.name!r}-{gb.name!r}: dropping zero-variance features: "
-                f"{', '.join(dropped)}",
-                ClockWarning,
-                stacklevel=2,
-            )
         xs, _, _ = standardize_columns(xu[:, kept])
+        with naming_dependent(kept, names, where):
+            check_rank(np.linalg.qr(xs, mode="r"))
         fit = logistic_fit(xs, labels)
 
-        dx = gb.center[0] - ga.center[0]
-        dy = gb.center[1] - ga.center[1]
-        axis = math.degrees(math.atan2(dy, dx)) % 360.0
-        if axis >= 360.0:  # -tiny % 360 rounds up to 360 in floats
-            axis = 0.0
-        ux = math.cos(math.radians(axis))
-        uy = math.sin(math.radians(axis))
+        _, axis = max_contribution(gb.center[0] - ga.center[0], gb.center[1] - ga.center[1])
+        ux, uy = unit_vector(axis)
         anchor = (
             (ga.center[0] + gb.center[0]) / 2.0,
             (ga.center[1] + gb.center[1]) / 2.0,
@@ -201,25 +200,12 @@ def build_intergroup_clocks(
         arrows = []
         for slot, j in enumerate(kept):
             p = float(fit.p_values[slot])
-            if p >= config.alpha:
-                continue
             coef = float(fit.coefficients[slot])
-            beta0 = coef * ux
-            beta90 = coef * uy
             angle = axis if coef >= 0 else (axis + 180.0) % 360.0
             arrows.append(
-                ClockArrow(names[j], beta0, beta90, abs(coef), angle, p, p, True)
+                ClockArrow(names[j], coef * ux, coef * uy, abs(coef), angle, p, p, p < config.alpha)
             )
-        arrows.sort(key=lambda arrow: -arrow.magnitude)
-        if config.top_k is not None:
-            arrows = arrows[: config.top_k]
-        if not arrows:
-            warnings.warn(
-                f"edge {ga.name!r}-{gb.name!r}: no significant features at "
-                f"alpha={config.alpha}",
-                ClockWarning,
-                stacklevel=2,
-            )
+        arrows = select_arrows(arrows, config, where)
         clocks.append(
             IntergroupClock(
                 (a, b),
@@ -227,7 +213,7 @@ def build_intergroup_clocks(
                 (ga.center, gb.center),
                 anchor,
                 axis,
-                tuple(arrows),
+                arrows,
                 fit.converged,
             )
         )

@@ -77,14 +77,15 @@ def standardize_columns(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centered, means, stds
 
 
-def _pivoted_rank(r: np.ndarray) -> tuple[int, np.ndarray]:
-    """Numerical rank of a square R factor by Householder QR with greedy column pivoting.
+def check_rank(r: np.ndarray) -> None:
+    """Raise RankDeficientError unless the square R factor of a design has full rank.
 
-    Returns ``(rank, perm)``: the first ``rank`` entries of perm are the
-    independent columns in pivot order, the rest the dependent ones. The
-    columns are first scaled to unit norm (R's column norms are X's), so the
-    rank does not depend on the units of any feature. Column norms are
-    recomputed at every step, which is exact and cheap for d x d.
+    The rank comes from a Householder QR of R with greedy column pivoting;
+    the columns left after the pivots run out are the dependent ones, listed
+    in the error's ``columns``. The columns are first scaled to unit norm
+    (R's column norms are X's), so the rank does not depend on the units of
+    any feature. Column norms are recomputed at every step, which is exact
+    and cheap for d x d.
     """
     scale = np.sqrt((r * r).sum(axis=0))
     a = r / np.where(scale > 0.0, scale, 1.0)
@@ -109,7 +110,14 @@ def _pivoted_rank(r: np.ndarray) -> tuple[int, np.ndarray]:
         v /= np.linalg.norm(v)
         a[k:, k:] -= 2.0 * np.outer(v, v @ a[k:, k:])
     tol = RANK_TOL * math.sqrt(float((a * a).sum()))
-    return int(np.sum(diag > tol)), perm
+    rank = int(np.sum(diag > tol))
+    if rank < d:
+        dependent = sorted(int(perm[i]) for i in range(rank, d))
+        raise RankDeficientError(
+            f"design matrix is rank deficient (rank {rank} of {d}); "
+            f"offending columns: {dependent}",
+            dependent,
+        )
 
 
 @dataclass(frozen=True)
@@ -154,14 +162,7 @@ def ols_fit(x, y) -> RegressionFit | tuple[RegressionFit, ...]:
     k = targets.shape[1]
     r = np.linalg.qr(np.column_stack([x, targets]), mode="r")
     r11 = r[:d, :d]
-    rank, perm = _pivoted_rank(r11)
-    if rank < d:
-        dependent = sorted(int(perm[i]) for i in range(rank, d))
-        raise RankDeficientError(
-            f"design matrix is rank deficient (rank {rank} of {d}); "
-            f"offending columns: {dependent}",
-            dependent,
-        )
+    check_rank(r11)
 
     # One solve against [R12 | I] gives beta and R11^-1 together.
     solution = np.linalg.solve(r11, np.column_stack([r[:d, d:], np.eye(d)]))

@@ -138,26 +138,24 @@ def render_scatter(dataset: Dataset, grouping: GroupingResult | None = None, *, 
     return scene
 
 
+def _arrow_specs(scene: Scene, arrows, full_length: float) -> list[ArrowSpec]:
+    """Arrow specs scaled so the strongest arrow is ``full_length`` long, with legend entries."""
+    top = max((a.magnitude for a in arrows), default=0.0)
+    specs = []
+    for a in arrows:
+        color, dash = _style_for(scene, a.feature)
+        _add_legend(scene, a.feature, color, dash)
+        length = full_length * (a.magnitude / top if top > 0 else 0.0)
+        specs.append(ArrowSpec(a.angle_deg, length, color, dash, f"{a.magnitude:.2f}"))
+    return specs
+
+
 def render_clock(scene: Scene, clock: Clock, *, clock_scale: float = 1.0) -> Scene:
     """Add a clock glyph: circle, arrows scaled to the longest one, rim labels."""
     radius = clock.scale * clock_scale
     if radius <= 0:
         raise ComputationError("clock radius must be positive")
-    arrows = []
-    if clock.arrows:
-        top = max(a.magnitude for a in clock.arrows)
-        for a in clock.arrows:
-            color, dash = _style_for(scene, a.feature)
-            _add_legend(scene, a.feature, color, dash)
-            arrows.append(
-                ArrowSpec(
-                    a.angle_deg,
-                    radius * (a.magnitude / top if top > 0 else 0.0),
-                    color,
-                    dash,
-                    f"{a.magnitude:.2f}",
-                )
-            )
+    arrows = _arrow_specs(scene, clock.arrows, radius)
     caption = None if arrows else "no significant features"
     scene.clocks.append(ClockGlyph(clock.anchor[0], clock.anchor[1], radius, arrows, caption))
     return scene
@@ -168,16 +166,7 @@ def render_intergroup(scene: Scene, clocks: list[IntergroupClock]) -> Scene:
     for clock in clocks:
         (xa, ya), (xb, yb) = clock.centers
         half = 0.5 * math.hypot(xb - xa, yb - ya)
-        arrows = []
-        if clock.arrows:
-            top = max(a.magnitude for a in clock.arrows)
-            for a in clock.arrows:
-                color, dash = _style_for(scene, a.feature)
-                _add_legend(scene, a.feature, color, dash)
-                length = 0.85 * half * (a.magnitude / top if top > 0 else 0.0)
-                arrows.append(
-                    ArrowSpec(a.angle_deg, length, color, dash, f"{a.magnitude:.2f}")
-                )
+        arrows = _arrow_specs(scene, clock.arrows, 0.85 * half)
         scene.segments.append(SegmentGlyph(xa, ya, xb, yb, arrows))
     return scene
 

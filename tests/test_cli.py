@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -249,6 +251,25 @@ class TestIntergroupCommand:
         }
         assert arrows_and <= arrows_or
 
+    def test_dbscan_all_noise_exit_3(self, noise_inputs, capsys):
+        x, y = noise_inputs
+        code = run(["intergroup", "--x", x, "--y", y, "--cluster", "dbscan:0.0001,5"])
+        assert code == 3
+        assert "need at least 2 groups, found 0" in capsys.readouterr().err
+
+    def test_collinear_features_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        a, b, e = rng.normal(size=(3, 200))
+        a[100:] += 3.0
+        x = write_matrix(tmp_path / "x.csv", ["a", "b", "a_plus_b", "e"],
+                         np.column_stack([a, b, a + b, e]))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(200, 2)))
+        labels = write_labels(tmp_path / "l.csv", ["g0"] * 100 + ["g1"] * 100)
+        code = run(["intergroup", "--x", x, "--y", y, "--labels", labels, "--out-dir", tmp_path / "out"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"error: edge 'g0'-'g1': .*: a_plus_b$", err, re.MULTILINE)
+
     def test_single_group_exit_3(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         labels = write_labels(tmp_path / "one.csv", ["all"] * 150)
@@ -313,6 +334,20 @@ class TestDemo:
                 for arrow in clock["arrows"]:
                     assert f"{arrow['magnitude']:.2f}" in texts
 
+    def test_commands_write_the_demo_bytes(self, iris_paths, tmp_path):
+        x, y, labels = iris_paths
+        demo = tmp_path / "demo"
+        assert run(["demo", "--out-dir", demo]) == 0
+        for view, stem in (
+            ("global", "global_clock"),
+            ("local", "local_clocks"),
+            ("intergroup", "intergroup_clocks"),
+        ):
+            out = tmp_path / view
+            assert run([view, "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 0
+            for suffix in ("svg", "json"):
+                assert (out / f"clock.{suffix}").read_bytes() == (demo / f"{stem}.{suffix}").read_bytes()
+
     def test_bundled_embedding_is_own_pca_output(self, iris_dataset):
         z, _, _ = standardize_columns(iris_dataset.X)
         scores = pca_2d(z).transform(z)
@@ -329,3 +364,19 @@ class TestDemo:
         keys = (out / "global_clock.json").read_text()
         parsed = json.loads(keys)
         assert list(parsed) == sorted(parsed)  # key-sorted at the top level
+
+
+def test_benchmark_traced_names_exist():
+    """Every function the benchmark's tracer wraps is still in the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, names in tracer.TRACED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            owner = module
+            for part in name.split("."):
+                assert hasattr(owner, part), f"{module_name}.{name}"
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module_name}.{name}"

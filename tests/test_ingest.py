@@ -6,7 +6,6 @@ from featureclock import (
     InputDataError,
     RunConfig,
     load_dataset,
-    save_dataset,
     validate_config,
 )
 
@@ -102,10 +101,13 @@ class TestLoadDataset:
             load_dataset(x, y, bad)
 
     def test_round_trip(self, tmp_path, iris_dataset):
-        x2 = tmp_path / "x2.csv"
-        y2 = tmp_path / "y2.csv"
-        l2 = tmp_path / "l2.csv"
-        save_dataset(iris_dataset, x2, y2, l2)
+        def write_table(path, header, rows):
+            lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+            return write(path, "\n".join(lines) + "\n")
+
+        x2 = write_table(tmp_path / "x2.csv", iris_dataset.feature_names, iris_dataset.X)
+        y2 = write_table(tmp_path / "y2.csv", ["x", "y"], iris_dataset.Y)
+        l2 = write(tmp_path / "l2.csv", "label\n" + "\n".join(iris_dataset.labels) + "\n")
         again = load_dataset(x2, y2, l2)
         assert again.feature_names == iris_dataset.feature_names
         assert np.array_equal(again.X, iris_dataset.X)

@@ -7,6 +7,7 @@ from featureclock import (
     MstEdges,
     ClockWarning,
     ComputationError,
+    RankDeficientError,
     RunConfig,
     build_intergroup_clocks,
     from_labels,
@@ -19,10 +20,10 @@ from featureclock.ingest import Dataset, Provenance
 from oracles import logistic_penalized_gradient
 
 
-def make_dataset(x, y, labels):
+def make_dataset(x, y, labels, names=None):
     x = np.asarray(x, dtype=float)
     return Dataset(
-        tuple(f"f{j}" for j in range(x.shape[1])),
+        tuple(names or (f"f{j}" for j in range(x.shape[1]))),
         x,
         np.asarray(y, dtype=float),
         tuple(labels),
@@ -42,6 +43,18 @@ def shifted_fixture(seed=2, n_per=250, shift=5.0):
     y = np.vstack([ya, yb])
     labels = ["low"] * n_per + ["high"] * n_per
     return make_dataset(x, y, labels)
+
+
+def collinear_fixture(seed=0, n_per=100):
+    """Features a, b, a_plus_b = a + b, e; groups g0 and g1 are 3 sigma apart along a."""
+    rng = np.random.default_rng(seed)
+    a, b, e = rng.normal(size=(3, 2 * n_per))
+    a[n_per:] += 3.0
+    x = np.column_stack([a, b, a + b, e])
+    y = rng.normal(scale=0.5, size=(2 * n_per, 2))
+    y[n_per:, 0] += 10.0
+    labels = ["g0"] * n_per + ["g1"] * n_per
+    return make_dataset(x, y, labels, ("a", "b", "a_plus_b", "e"))
 
 
 class TestLogisticFit:
@@ -147,6 +160,34 @@ class TestIntergroupClocks:
         assert clock.anchor == ((xa + xb) / 2.0, (ya + yb) / 2.0)
         expected = math.degrees(math.atan2(yb - ya, xb - xa)) % 360.0
         assert clock.axis_angle_deg == pytest.approx(expected)
+
+    def test_axis_aligned_edge_has_exact_zero_component(self):
+        dataset = shifted_fixture()
+        n_per = len(dataset.labels) // 2
+        y = dataset.Y.copy()
+        y[n_per:] = y[:n_per] + np.array([0.0, 10.0])  # centers differ only in y
+        grouping = from_labels(dataset.labels, y)
+        clock = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))[0]
+        assert clock.axis_angle_deg in (90.0, 270.0)
+        assert clock.arrows
+        assert all(arrow.beta0 == 0.0 for arrow in clock.arrows)
+
+    def test_collinear_features_named_per_edge(self):
+        dataset = collinear_fixture()
+        grouping = from_labels(dataset.labels, dataset.Y)
+        mst = mst_over_centers(grouping)
+        with pytest.raises(RankDeficientError) as info:
+            build_intergroup_clocks(dataset, grouping, mst)
+        assert str(info.value) == (
+            "edge 'g0'-'g1': features are linear combinations of the others: a_plus_b"
+        )
+        assert info.value.columns == (2,)
+
+    def test_single_group_raises(self):
+        dataset = shifted_fixture()
+        grouping = from_labels(["all"] * len(dataset.labels), dataset.Y)
+        with pytest.raises(ComputationError, match="need at least 2 groups, found 1"):
+            build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
 
     def test_alpha_zero_empty_arrows(self):
         dataset = shifted_fixture()
