@@ -9,7 +9,6 @@ measured.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,10 @@ from .numstats import as_matrix
 # Label value for points no cluster claims. The token "noise" (any case) in a
 # labels file maps here; noise points never join a group or shift a center.
 NOISE = -1
+
+# Squared distances held at once by DBSCAN's neighbor pass (1 MiB of
+# float64): the block has max(1, _BLOCK_CELLS // n) rows of n columns.
+_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -145,53 +148,75 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     return GroupingResult(labels, _make_groups(labels, names, emb), "kmeans")
 
 
+def _neighbor_graph(arr: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed eps-ball neighbors of every point as CSR ``(indptr, indices)``.
+
+    Squared distances are built for a block of rows at a time, one coordinate
+    after another, so no temporary grows past one block. Row i's neighbors
+    are ``indices[indptr[i]:indptr[i + 1]]``, ascending and including i.
+    """
+    n = arr.shape[0]
+    first, *rest = [np.ascontiguousarray(arr[:, k]) for k in range(arr.shape[1])]
+    step = max(1, _BLOCK_CELLS // n)
+    d2 = np.empty((step, n))
+    diff = np.empty((step, n))
+    counts = np.empty(n, dtype=np.int64)
+    pieces = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block, scratch = d2[: hi - lo], diff[: hi - lo]
+        np.subtract(first[None, :], first[lo:hi, None], out=block)
+        block *= block
+        for c in rest:
+            np.subtract(c[None, :], c[lo:hi, None], out=scratch)
+            scratch *= scratch
+            block += scratch
+        rows, cols = np.divmod(np.flatnonzero(block <= eps2), n)
+        counts[lo:hi] = np.bincount(rows, minlength=hi - lo)
+        pieces.append(cols.astype(np.int32))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.concatenate(pieces)
+
+
 def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     """Density-reachability clustering; unreachable points stay NOISE.
 
-    Cluster ids follow the order in which core points are first encountered
-    over the input point order, so results are deterministic. A point's
-    eps-neighborhood includes the point itself.
+    Point j is a neighbor of point i when the squared distance, summed
+    coordinate by coordinate in column order, is at most ``eps * eps``: the
+    eps-ball is closed and holds the point itself. A point with at least
+    ``min_pts`` neighbors is a core point. Cluster ids follow the order in
+    which core points are first met over the input point order, and a border
+    point (a non-core neighbor of core points) joins the lowest cluster id
+    that reaches it, so results are deterministic.
+
+    Time is O(n^2 d). Memory is one block of about ``_BLOCK_CELLS`` squared
+    distances plus 4 bytes per neighbor pair. Up to 7 coordinates the sums
+    equal numpy's row sum ``((data - data[i]) ** 2).sum(axis=1)`` bit for bit;
+    from 8 on numpy adds in pairs, so a distance may differ from it by 1 ulp.
     """
     arr = as_matrix(data, name="data")
     n = arr.shape[0]
     emb = _check_embedding(embedding, n)
-    if eps <= 0:
-        raise InputDataError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputDataError(f"eps must be positive and finite, got {eps}")
     if min_pts < 1:
         raise InputDataError(f"min_pts must be at least 1, got {min_pts}")
 
-    eps2 = eps * eps
-    cache: list[np.ndarray | None] = [None] * n
-
-    def neighbors(i: int) -> np.ndarray:
-        if cache[i] is None:
-            d2 = ((arr - arr[i]) ** 2).sum(axis=1)
-            cache[i] = np.flatnonzero(d2 <= eps2)
-        return cache[i]
-
+    indptr, indices = _neighbor_graph(arr, eps * eps)
+    core = np.diff(indptr) >= min_pts
     labels = np.full(n, NOISE, dtype=int)
-    visited = np.zeros(n, dtype=bool)
     cid = 0
-    for i in range(n):
-        if visited[i]:
-            continue
-        visited[i] = True
-        seeds = neighbors(i)
-        if seeds.size < min_pts:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
         labels[i] = cid
-        queue = deque(int(j) for j in seeds)
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cid
-            if visited[j]:
-                continue
-            visited[j] = True
-            labels[j] = cid
-            reach = neighbors(j)
-            if reach.size >= min_pts:
-                queue.extend(int(r) for r in reach)
+        frontier = [i]
+        while len(frontier):
+            reached = np.concatenate([indices[indptr[j] : indptr[j + 1]] for j in frontier])
+            reached = np.unique(reached[labels[reached] == NOISE])
+            labels[reached] = cid
+            frontier = reached[core[reached]]
         cid += 1
 
     names = {g: str(g) for g in range(cid)}

@@ -192,6 +192,13 @@ def _nearest_divisor_step(step: float) -> float:
     return 180.0 / m
 
 
+def _finite(name: str, value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise InputDataError(f"{name} must be a finite number, got {number}")
+    return number
+
+
 def validate_config(options=None, /, **overrides) -> RunConfig:
     """Apply defaults and range checks to raw options; returns a RunConfig.
 
@@ -208,7 +215,7 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
     merged = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     merged.update({k: v for k, v in raw.items() if v is not None})
 
-    alpha = float(merged["alpha"])
+    alpha = _finite("alpha", merged["alpha"])
     if not 0.0 < alpha <= 1.0:
         raise InputDataError(f"alpha must be in (0, 1], got {alpha}")
     merged["alpha"] = alpha
@@ -219,7 +226,7 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
             raise InputDataError(f"top_k must be at least 1, got {top_k}")
         merged["top_k"] = top_k
 
-    step = float(merged["theta_step_deg"])
+    step = _finite("theta_step", merged["theta_step_deg"])
     if step <= 0:
         raise InputDataError(f"theta_step must be positive, got {step}")
     lines = 180.0 / step
@@ -234,7 +241,7 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
         step = adjusted
     merged["theta_step_deg"] = step
 
-    scale = float(merged["clock_scale"])
+    scale = _finite("scale", merged["clock_scale"])
     if scale <= 0:
         raise InputDataError(f"scale must be positive, got {scale}")
     merged["clock_scale"] = scale
@@ -249,6 +256,8 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
         raise InputDataError(f"cluster space must be 'x' or 'y', got {space!r}")
     merged["cluster_on"] = space
 
+    if merged["cluster_eps"] is not None:
+        merged["cluster_eps"] = _finite("eps", merged["cluster_eps"])
     if merged["cluster_method"] is not None:
         method = str(merged["cluster_method"]).lower()
         if method not in ("kmeans", "dbscan"):
@@ -257,7 +266,7 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
         if method == "kmeans" and int(merged["cluster_k"]) < 1:
             raise InputDataError("kmeans needs k >= 1")
         if method == "dbscan":
-            if merged["cluster_eps"] is None or float(merged["cluster_eps"]) <= 0:
+            if merged["cluster_eps"] is None or merged["cluster_eps"] <= 0:
                 raise InputDataError("dbscan needs eps > 0")
             if int(merged["cluster_min_pts"]) < 1:
                 raise InputDataError("dbscan needs min_pts >= 1")
@@ -274,10 +283,8 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
     merged["seed"] = int(merged["seed"])
     merged["cluster_k"] = int(merged["cluster_k"])
     merged["cluster_min_pts"] = int(merged["cluster_min_pts"])
-    if merged["cluster_eps"] is not None:
-        merged["cluster_eps"] = float(merged["cluster_eps"])
     if merged["anchor"] is not None:
         ax, ay = merged["anchor"]
-        merged["anchor"] = (float(ax), float(ay))
+        merged["anchor"] = (_finite("anchor x", ax), _finite("anchor y", ay))
 
     return RunConfig(**merged)

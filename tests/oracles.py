@@ -3,12 +3,15 @@
 Each oracle deliberately takes a different path than the library code it
 checks: quadrature instead of continued fractions, extended-precision normal
 equations instead of QR, exhaustive enumeration instead of Kruskal, bulk
-per-angle refits instead of the closed-form maximum, and a PCA biplot from
-an eigendecomposition instead of regressions on the embedding.
+per-angle refits instead of the closed-form maximum, a PCA biplot from
+an eigendecomposition instead of regressions on the embedding, and a
+point-by-point breadth-first DBSCAN instead of blocked distances and
+frontier expansion.
 """
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +154,52 @@ def min_spanning_weight(centers) -> float:
         weight = sum(float(np.linalg.norm(pts[a] - pts[b])) for a, b in edges)
         best = min(best, weight)
     return best
+
+
+def dbscan_reference(data, eps: float, min_pts: int) -> np.ndarray:
+    """DBSCAN labels (-1 for noise) by a deque breadth-first search.
+
+    Each point's neighbors come from its own full distance row,
+    ``((data - data[i]) ** 2).sum(axis=1) <= eps * eps``. Clusters start at
+    unvisited core points in index order and are expanded one at a time, so a
+    border point keeps the first (lowest) cluster id that reaches it.
+    """
+    arr = np.asarray(data, dtype=float)
+    n = arr.shape[0]
+    eps2 = eps * eps
+    cache: list[np.ndarray | None] = [None] * n
+
+    def neighbors(i: int) -> np.ndarray:
+        if cache[i] is None:
+            d2 = ((arr - arr[i]) ** 2).sum(axis=1)
+            cache[i] = np.flatnonzero(d2 <= eps2)
+        return cache[i]
+
+    labels = np.full(n, -1, dtype=int)
+    visited = np.zeros(n, dtype=bool)
+    cid = 0
+    for i in range(n):
+        if visited[i]:
+            continue
+        visited[i] = True
+        seeds = neighbors(i)
+        if seeds.size < min_pts:
+            continue
+        labels[i] = cid
+        queue = deque(int(j) for j in seeds)
+        while queue:
+            j = queue.popleft()
+            if labels[j] == -1:
+                labels[j] = cid
+            if visited[j]:
+                continue
+            visited[j] = True
+            labels[j] = cid
+            reach = neighbors(j)
+            if reach.size >= min_pts:
+                queue.extend(int(r) for r in reach)
+        cid += 1
+    return labels
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:

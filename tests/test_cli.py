@@ -113,6 +113,25 @@ class TestGlobalCommand:
         x, y = noise_inputs
         assert run(["global", "--x", x, "--y", y, "--alpha", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("global", ["--alpha", "nan"], "alpha"),
+            ("global", ["--theta-step", "nan"], "theta_step"),
+            ("global", ["--theta-step", "inf"], "theta_step"),
+            ("global", ["--scale", "nan"], "scale"),
+            ("global", ["--scale", "inf"], "scale"),
+            ("local", ["--cluster", "dbscan:nan,5"], "eps"),
+            ("intergroup", ["--cluster", "dbscan:inf,5"], "eps"),
+        ],
+    )
+    def test_non_finite_option_exit_2(self, noise_inputs, tmp_path, capsys, command, flags, name):
+        x, y = noise_inputs
+        out = tmp_path / "out"
+        assert run([command, "--x", x, "--y", y, *flags, "--out-dir", out]) == 2
+        assert f"{name} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_echoed(self, iris_paths, tmp_path):
         x, y, _ = iris_paths
         out = tmp_path / "out"

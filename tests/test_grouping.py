@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featureclock import (
     NOISE,
@@ -11,8 +14,9 @@ from featureclock import (
     kmeans,
     mst_over_centers,
 )
+from featureclock import grouping as grouping_module
 
-from oracles import min_spanning_weight
+from oracles import dbscan_reference, min_spanning_weight
 
 
 def blob_fixture(seed=0, gap=50.0, n_per=20, spread=0.5):
@@ -158,13 +162,77 @@ class TestDbscan:
 
     def test_invalid_parameters(self):
         data = blob_fixture()
-        with pytest.raises(InputDataError):
-            dbscan(data, eps=0.0, min_pts=4, embedding=data)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(InputDataError, match="eps"):
+                dbscan(data, eps=eps, min_pts=4, embedding=data)
         with pytest.raises(InputDataError):
             dbscan(data, eps=1.0, min_pts=0, embedding=data)
 
+    def test_shared_border_point_joins_lowest_cluster(self):
+        # Point 0 is a border point, within eps of core point 1 (cluster 0)
+        # and core point 4 (cluster 1), and scanned before both.
+        data = np.array([
+            [0.0, 0.0],
+            [-1.0, 0.0], [-1.5, 0.0], [-2.0, 0.0],
+            [1.0, 0.0], [1.5, 0.0], [2.0, 0.0],
+        ])
+        grouping = dbscan(data, eps=1.0, min_pts=4, embedding=data)
+        assert grouping.labels.tolist() == [0, 0, 0, 0, 1, 1, 1]
+        assert grouping.labels.tolist() == dbscan_reference(data, 1.0, 4).tolist()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=500),
+        d=st.integers(min_value=1, max_value=7),
+        eps=st.sampled_from([1.0, math.sqrt(2.0), 2.0]),
+        min_pts=st.integers(min_value=1, max_value=8),
+        block_cells=st.sampled_from([1, 1000, grouping_module._BLOCK_CELLS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_points_match_reference(self, seed, n, d, eps, min_pts, block_cells):
+        # integer coordinates put many pairs exactly at eps; small blocks
+        # split the neighbor pass into many uneven row blocks
+        rng = np.random.default_rng(seed)
+        side = max(2, round((n / 2) ** (1.0 / d)))
+        data = rng.integers(0, side, size=(n, d)).astype(float)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, [0, 0]])
+        assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=300),
+        d=st.sampled_from([8, 12, 30]),
+        min_pts=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_continuous_points_match_reference(self, seed, n, d, min_pts):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, d)) + rng.integers(0, 3, size=(n, 1)) * 4.0
+        eps = math.sqrt(d) * 0.9
+        grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, :2])
+        assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
+
+    def test_memory_stays_bounded(self):
+        # 20 000 points on a jittered grid of spacing 1; eps 1.5 gives each
+        # point about 9 neighbors. An n x n distance matrix would be 3.2 GB.
+        rng = np.random.default_rng(13)
+        side = 200
+        grid = np.indices((side, side // 2)).reshape(2, -1).T.astype(float)
+        data = grid + rng.uniform(-0.05, 0.05, size=grid.shape)
+        tracemalloc.start()
+        try:
+            grouping = dbscan(data, eps=1.5, min_pts=5, embedding=data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grouping.groups) == 1
+        assert peak < 16 * 2**20
+
     def test_permutation_only_relabels(self):
-        # holds when no border point is reachable from two clusters
+        # holds when no border point is reachable from two clusters;
+        # test_shared_border_point_joins_lowest_cluster pins the other case
         rng = np.random.default_rng(12)
         data = blob_fixture(seed=12)
         perm = rng.permutation(len(data))

@@ -177,6 +177,12 @@ class TestValidateConfig:
         with pytest.raises(InputDataError, match="scale"):
             validate_config({"clock_scale": -1.0})
 
+    @pytest.mark.parametrize("anchor", [(0.0, float("inf")), (float("nan"), 0.0)])
+    def test_non_finite_anchor_rejected(self, anchor):
+        # the CLI tests cover the other numeric options; anchor has no flag
+        with pytest.raises(InputDataError, match="anchor . must be a finite number"):
+            validate_config({"anchor": anchor})
+
     def test_overrides_win(self):
         config = validate_config({"alpha": 0.2}, alpha=0.1)
         assert config.alpha == 0.1
