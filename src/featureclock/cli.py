@@ -244,9 +244,12 @@ def _report(command: str, config: RunConfig, dataset: Dataset, clock_records, no
 
 def _write_outputs(out_dir, stem: str, scene, report: dict) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}.svg").write_text(scene.to_svg(), encoding="utf-8")
-    (out / f"{stem}.json").write_text(format_report(report), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{stem}.svg").write_text(scene.to_svg(), encoding="utf-8")
+        (out / f"{stem}.json").write_text(format_report(report), encoding="utf-8")
+    except OSError as exc:
+        raise InputDataError(f"{out}: cannot write outputs: {exc.strerror or exc}") from None
 
 
 def run_view(view: str, dataset: Dataset, grouping: GroupingResult | None, config: RunConfig,

@@ -127,7 +127,7 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
 
     labels = np.full(n, -1, dtype=int)
     for _ in range(300):
-        dist = ((arr[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = np.column_stack([((arr - center) ** 2).sum(axis=1) for center in centers])
         assignment = dist.argmin(axis=1)
         repaired: list[int] = []
         for cid in range(k):

@@ -1,9 +1,11 @@
 """CSV ingestion into validated datasets, plus run-configuration handling.
 
-The accepted dialect is deliberately narrow: comma separator, one header row,
-dot-decimal numbers, no missing values. Every malformed input becomes an
-InputDataError with file/row/column context instead of a crash or a silent
-truncation.
+Every input file is UTF-8, with or without a byte-order mark, read by one csv
+module reader: comma separator, one header row, no missing values. Numeric
+cells are converted a block of rows at a time by ``np.array(..., dtype=float)``,
+which parses each cell as Python's ``float`` does. Only a block that fails
+to convert is checked cell by cell, so every malformed input becomes an
+InputDataError naming the file's first fault by row and column.
 """
 
 from __future__ import annotations
@@ -12,12 +14,18 @@ import csv
 import dataclasses
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ClockWarning, InputDataError
+
+# Cells converted per np.array call: a whole file at once would hold every
+# cell's string in memory, and one row per call pays numpy's call cost per row.
+_BLOCK_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -64,79 +72,80 @@ class RunConfig:
     anchor: tuple[float, float] | None = None
 
 
-def _read_table(path) -> tuple[list[str], list[list[float]]]:
-    """Read a numeric CSV with a header row; report bad cells by row/column."""
-    p = Path(path)
+def _rows(p: Path):
+    """Yield a CSV file's stripped header, then (record number, cells) per non-blank row."""
     if not p.is_file():
         raise InputDataError(f"input file not found: {p}")
-    with open(p, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise InputDataError(f"{p}: file is empty") from None
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputDataError(
-                    f"{p}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for colno, cell in enumerate(row, start=1):
-                text = cell.strip()
-                if not text:
-                    raise InputDataError(
-                        f"{p}: missing value at row {lineno}, column {colno}"
-                    )
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise InputDataError(
-                        f"{p}: non-numeric value {text!r} at row {lineno}, column {colno}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise InputDataError(
-                        f"{p}: non-finite value {text!r} at row {lineno}, column {colno}"
-                    )
-                values.append(value)
-            rows.append(values)
-    if not rows:
-        raise InputDataError(f"{p}: no data rows")
-    return header, rows
+    try:
+        with open(p, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise InputDataError(f"{p}: file is empty")
+            yield [cell.strip() for cell in header]
+            rows = ((lineno, row) for lineno, row in enumerate(reader, start=1) if row)
+            first = next(rows, None)
+            if first is None:
+                raise InputDataError(f"{p}: no data rows")
+            yield first
+            yield from rows
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputDataError(f"{p}: {exc}") from None
+
+
+def _convert(p: Path, width: int, numbered: list) -> np.ndarray:
+    """One block of rows as a float array; on failure, report its first fault."""
+    with suppress(ValueError):  # a ragged block or a cell that float() rejects
+        values = np.array([row for _, row in numbered], dtype=float)
+        if values.shape == (len(numbered), width) and np.isfinite(values).all():
+            return values
+    for lineno, row in numbered:
+        if len(row) != width:
+            raise InputDataError(f"{p}: row {lineno} has {len(row)} cells, expected {width}")
+        for colno, cell in enumerate(row, start=1):
+            text, where = cell.strip(), f"at row {lineno}, column {colno}"
+            if not text:
+                raise InputDataError(f"{p}: missing value {where}")
+            try:
+                value = float(text)
+            except ValueError:
+                raise InputDataError(f"{p}: non-numeric value {text!r} {where}") from None
+            if not math.isfinite(value):
+                raise InputDataError(f"{p}: non-finite value {text!r} {where}")
+    raise AssertionError(f"{p}: block failed to convert but has no faulty cell")
+
+
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Read a numeric CSV with a header row; report bad cells by row/column."""
+    p = Path(path)
+    rows = _rows(p)
+    header = next(rows)
+    per_block = max(1, _BLOCK_CELLS // max(1, len(header)))
+    blocks = []
+    while numbered := list(islice(rows, per_block)):
+        blocks.append(_convert(p, len(header), numbered))
+    return header, np.concatenate(blocks)
 
 
 def _read_labels(path) -> list[str]:
     p = Path(path)
-    if not p.is_file():
-        raise InputDataError(f"input file not found: {p}")
-    with open(p, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise InputDataError(f"{p}: file is empty") from None
-        if header != ["label"]:
-            raise InputDataError(f"{p}: labels file must have the single header 'label'")
-        tokens: list[str] = []
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise InputDataError(f"{p}: row {lineno} has {len(row)} cells, expected 1")
-            token = row[0].strip()
-            if not token:
-                raise InputDataError(f"{p}: empty label at row {lineno}")
-            tokens.append(token)
-    if not tokens:
-        raise InputDataError(f"{p}: no data rows")
+    rows = _rows(p)
+    if next(rows) != ["label"]:
+        raise InputDataError(f"{p}: labels file must have the single header 'label'")
+    tokens: list[str] = []
+    for lineno, row in rows:
+        if len(row) != 1:
+            raise InputDataError(f"{p}: row {lineno} has {len(row)} cells, expected 1")
+        token = row[0].strip()
+        if not token:
+            raise InputDataError(f"{p}: empty label at row {lineno}")
+        tokens.append(token)
     return tokens
 
 
 def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
     """Load and cross-validate the feature matrix, embedding, and labels files."""
-    x_header, x_rows = _read_table(x_path)
+    x_header, X = _read_table(x_path)
     for idx, name in enumerate(x_header):
         if not name:
             raise InputDataError(f"{x_path}: feature name in column {idx + 1} is empty")
@@ -145,41 +154,29 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
         if name in seen:
             raise InputDataError(f"{x_path}: duplicate feature name {name!r}")
         seen.add(name)
+    n = X.shape[0]
 
-    y_header, y_rows = _read_table(y_path)
+    y_header, Y = _read_table(y_path)
     if len(y_header) != 2:
         raise InputDataError(
             f"{y_path}: embedding must have exactly 2 columns, found {len(y_header)}"
         )
-    if len(y_rows) != len(x_rows):
+    if Y.shape[0] != n:
         raise InputDataError(
-            f"row-count mismatch: {x_path} has {len(x_rows)} rows "
-            f"but {y_path} has {len(y_rows)}"
+            f"row-count mismatch: {x_path} has {n} rows but {y_path} has {Y.shape[0]}"
         )
 
-    labels: tuple[str, ...] | None = None
-    if labels_path is not None:
-        tokens = _read_labels(labels_path)
-        if len(tokens) != len(x_rows):
-            raise InputDataError(
-                f"row-count mismatch: {x_path} has {len(x_rows)} rows "
-                f"but {labels_path} has {len(tokens)}"
-            )
-        labels = tuple(tokens)
+    labels = None if labels_path is None else tuple(_read_labels(labels_path))
+    if labels is not None and len(labels) != n:
+        raise InputDataError(
+            f"row-count mismatch: {x_path} has {n} rows but {labels_path} has {len(labels)}"
+        )
 
-    if len(x_rows) < 5:
-        raise InputDataError(f"need at least 5 rows, found {len(x_rows)}")
+    if n < 5:
+        raise InputDataError(f"need at least 5 rows, found {n}")
 
-    provenance = Provenance(
-        str(x_path), str(y_path), str(labels_path) if labels_path else None, len(x_rows)
-    )
-    return Dataset(
-        tuple(x_header),
-        np.asarray(x_rows, dtype=float),
-        np.asarray(y_rows, dtype=float),
-        labels,
-        provenance,
-    )
+    provenance = Provenance(str(x_path), str(y_path), str(labels_path) if labels_path else None, n)
+    return Dataset(tuple(x_header), X, Y, labels, provenance)
 
 
 def _nearest_divisor_step(step: float) -> float:

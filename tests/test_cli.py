@@ -297,6 +297,49 @@ class TestIntergroupCommand:
         assert "at least 2 groups" in capsys.readouterr().err
 
 
+class TestFiles:
+    def test_byte_order_mark_changes_nothing(self, iris_paths, tmp_path):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        for path in iris_paths:
+            (plain / path.name).write_bytes(path.read_bytes())
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for command in ("global", "intergroup"):
+            for root in (plain, marked):
+                x, y, labels = (root / path.name for path in iris_paths)
+                args = [command, "--x", x, "--y", y, "--labels", labels]
+                assert run([*args, "--out-dir", root / command]) == 0
+            for suffix in ("svg", "json"):
+                name = f"{command}/clock.{suffix}"
+                assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_undecodable_file_exit_2(self, noise_inputs, tmp_path, capsys):
+        _, y = noise_inputs
+        x = tmp_path / "bad.csv"
+        x.write_bytes(b"a,b\n" + b"1,2\n" * 10 + b"3,\xff\xfe\n")
+        assert run(["global", "--x", x, "--y", y, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {x}: ")
+
+    def test_oversized_field_exit_2(self, noise_inputs, tmp_path, capsys):
+        x, y = noise_inputs
+        labels = tmp_path / "labels.csv"
+        labels.write_text("label\n" + "u\n" * 99 + "v" * 200_000 + "\n", encoding="utf-8")
+        args = ["intergroup", "--x", x, "--y", y, "--labels", labels]
+        assert run([*args, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {labels}: field larger than")
+
+    @pytest.mark.parametrize("command", ["global", "demo"])
+    def test_out_dir_that_is_a_file_exit_2(self, iris_paths, tmp_path, capsys, command):
+        x, y, _ = iris_paths
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory", encoding="utf-8")
+        args = ["demo"] if command == "demo" else ["global", "--x", x, "--y", y]
+        assert run([*args, "--out-dir", blocker]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {blocker}: cannot write outputs")
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def hash_tree(directory):
     out = {}
     for path in sorted(Path(directory).iterdir()):

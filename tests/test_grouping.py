@@ -125,6 +125,20 @@ class TestKmeans:
             rows = emb[list(g.members)]
             assert g.center == (pytest.approx(rows[:, 0].mean()), pytest.approx(0.0))
 
+    def test_memory_stays_near_the_data(self):
+        # the n x k x d difference tensor of one Lloyd round would be 8 X.nbytes
+        rng = np.random.default_rng(0)
+        centers = rng.normal(size=(8, 20)) * 100.0
+        data = centers[rng.integers(8, size=40_000)] + rng.normal(size=(40_000, 20))
+        tracemalloc.start()
+        try:
+            grouping = kmeans(data, 8, seed=0, embedding=data[:, :2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grouping.groups) == 8
+        assert peak < 2.5 * data.nbytes
+
 
 class TestDbscan:
     def test_blobs_plus_outlier(self):

@@ -1,5 +1,12 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from featureclock import (
     ClockWarning,
@@ -8,6 +15,7 @@ from featureclock import (
     load_dataset,
     validate_config,
 )
+from featureclock import ingest as ingest_module
 
 
 def write(path, text):
@@ -101,10 +109,6 @@ class TestLoadDataset:
             load_dataset(x, y, bad)
 
     def test_round_trip(self, tmp_path, iris_dataset):
-        def write_table(path, header, rows):
-            lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
-            return write(path, "\n".join(lines) + "\n")
-
         x2 = write_table(tmp_path / "x2.csv", iris_dataset.feature_names, iris_dataset.X)
         y2 = write_table(tmp_path / "y2.csv", ["x", "y"], iris_dataset.Y)
         l2 = write(tmp_path / "l2.csv", "label\n" + "\n".join(iris_dataset.labels) + "\n")
@@ -113,6 +117,103 @@ class TestLoadDataset:
         assert np.array_equal(again.X, iris_dataset.X)
         assert np.array_equal(again.Y, iris_dataset.Y)
         assert again.labels == iris_dataset.labels
+
+
+def write_table(path, header, rows):
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    return write(path, "\n".join(lines) + "\n")
+
+
+class TestBlockedReader:
+    """Cells are converted a block of rows at a time; faults keep file order."""
+
+    @given(
+        shape=st.tuples(st.integers(min_value=5, max_value=40), st.sampled_from([1, 2, 3, 9])),
+        block_cells=st.sampled_from([1, 4, 16, ingest_module._BLOCK_CELLS]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repr_round_trip_is_bit_identical(self, shape, block_cells, data):
+        # block_cells 4 against width 9 gives rows wider than a block; row
+        # counts from 5 to 40 leave a partial last block for most sizes
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        X = data.draw(arrays(np.float64, shape, elements=finite))
+        Y = data.draw(arrays(np.float64, (shape[0], 2), elements=finite))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest_module, "_BLOCK_CELLS", block_cells)
+            names = [f"f{j}" for j in range(shape[1])]
+            x = write_table(Path(tmp) / "x.csv", names, X)
+            y = write_table(Path(tmp) / "y.csv", ["x", "y"], Y)
+            dataset = load_dataset(x, y)
+        assert dataset.X.tobytes() == X.tobytes()
+        assert dataset.Y.tobytes() == Y.tobytes()
+        assert dataset.provenance.n_rows == shape[0]
+
+    @pytest.fixture(params=[8, ingest_module._BLOCK_CELLS], ids=["4-row-blocks", "one-block"])
+    def block_cells(self, request, monkeypatch):
+        monkeypatch.setattr(ingest_module, "_BLOCK_CELLS", request.param)
+
+    def load_with_rows(self, tmp_path, changes):
+        rows = ["a,b"] + ["1,2"] * 10
+        for lineno, text in changes.items():
+            rows[lineno] = text
+        x = write(tmp_path / "x.csv", "\n".join(rows) + "\n")
+        y = write(tmp_path / "y.csv", "x,y\n" + "0,0\n" * 10)
+        return load_dataset(x, y)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({2: "1,zz", 3: "1,2,3"}, r"non-numeric value 'zz' at row 2, column 2$"),
+            ({2: "1,2,3", 3: "1,zz"}, r"row 2 has 3 cells, expected 2$"),
+            ({2: "1,inf", 3: "1,"}, r"non-finite value 'inf' at row 2, column 2$"),
+            ({10: "1,oops"}, r"non-numeric value 'oops' at row 10, column 2$"),
+            ({10: "1"}, r"row 10 has 1 cells, expected 2$"),
+            ({i: "1,2,3" for i in range(1, 11)}, r"row 1 has 3 cells, expected 2$"),
+            ({4: "1e400,2"}, r"non-finite value '1e400' at row 4, column 1$"),
+            ({6: "1,   "}, r"missing value at row 6, column 2$"),
+            ({7: "nan,2"}, r"non-finite value 'nan' at row 7, column 1$"),
+        ],
+    )
+    def test_first_fault_is_reported(self, tmp_path, block_cells, changes, message):
+        with pytest.raises(InputDataError, match=message):
+            self.load_with_rows(tmp_path, changes)
+
+    def test_cells_parse_as_python_float(self, tmp_path, block_cells):
+        dataset = self.load_with_rows(tmp_path, {1: "1_0, 2.5 ", 2: '"3",\u0661\u0662'})
+        assert dataset.X[:2].tolist() == [[10.0, 2.5], [3.0, 12.0]]
+
+    def test_memory_stays_near_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20_000, 50))
+        x = write_table(tmp_path / "x.csv", [f"f{j}" for j in range(50)], X)
+        y = write_table(tmp_path / "y.csv", ["x", "y"], X[:, :2])
+        tracemalloc.start()
+        try:
+            dataset = load_dataset(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(dataset.X, X)
+        assert peak < 3 * X.nbytes
+
+
+class TestFileEncoding:
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        bom = "\ufeff"
+        x = write(tmp_path / "x.csv", bom + "a,b\n" + "1,2\n" * 5)
+        y = write(tmp_path / "y.csv", bom + "x,y\n" + "1,2\n" * 5)
+        labels = write(tmp_path / "labels.csv", bom + "label\n" + "u\n" * 5)
+        dataset = load_dataset(x, y, labels)
+        assert dataset.feature_names == ("a", "b")
+        assert dataset.labels == ("u",) * 5
+
+    def test_undecodable_bytes_name_the_file(self, small_inputs, tmp_path):
+        x, y, _ = small_inputs
+        bad = tmp_path / "labels.csv"
+        bad.write_bytes(b"label\nu\nu\n\xff\xfe\nv\nv\n")
+        with pytest.raises(InputDataError, match=r"labels\.csv: 'utf-8' codec can't decode"):
+            load_dataset(x, y, bad)
 
 
 class TestValidateConfig:
