@@ -16,7 +16,6 @@ from .clockcore import (
     build_global_clock,
     build_local_clocks,
     circle_sweep,
-    fit_axis_regressions,
     max_contribution,
 )
 from .errors import (
@@ -31,7 +30,6 @@ from .grouping import (
     NOISE,
     Group,
     GroupingResult,
-    MstEdges,
     dbscan,
     from_labels,
     kmeans,
@@ -66,7 +64,6 @@ __all__ = [
     "InputDataError",
     "IntergroupClock",
     "LogisticFit",
-    "MstEdges",
     "RankDeficientError",
     "RegressionFit",
     "RunConfig",
@@ -78,7 +75,6 @@ __all__ = [
     "center_columns",
     "circle_sweep",
     "dbscan",
-    "fit_axis_regressions",
     "from_labels",
     "kmeans",
     "load_dataset",

@@ -175,33 +175,17 @@ def format_report(report: dict) -> str:
     return json.dumps(_normalize_floats(report), sort_keys=True, indent=2) + "\n"
 
 
-def _arrow_record(arrow) -> dict:
-    return {
-        "feature": arrow.feature,
-        "beta0": arrow.beta0,
-        "beta90": arrow.beta90,
-        "magnitude": arrow.magnitude,
-        "angle_deg": arrow.angle_deg,
-        "p0": arrow.p0,
-        "p90": arrow.p90,
-        "significant": arrow.significant,
-    }
-
-
 def _clock_record(clock: Clock) -> dict:
     record = {
         "variant": clock.variant,
         "group": clock.group,
-        "member_count": len(clock.members),
-        "anchor": [clock.anchor[0], clock.anchor[1]],
+        "member_count": clock.member_count,
+        "anchor": clock.anchor,
         "scale": clock.scale,
-        "arrows": [_arrow_record(a) for a in clock.arrows],
+        "arrows": [dataclasses.asdict(a) for a in clock.arrows],
     }
     if clock.circles is not None:
-        record["circles"] = {
-            feature: [[angle, coef] for angle, coef in samples]
-            for feature, samples in clock.circles.items()
-        }
+        record["circles"] = clock.circles
     return record
 
 
@@ -209,19 +193,15 @@ def _intergroup_record(clock: IntergroupClock) -> dict:
     return {
         "variant": "intergroup",
         "edge": {"a": clock.edge_names[0], "b": clock.edge_names[1]},
-        "centers": [list(clock.centers[0]), list(clock.centers[1])],
-        "anchor": [clock.anchor[0], clock.anchor[1]],
+        "centers": clock.centers,
+        "anchor": clock.anchor,
         "axis_angle_deg": clock.axis_angle_deg,
         "converged": clock.converged,
-        "arrows": [_arrow_record(a) for a in clock.arrows],
+        "arrows": [dataclasses.asdict(a) for a in clock.arrows],
     }
 
 
 def _report(command: str, config: RunConfig, dataset: Dataset, clock_records, notes) -> dict:
-    config_echo = dataclasses.asdict(config)
-    config_echo["canvas"] = list(config.canvas)
-    if config_echo["anchor"] is not None:
-        config_echo["anchor"] = list(config_echo["anchor"])
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "featureclock",
@@ -233,10 +213,10 @@ def _report(command: str, config: RunConfig, dataset: Dataset, clock_records, no
             "labels": Path(dataset.provenance.labels_path).name
             if dataset.provenance.labels_path
             else None,
-            "rows": dataset.provenance.n_rows,
+            "rows": dataset.X.shape[0],
             "features": len(dataset.feature_names),
         },
-        "config": config_echo,
+        "config": dataclasses.asdict(config),
         "clocks": clock_records,
         "warnings": list(notes),
     }
@@ -273,7 +253,7 @@ def run_view(view: str, dataset: Dataset, grouping: GroupingResult | None, confi
         render_intergroup(scene, clocks)
         report = _report(view, config, dataset, [_intergroup_record(c) for c in clocks], notes)
         by_id = {g.id: g.name for g in grouping.groups}
-        report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst.edges]
+        report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst]
         return scene, report
     for clock in clocks:
         if clock.circles is not None:

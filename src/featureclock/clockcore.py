@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ClockWarning, ComputationError, GroupTooSmallError, RankDeficientError
 from .ingest import Dataset, RunConfig
 from .numstats import (
-    RegressionFit,
     as_matrix,
     center_columns,
     constant_columns,
@@ -44,14 +43,6 @@ def unit_vector(angle_deg: float) -> tuple[float, float]:
         return 0.0, -1.0
     rad = math.radians(a)
     return math.cos(rad), math.sin(rad)
-
-
-def fit_axis_regressions(x_std, y_centered) -> tuple[RegressionFit, RegressionFit]:
-    """Fit the x- and y-axis regressions (the two embedding columns) with one factorization."""
-    y = as_matrix(y_centered, name="embedding")
-    if y.shape[1] != 2:
-        raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
-    return ols_fit(x_std, y)
 
 
 def max_contribution(beta0: float, beta90: float) -> tuple[float, float]:
@@ -112,7 +103,7 @@ class Clock:
     anchor: tuple[float, float]
     scale: float
     arrows: tuple[ClockArrow, ...]
-    members: tuple[int, ...]
+    member_count: int
     circles: dict[str, tuple[tuple[float, float], ...]] | None = None
     group: str | None = None
 
@@ -208,35 +199,36 @@ def build_clock(
     if len(names) != d:
         raise ComputationError(f"got {len(names)} feature names for {d} features")
 
-    members = tuple(sorted(dict.fromkeys(int(i) for i in member_idx)))
-    if not members:
+    members = np.sort(np.asarray(member_idx, dtype=np.intp), axis=None)
+    if not members.size:
         raise ComputationError("member set is empty")
+    # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB, ~15 ms)
+    members = members[np.concatenate(([True], members[1:] != members[:-1]))]
     if members[0] < 0 or members[-1] >= n:
         raise ComputationError(f"member indices must be in [0, {n}), got {members[0]}..{members[-1]}")
     label = group if group is not None else variant
 
-    rows = list(members)
-    ym = y[rows]
-    if len(members) < 3:
+    ym = y[members]
+    if members.size < 3:
         raise GroupTooSmallError(
-            f"group {label!r} too small for clock: {len(members)} points"
+            f"group {label!r} too small for clock: {members.size} points"
         )
 
-    kept = kept_features(x[rows], names, f"group {label!r}")
+    kept = kept_features(x[members], names, f"group {label!r}")
     if not kept:
         raise ComputationError(f"group {label!r}: every feature is constant")
-    if len(members) < len(kept) + 2:
+    if members.size < len(kept) + 2:
         raise GroupTooSmallError(
-            f"group {label!r} too small for clock: {len(members)} points for "
+            f"group {label!r} too small for clock: {members.size} points for "
             f"{len(kept)} features (need at least {len(kept) + 2})"
         )
 
-    xk = x[np.ix_(rows, kept)]
+    xk = x[np.ix_(members, kept)]
     xs = standardize_columns(xk)[0] if config.standardize_x else center_columns(xk)
     yc = center_columns(ym) if config.center_y else ym
 
     with naming_dependent(kept, names, f"group {label!r}"):
-        fit0, fit90 = fit_axis_regressions(xs, yc)
+        fit0, fit90 = ols_fit(xs, yc)
     b0 = fit0.coefficients.copy()
     b90 = fit90.coefficients.copy()
     if config.standardize_betas:
@@ -283,16 +275,15 @@ def build_clock(
         circles = {names[j]: tuple(sweep[i]) for i, j in enumerate(kept)}
         out_variant = "circles"
 
-    return Clock(out_variant, anchor, scale, arrows, members, circles, group)
+    return Clock(out_variant, anchor, scale, arrows, members.size, circles, group)
 
 
 def build_global_clock(dataset: Dataset, config: RunConfig | None = None) -> Clock:
     """Clock over every point of the dataset."""
-    n = dataset.X.shape[0]
     return build_clock(
         dataset.X,
         dataset.Y,
-        range(n),
+        range(dataset.X.shape[0]),
         config,
         variant="global",
         feature_names=dataset.feature_names,

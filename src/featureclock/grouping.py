@@ -27,9 +27,11 @@ _BLOCK_CELLS = 2**17
 
 @dataclass(frozen=True)
 class Group:
+    """One group: its id, display name, ascending member rows and embedding center."""
+
     id: int
     name: str
-    members: tuple[int, ...]
+    members: np.ndarray
     center: tuple[float, float]
 
 
@@ -39,23 +41,15 @@ class GroupingResult:
 
     labels: np.ndarray
     groups: tuple[Group, ...]
-    source: str
-
-
-@dataclass(frozen=True)
-class MstEdges:
-    """Minimum spanning tree over group centers: (id_a, id_b, length) triples."""
-
-    edges: tuple[tuple[int, int, float], ...]
 
 
 def _make_groups(labels: np.ndarray, names: dict[int, str], embedding: np.ndarray) -> tuple[Group, ...]:
     groups = []
     for gid in sorted(names):
-        members = tuple(int(i) for i in np.flatnonzero(labels == gid))
-        if not members:
+        members = np.flatnonzero(labels == gid)
+        if not members.size:
             continue
-        rows = embedding[list(members)]
+        rows = embedding[members]
         center = (float(rows[:, 0].mean()), float(rows[:, 1].mean()))
         groups.append(Group(gid, names[gid], members, center))
     return tuple(groups)
@@ -93,7 +87,7 @@ def from_labels(tokens, embedding) -> GroupingResult:
             ids[token] = len(ids)
         labels[i] = ids[token]
     names = {gid: token for token, gid in ids.items()}
-    return GroupingResult(labels, _make_groups(labels, names, emb), "external")
+    return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
 def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
@@ -111,6 +105,8 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
         raise InputDataError(f"k must be at least 1, got {k}")
     if k > n:
         raise InputDataError(f"k={k} exceeds the number of points ({n})")
+    if seed < 0:
+        raise InputDataError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     centers = np.empty((k, arr.shape[1]))
@@ -145,7 +141,7 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
             centers[cid] = arr[labels == cid].mean(axis=0)
 
     names = {cid: str(cid) for cid in range(k)}
-    return GroupingResult(labels, _make_groups(labels, names, emb), "kmeans")
+    return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
 def _neighbor_graph(arr: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +216,7 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
         cid += 1
 
     names = {g: str(g) for g in range(cid)}
-    return GroupingResult(labels, _make_groups(labels, names, emb), "dbscan")
+    return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
 class _UnionFind:
@@ -243,11 +239,11 @@ class _UnionFind:
         return True
 
 
-def mst_over_centers(grouping: GroupingResult) -> MstEdges:
-    """Kruskal MST over the group centers, with Euclidean edge weights.
+def mst_over_centers(grouping: GroupingResult) -> tuple[tuple[int, int, float], ...]:
+    """Kruskal MST over the group centers as (id_a, id_b, length) triples.
 
-    Equal-length edges are taken in order of their (id_a, id_b) pair, so the
-    tree is deterministic.
+    Edge weights are Euclidean. Equal-length edges are taken in order of
+    their (id_a, id_b) pair, so the tree is deterministic.
     """
     centers = {g.id: g.center for g in grouping.groups}
     ids = sorted(centers)
@@ -265,4 +261,4 @@ def mst_over_centers(grouping: GroupingResult) -> MstEdges:
             edges.append((a, b, length))
             if len(edges) == len(ids) - 1:
                 break
-    return MstEdges(tuple(edges))
+    return tuple(edges)

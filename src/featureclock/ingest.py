@@ -35,7 +35,6 @@ class Provenance:
     x_path: str
     y_path: str
     labels_path: str | None
-    n_rows: int
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
     if n < 5:
         raise InputDataError(f"need at least 5 rows, found {n}")
 
-    provenance = Provenance(str(x_path), str(y_path), str(labels_path) if labels_path else None, n)
+    provenance = Provenance(str(x_path), str(y_path), str(labels_path) if labels_path else None)
     return Dataset(tuple(x_header), X, Y, labels, provenance)
 
 
@@ -278,6 +277,8 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
     merged["canvas"] = (width, height)
 
     merged["seed"] = int(merged["seed"])
+    if merged["seed"] < 0:
+        raise InputDataError(f"seed must be non-negative, got {merged['seed']}")
     merged["cluster_k"] = int(merged["cluster_k"])
     merged["cluster_min_pts"] = int(merged["cluster_min_pts"])
     if merged["anchor"] is not None:

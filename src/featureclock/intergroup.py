@@ -22,12 +22,14 @@ from .clockcore import (
     unit_vector,
 )
 from .errors import ClockWarning, ComputationError
-from .grouping import GroupingResult, MstEdges
+from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
 from .numstats import as_matrix, check_rank, normal_two_sided_p, standardize_columns
 
-# Ridge on the coefficients (never the intercept). Keeps the fit finite and
-# flagged instead of divergent when the two groups are linearly separable.
+# Ridge on the coefficients (never the intercept). Keeps the coefficients
+# finite when the two groups are linearly separable, and every Newton system
+# positive definite: a step that moves any coefficient gains the ridge, and
+# one that moves only the intercept gains the weights' sum (each >= 1e-12).
 L2_PENALTY = 1e-6
 
 _MAX_ITER = 100
@@ -56,14 +58,14 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_fit(x, labels, *, penalty: float = L2_PENALTY) -> LogisticFit:
+def logistic_fit(x, labels) -> LogisticFit:
     """Fit class probabilities by iteratively reweighted least squares.
 
-    Maximizes the log-likelihood minus (penalty/2)*||coefficients||^2; the
+    Maximizes the log-likelihood minus (L2_PENALTY/2)*||coefficients||^2; the
     intercept is unpenalized. Iterations stop when the largest parameter
     update falls below 1e-10 or after 100 rounds, in which case the result is
-    returned with ``converged=False`` and a warning (quasi-separation).
-    Standard errors come from the inverse penalized Fisher information.
+    returned with ``converged=False`` and a warning. Standard errors come from
+    the inverse penalized Fisher information.
     """
     xm = as_matrix(x, name="design matrix")
     yv = np.asarray(labels, dtype=float).ravel()
@@ -81,7 +83,7 @@ def logistic_fit(x, labels, *, penalty: float = L2_PENALTY) -> LogisticFit:
         )
 
     design = np.column_stack([np.ones(n), xm])
-    ridge = np.full(d + 1, penalty)
+    ridge = np.full(d + 1, L2_PENALTY)
     ridge[0] = 0.0
     beta = np.zeros(d + 1)
     converged = False
@@ -91,10 +93,7 @@ def logistic_fit(x, labels, *, penalty: float = L2_PENALTY) -> LogisticFit:
         weight = np.clip(prob * (1.0 - prob), 1e-12, None)
         gradient = design.T @ (yv - prob) - ridge * beta
         fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
-        try:
-            step = np.linalg.solve(fisher, gradient)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(fisher, gradient, rcond=None)[0]
+        step = np.linalg.solve(fisher, gradient)
         if not np.all(np.isfinite(step)):
             break
         beta = beta + step
@@ -112,10 +111,7 @@ def logistic_fit(x, labels, *, penalty: float = L2_PENALTY) -> LogisticFit:
     prob = _sigmoid(design @ beta)
     weight = np.clip(prob * (1.0 - prob), 1e-12, None)
     fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
-    try:
-        covariance = np.linalg.inv(fisher)
-    except np.linalg.LinAlgError:  # unpenalized fit under separation
-        covariance = np.linalg.pinv(fisher)
+    covariance = np.linalg.inv(fisher)
     se = np.sqrt(np.maximum(np.diag(covariance)[1:], 0.0))
     coef = beta[1:]
     z = np.divide(coef, se, out=np.zeros_like(coef), where=se > 0)
@@ -139,7 +135,7 @@ class IntergroupClock:
 def build_intergroup_clocks(
     dataset: Dataset,
     grouping: GroupingResult,
-    mst: MstEdges,
+    mst: tuple[tuple[int, int, float], ...],
     config: RunConfig | None = None,
 ) -> list[IntergroupClock]:
     """One clock per MST edge, fitted on the two endpoint groups.
@@ -162,11 +158,11 @@ def build_intergroup_clocks(
     need = max(d + 2, 5)
 
     clocks: list[IntergroupClock] = []
-    for a, b, _length in mst.edges:
+    for a, b, _length in mst:
         ga, gb = by_id[a], by_id[b]
         where = f"edge {ga.name!r}-{gb.name!r}"
-        if len(ga.members) < need or len(gb.members) < need:
-            small = ga.name if len(ga.members) < need else gb.name
+        if ga.members.size < need or gb.members.size < need:
+            small = ga.name if ga.members.size < need else gb.name
             warnings.warn(
                 f"skipping {where}: group {small!r} has fewer than {need} members",
                 ClockWarning,
@@ -174,9 +170,8 @@ def build_intergroup_clocks(
             )
             continue
 
-        rows = list(ga.members) + list(gb.members)
-        labels = np.concatenate([np.zeros(len(ga.members)), np.ones(len(gb.members))])
-        xu = x[rows]
+        labels = np.concatenate([np.zeros(ga.members.size), np.ones(gb.members.size)])
+        xu = x[np.concatenate([ga.members, gb.members])]
         kept = kept_features(xu, names, where)
         if not kept:
             warnings.warn(

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .clockcore import Clock, unit_vector
 from .errors import ComputationError
 from .grouping import NOISE, GroupingResult
@@ -35,13 +37,6 @@ NOISE_COLOR = "#999999"
 
 _MARGIN = 50.0
 _ANNOTATION_STEP = 12.0  # degrees to nudge overlapping rim labels
-
-
-@dataclass
-class ScatterPoint:
-    x: float
-    y: float
-    color: str
 
 
 @dataclass
@@ -91,7 +86,8 @@ class Scene:
     width: int = 900
     height: int = 600
     feature_styles: dict[str, tuple[str, str]] = field(default_factory=dict)
-    points: list[ScatterPoint] = field(default_factory=list)
+    points: list[list[float]] = field(default_factory=list)  # embedding rows
+    point_colors: list[str] = field(default_factory=list)
     clocks: list[ClockGlyph] = field(default_factory=list)
     segments: list[SegmentGlyph] = field(default_factory=list)
     circles: list[CirclesGlyph] = field(default_factory=list)
@@ -119,22 +115,20 @@ def _add_legend(scene: Scene, label: str, color: str, dash: str = "") -> None:
 
 def render_scatter(dataset: Dataset, grouping: GroupingResult | None = None, *, canvas=(900, 600)) -> Scene:
     """Scene with one marker per embedded point, colored by group when given."""
-    scene = Scene(width=int(canvas[0]), height=int(canvas[1]))
+    scene = Scene(width=int(canvas[0]), height=int(canvas[1]), points=dataset.Y.tolist())
     for name in dataset.feature_names:
         _style_for(scene, name)
     if grouping is None:
-        for row in dataset.Y:
-            scene.points.append(ScatterPoint(float(row[0]), float(row[1]), PALETTE[0]))
+        scene.point_colors = [PALETTE[0]] * len(scene.points)
         return scene
-    colors = {g.id: PALETTE[g.id % len(PALETTE)] for g in grouping.groups}
     for g in grouping.groups:
-        _add_legend(scene, g.name, colors[g.id])
-    if bool((grouping.labels == NOISE).any()):
+        _add_legend(scene, g.name, PALETTE[g.id % len(PALETTE)])
+    noise = grouping.labels == NOISE
+    if noise.any():
         _add_legend(scene, "noise", NOISE_COLOR)
-    for i, row in enumerate(dataset.Y):
-        gid = int(grouping.labels[i])
-        color = NOISE_COLOR if gid == NOISE else colors[gid]
-        scene.points.append(ScatterPoint(float(row[0]), float(row[1]), color))
+    slots = np.where(noise, len(PALETTE), grouping.labels % len(PALETTE))
+    # an object array hands out the palette's own strings, not one copy per point
+    scene.point_colors = np.array([*PALETTE, NOISE_COLOR], dtype=object)[slots].tolist()
     return scene
 
 
@@ -150,11 +144,16 @@ def _arrow_specs(scene: Scene, arrows, full_length: float) -> list[ArrowSpec]:
     return specs
 
 
+def _radius(clock: Clock, clock_scale: float) -> float:
+    radius = clock.scale * clock_scale
+    if not (math.isfinite(radius) and radius > 0):
+        raise ComputationError(f"clock radius must be positive and finite, got {radius}")
+    return radius
+
+
 def render_clock(scene: Scene, clock: Clock, *, clock_scale: float = 1.0) -> Scene:
     """Add a clock glyph: circle, arrows scaled to the longest one, rim labels."""
-    radius = clock.scale * clock_scale
-    if radius <= 0:
-        raise ComputationError("clock radius must be positive")
+    radius = _radius(clock, clock_scale)
     arrows = _arrow_specs(scene, clock.arrows, radius)
     caption = None if arrows else "no significant features"
     scene.clocks.append(ClockGlyph(clock.anchor[0], clock.anchor[1], radius, arrows, caption))
@@ -181,7 +180,7 @@ def render_circles(scene: Scene, clock: Clock, *, clock_scale: float = 1.0) -> S
     """
     if clock.circles is None:
         raise ComputationError("clock carries no sweep samples; rebuild with circles on")
-    radius = clock.scale * clock_scale
+    radius = _radius(clock, clock_scale)
     cx, cy = clock.anchor
     drawn = [a.feature for a in clock.arrows if a.feature in clock.circles]
     peak = 0.0
@@ -209,11 +208,8 @@ def _fmt(value: float) -> str:
 
 
 def _data_bounds(scene: Scene) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for p in scene.points:
-        xs.append(p.x)
-        ys.append(p.y)
+    xs = [x for x, _ in scene.points]
+    ys = [y for _, y in scene.points]
     for c in scene.clocks:
         xs.extend((c.cx - c.radius, c.cx + c.radius))
         ys.extend((c.cy - c.radius, c.cy + c.radius))
@@ -273,10 +269,10 @@ def _emit(scene: Scene) -> str:
         f'<rect x="0" y="0" width="{scene.width}" height="{scene.height}" fill="#ffffff"/>',
     ]
 
-    for p in scene.points:
+    for (x, y), color in zip(scene.points, scene.point_colors):
         parts.append(
-            f'<circle cx="{_fmt(tx(p.x))}" cy="{_fmt(ty(p.y))}" r="3" '
-            f'fill="{p.color}" fill-opacity="0.65"/>'
+            f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="3" '
+            f'fill="{color}" fill-opacity="0.65"/>'
         )
 
     for seg in scene.segments:

@@ -220,3 +220,23 @@ def logistic_penalized_gradient(x, labels, intercept, coef, penalty):
     prob = _sigmoid(design @ beta)
     ridge = np.concatenate([[0.0], np.full(len(coef), penalty)])
     return design.T @ (labels - prob) - ridge * beta
+
+
+def logistic_mle(x, labels, tol=1e-12, max_iter=200):
+    """Unpenalized logistic maximum likelihood by plain Newton steps.
+
+    Returns (intercept, coefficients). Raises when the steps do not settle,
+    as they cannot when the classes are separable.
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    design = np.column_stack([np.ones(len(labels)), x])
+    beta = np.zeros(design.shape[1])
+    for _ in range(max_iter):
+        prob = _sigmoid(design @ beta)
+        hessian = design.T @ (design * (prob * (1.0 - prob))[:, None])
+        step = np.linalg.solve(hessian, design.T @ (labels - prob))
+        beta += step
+        if np.max(np.abs(step)) < tol:
+            return float(beta[0]), beta[1:]
+    raise AssertionError("Newton iterations did not converge")

@@ -15,17 +15,16 @@ import numpy as np
 import pytest
 
 from featureclock import (
-    MstEdges,
     RunConfig,
     build_clock,
     build_global_clock,
     build_intergroup_clocks,
     center_columns,
-    fit_axis_regressions,
     from_labels,
     logistic_fit,
     max_contribution,
     mst_over_centers,
+    ols_fit,
     standardize_columns,
     student_t_two_sided_p,
 )
@@ -69,7 +68,7 @@ def random_problem(seed, n=60, d=5):
 def test_criterion_1_closed_form_maximum():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
@@ -88,7 +87,7 @@ def test_criterion_1_closed_form_maximum():
 def test_criterion_2_circle_theorem():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         angles, grid = refit_sweep(x, y, 1800)
         rad = np.radians(angles)
         cos, sin = np.cos(rad), np.sin(rad)
@@ -128,8 +127,6 @@ def test_criterion_3_pca_biplot_equivalence(iris_dataset):
 
 @criterion(4, "OLS matches the extended-precision normal-equations oracle")
 def test_criterion_4_ols_oracle():
-    from featureclock import ols_fit
-
     for seed in range(50):
         rng = np.random.default_rng(seed)
         n, d = 30, 4
@@ -158,7 +155,7 @@ def test_criterion_6_mst_exact():
             centers = rng.uniform(0.0, 10.0, size=(k, 2))
             tokens = [f"g{i}" for i in range(k)]
             grouping = from_labels(tokens, centers)
-            total = sum(length for _, _, length in mst_over_centers(grouping).edges)
+            total = sum(length for _, _, length in mst_over_centers(grouping))
             assert total == pytest.approx(min_spanning_weight(centers), abs=1e-9)
 
 
@@ -202,7 +199,7 @@ def test_criterion_7_logistic():
 
     xs, ys, tokens = shifted_logistic_dataset()
     dataset = Dataset(
-        ("f0", "f1", "f2"), xs, ys, tuple(tokens), Provenance("x", "y", "l", len(tokens))
+        ("f0", "f1", "f2"), xs, ys, tuple(tokens), Provenance("x", "y", "l")
     )
     grouping = from_labels(tokens, ys)
     clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))

@@ -132,6 +132,23 @@ class TestGlobalCommand:
         assert f"{name} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, iris_paths, tmp_path, capsys):
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        args = ["local", "--x", x, "--y", y, "--cluster", "kmeans:3", "--seed", "-1"]
+        assert run([*args, "--out-dir", out]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--circles"]])
+    def test_overflowing_radius_exit_3(self, iris_paths, tmp_path, capsys, flags):
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        args = ["global", "--x", x, "--y", y, "--scale", "1e308", *flags]
+        assert run([*args, "--out-dir", out]) == 3
+        assert "clock radius must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_echoed(self, iris_paths, tmp_path):
         x, y, _ = iris_paths
         out = tmp_path / "out"

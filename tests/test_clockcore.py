@@ -17,9 +17,9 @@ from featureclock import (
     build_local_clocks,
     center_columns,
     circle_sweep,
-    fit_axis_regressions,
     from_labels,
     max_contribution,
+    ols_fit,
     standardize_columns,
 )
 from featureclock.clockcore import unit_vector
@@ -36,7 +36,7 @@ def make_dataset(x, y, names=None, labels=None):
         x,
         np.asarray(y, dtype=float),
         tuple(labels) if labels else None,
-        Provenance("x.csv", "y.csv", None, x.shape[0]),
+        Provenance("x.csv", "y.csv", None),
     )
 
 
@@ -82,7 +82,7 @@ class TestProjection:
 class TestAxisRegressions:
     def test_identity_embedding(self):
         x, y = identity_fixture(d=3)
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         assert np.allclose(fit0.coefficients, [1.0, 0.0, 0.0], atol=1e-10)
         assert np.allclose(fit90.coefficients, [0.0, 1.0, 0.0], atol=1e-10)
         assert fit0.p_values[0] == 0.0  # exact fit
@@ -92,8 +92,8 @@ class TestAxisRegressions:
         rng = np.random.default_rng(2)
         x, _, _ = standardize_columns(rng.normal(size=(40, 4)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = fit_axis_regressions(x, y)
-        swapped0, swapped90 = fit_axis_regressions(x, y[:, ::-1])
+        fit0, fit90 = ols_fit(x, y)
+        swapped0, swapped90 = ols_fit(x, y[:, ::-1])
         assert np.allclose(fit0.coefficients, swapped90.coefficients)
         assert np.allclose(fit90.coefficients, swapped0.coefficients)
 
@@ -101,7 +101,7 @@ class TestAxisRegressions:
         rng = np.random.default_rng(3)
         x, _, _ = standardize_columns(rng.normal(size=(40, 5)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         beta0, *_ = np.linalg.lstsq(x, y[:, 0], rcond=None)
         beta90, *_ = np.linalg.lstsq(x, y[:, 1], rcond=None)
         assert np.max(np.abs(fit0.coefficients - beta0)) < 1e-8
@@ -137,7 +137,7 @@ class TestMaxContribution:
         rng = np.random.default_rng(4)
         x, _, _ = standardize_columns(rng.normal(size=(60, 5)))
         y = center_columns(rng.normal(size=(60, 2)))
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
@@ -154,7 +154,7 @@ class TestMaxContribution:
 class TestCircleSweep:
     def test_cosine_response(self):
         x, y = identity_fixture()
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 3)  # angles 0, 60, 120
         angle, coef = sweep[0][1]
         assert angle == pytest.approx(60.0)
@@ -164,7 +164,7 @@ class TestCircleSweep:
         rng = np.random.default_rng(5)
         x, _, _ = standardize_columns(rng.normal(size=(30, 3)))
         y = center_columns(rng.normal(size=(30, 2)))
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 2)
         for j in range(3):
             assert sweep[j][0] == (0.0, pytest.approx(fit0.coefficients[j]))
@@ -174,7 +174,7 @@ class TestCircleSweep:
         rng = np.random.default_rng(6)
         x, _, _ = standardize_columns(rng.normal(size=(50, 4)))
         y = center_columns(rng.normal(size=(50, 2)))
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 36)
         for j in range(4):
             b0 = float(fit0.coefficients[j])
@@ -190,7 +190,7 @@ class TestCircleSweep:
         rng = np.random.default_rng(7)
         x, _, _ = standardize_columns(rng.normal(size=(40, 3)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = fit_axis_regressions(x, y)
+        fit0, fit90 = ols_fit(x, y)
         fast = circle_sweep(fit0.coefficients, fit90.coefficients, 12)
         angles, slow = refit_sweep(x, y, 12)
         for j in range(3):
@@ -235,7 +235,21 @@ class TestBuildClock:
     def test_members_sorted_and_deduplicated(self):
         x, y = identity_fixture()
         clock = build_clock(x, y, [5, 3, 3, 9, 7, 5, 1, 0, 2, 8, 6, 4])
-        assert clock.members == tuple(range(10))
+        assert clock == build_clock(x, y, range(10))
+        assert clock.member_count == 10
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([], "member set is empty"),
+            ([3, 60, 0], r"must be in \[0, 60\), got 0\.\.60$"),
+            ([5, -1, -1], r"must be in \[0, 60\), got -1\.\.5$"),
+        ],
+    )
+    def test_bad_member_sets_rejected(self, members, message):
+        x, y = identity_fixture()
+        with pytest.raises(ComputationError, match=message):
+            build_clock(x, y, members)
 
     def test_anchor_is_member_centroid(self):
         x, y = identity_fixture()
@@ -489,7 +503,7 @@ class TestLocalClocks:
         global_clock = build_global_clock(dataset)
         assert len(clocks) == 1
         assert clocks[0].arrows == global_clock.arrows
-        assert clocks[0].members == global_clock.members
+        assert clocks[0].member_count == global_clock.member_count
 
     def test_translated_copies_share_arrows(self):
         x, y = identity_fixture(n=50, seed=13)
@@ -527,4 +541,5 @@ class TestLocalClocks:
         dataset = make_dataset(x, y)
         labels = ["a"] * 30 + ["noise"] * 10
         clocks = build_local_clocks(dataset, from_labels(labels, y))
-        assert clocks[0].members == tuple(range(30))
+        assert clocks[0].member_count == 30
+        assert clocks[0].anchor == build_clock(x, y, range(30)).anchor

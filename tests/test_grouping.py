@@ -31,16 +31,15 @@ class TestFromLabels:
     def test_two_groups_with_centers(self):
         y = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
         grouping = from_labels(["a", "a", "b"], y)
-        assert grouping.source == "external"
         a, b = grouping.groups
-        assert a.name == "a" and a.members == (0, 1) and a.center == (1.0, 0.0)
-        assert b.name == "b" and b.members == (2,) and b.center == (5.0, 5.0)
+        assert a.name == "a" and a.members.tolist() == [0, 1] and a.center == (1.0, 0.0)
+        assert b.name == "b" and b.members.tolist() == [2] and b.center == (5.0, 5.0)
 
     def test_single_label_covers_everything(self):
         y = np.arange(10, dtype=float).reshape(5, 2)
         grouping = from_labels(["only"] * 5, y)
         assert len(grouping.groups) == 1
-        assert grouping.groups[0].members == tuple(range(5))
+        assert grouping.groups[0].members.tolist() == list(range(5))
 
     def test_centers_match_mean_oracle(self):
         rng = np.random.default_rng(1)
@@ -48,7 +47,7 @@ class TestFromLabels:
         tokens = [("p", "q", "r")[i % 3] for i in range(60)]
         grouping = from_labels(tokens, y)
         for group in grouping.groups:
-            rows = y[list(group.members)]
+            rows = y[group.members]
             assert abs(group.center[0] - rows[:, 0].mean()) < 1e-12
             assert abs(group.center[1] - rows[:, 1].mean()) < 1e-12
 
@@ -117,12 +116,17 @@ class TestKmeans:
         with pytest.raises(InputDataError, match="exceeds"):
             kmeans(np.zeros((3, 2)), 4, seed=0, embedding=np.zeros((3, 2)))
 
+    def test_negative_seed_rejected(self):
+        data = blob_fixture()
+        with pytest.raises(InputDataError, match="seed must be non-negative, got -1"):
+            kmeans(data, 2, seed=-1, embedding=data)
+
     def test_centers_come_from_embedding(self):
         data = blob_fixture(seed=6)
         emb = np.column_stack([np.arange(40.0), np.zeros(40)])
         grouping = kmeans(data, 2, seed=0, embedding=emb)
         for g in grouping.groups:
-            rows = emb[list(g.members)]
+            rows = emb[g.members]
             assert g.center == (pytest.approx(rows[:, 0].mean()), pytest.approx(0.0))
 
     def test_memory_stays_near_the_data(self):
@@ -273,17 +277,17 @@ class TestMst:
     def test_two_centers_single_edge(self):
         grouping = self.grouping_from_centers([[0.0, 0.0], [3.0, 4.0]])
         mst = mst_over_centers(grouping)
-        assert mst.edges == ((0, 1, 5.0),)
+        assert mst == ((0, 1, 5.0),)
 
     def test_three_collinear_centers(self):
         grouping = self.grouping_from_centers([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         mst = mst_over_centers(grouping)
-        assert sorted((a, b) for a, b, _ in mst.edges) == [(0, 1), (1, 2)]
-        assert sum(length for _, _, length in mst.edges) == pytest.approx(3.0)
+        assert sorted((a, b) for a, b, _ in mst) == [(0, 1), (1, 2)]
+        assert sum(length for _, _, length in mst) == pytest.approx(3.0)
 
     def test_single_group_no_edges(self):
         grouping = self.grouping_from_centers([[1.0, 1.0]])
-        assert mst_over_centers(grouping).edges == ()
+        assert mst_over_centers(grouping) == ()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_enumeration_oracle(self, seed):
@@ -291,14 +295,14 @@ class TestMst:
         centers = rng.uniform(0, 10, size=(5, 2))
         grouping = self.grouping_from_centers(centers)
         mst = mst_over_centers(grouping)
-        total = sum(length for _, _, length in mst.edges)
+        total = sum(length for _, _, length in mst)
         assert total == pytest.approx(min_spanning_weight(centers), abs=1e-9)
 
     def test_not_heavier_than_any_star(self):
         rng = np.random.default_rng(20)
         centers = rng.uniform(0, 10, size=(6, 2))
         grouping = self.grouping_from_centers(centers)
-        total = sum(length for _, _, length in mst_over_centers(grouping).edges)
+        total = sum(length for _, _, length in mst_over_centers(grouping))
         for hub in range(6):
             star = sum(
                 math.dist(centers[hub], centers[other])
@@ -312,9 +316,9 @@ class TestMst:
         centers = rng.uniform(0, 10, size=(7, 2))
         grouping = self.grouping_from_centers(centers)
         mst = mst_over_centers(grouping)
-        assert len(mst.edges) == 6
+        assert len(mst) == 6
         seen = {0}
-        edges = list(mst.edges)
+        edges = list(mst)
         for _ in range(6):
             for a, b, _length in edges:
                 if a in seen or b in seen:

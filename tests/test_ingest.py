@@ -43,7 +43,6 @@ class TestLoadDataset:
         assert iris_dataset.X.shape == (150, 4)
         assert iris_dataset.Y.shape == (150, 2)
         assert len(iris_dataset.labels) == 150
-        assert iris_dataset.provenance.n_rows == 150
 
     def test_small_files(self, small_inputs):
         x, y, labels = small_inputs
@@ -147,7 +146,6 @@ class TestBlockedReader:
             dataset = load_dataset(x, y)
         assert dataset.X.tobytes() == X.tobytes()
         assert dataset.Y.tobytes() == Y.tobytes()
-        assert dataset.provenance.n_rows == shape[0]
 
     @pytest.fixture(params=[8, ingest_module._BLOCK_CELLS], ids=["4-row-blocks", "one-block"])
     def block_cells(self, request, monkeypatch):

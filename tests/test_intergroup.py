@@ -1,10 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from featureclock import (
-    MstEdges,
     ClockWarning,
     ComputationError,
     RankDeficientError,
@@ -15,9 +15,10 @@ from featureclock import (
     mst_over_centers,
     standardize_columns,
 )
+from featureclock import intergroup as intergroup_module
 from featureclock.ingest import Dataset, Provenance
 
-from oracles import logistic_penalized_gradient
+from oracles import logistic_mle, logistic_penalized_gradient
 
 
 def make_dataset(x, y, labels, names=None):
@@ -27,7 +28,7 @@ def make_dataset(x, y, labels, names=None):
         x,
         np.asarray(y, dtype=float),
         tuple(labels),
-        Provenance("x.csv", "y.csv", "labels.csv", x.shape[0]),
+        Provenance("x.csv", "y.csv", "labels.csv"),
     )
 
 
@@ -103,22 +104,37 @@ class TestLogisticFit:
         x = rng.normal(size=(300, 2))
         eta = 0.8 * x[:, 0] - 0.4 * x[:, 1]
         labels = (rng.uniform(size=300) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        tiny = logistic_fit(x, labels, penalty=1e-6)
-        none = logistic_fit(x, labels, penalty=0.0)
-        assert none.converged
-        rel = np.abs(tiny.coefficients - none.coefficients) / np.abs(none.coefficients)
+        fit = logistic_fit(x, labels)
+        intercept, coef = logistic_mle(x, labels)
+        assert fit.converged
+        rel = np.abs(fit.coefficients - coef) / np.abs(coef)
         assert np.max(rel) < 1e-4
+        assert abs(fit.intercept - intercept) < 1e-4
 
     def test_single_class_rejected(self):
         with pytest.raises(ComputationError, match="both classes"):
             logistic_fit(np.random.default_rng(6).normal(size=(20, 2)), np.zeros(20))
 
-    def test_separable_flagged_not_crashed(self):
+    def test_separable_gives_finite_coefficients(self):
         x = np.linspace(-2, 2, 40).reshape(-1, 1)
         labels = (x[:, 0] > 0).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ClockWarning)
+            fit = logistic_fit(x, labels)
+        assert fit.converged
+        assert np.all(np.isfinite(fit.coefficients))
+        assert np.all(np.isfinite(fit.std_errors))
+        assert fit.coefficients[0] > 0
+
+    def test_iteration_cap_flags_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(intergroup_module, "_MAX_ITER", 2)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(100, 3))
+        labels = (x[:, 0] + rng.normal(size=100) > 0).astype(float)
         with pytest.warns(ClockWarning, match="did not converge"):
-            fit = logistic_fit(x, labels, penalty=0.0)
+            fit = logistic_fit(x, labels)
         assert not fit.converged
+        assert fit.iterations == 2
         assert np.all(np.isfinite(fit.coefficients))
 
     def test_standardization_keeps_significance_decision(self):
@@ -214,7 +230,7 @@ class TestIntergroupClocks:
         clocks = build_intergroup_clocks(dataset, grouping, mst)
         assert len(clocks) == 2
         by_id = {g.id: g for g in grouping.groups}
-        for clock, (a, b, _length) in zip(clocks, mst.edges):
+        for clock, (a, b, _length) in zip(clocks, mst):
             ca, cb = by_id[a].center, by_id[b].center
             assert clock.anchor[0] == pytest.approx((ca[0] + cb[0]) / 2.0)
             assert clock.anchor[1] == pytest.approx((ca[1] + cb[1]) / 2.0)
@@ -223,8 +239,8 @@ class TestIntergroupClocks:
         dataset = shifted_fixture()
         grouping = from_labels(dataset.labels, dataset.Y)
         mst = mst_over_centers(grouping)
-        ((ga, gb, length),) = mst.edges
-        reversed_mst = MstEdges(((gb, ga, length),))
+        ((ga, gb, length),) = mst
+        reversed_mst = ((gb, ga, length),)
         clock_f = build_intergroup_clocks(dataset, grouping, mst)[0]
         clock_b = build_intergroup_clocks(dataset, grouping, reversed_mst)[0]
         assert clock_b.edge_names == tuple(reversed(clock_f.edge_names))

@@ -21,7 +21,7 @@ from featureclock import (
     standardize_columns,
 )
 from featureclock.ingest import Dataset, Provenance
-from featureclock.render import NOISE_COLOR
+from featureclock.render import NOISE_COLOR, PALETTE
 
 
 def make_dataset(x, y, labels=None):
@@ -31,7 +31,7 @@ def make_dataset(x, y, labels=None):
         x,
         np.asarray(y, dtype=float),
         tuple(labels) if labels else None,
-        Provenance("x.csv", "y.csv", None, x.shape[0]),
+        Provenance("x.csv", "y.csv", None),
     )
 
 
@@ -42,7 +42,7 @@ def arrow(feature, beta0, beta90, p=0.001):
 
 
 def manual_clock(arrows, anchor=(0.0, 0.0), scale=1.0, circles=None, variant="global"):
-    return Clock(variant, anchor, scale, tuple(arrows), (0, 1, 2), circles)
+    return Clock(variant, anchor, scale, tuple(arrows), 3, circles)
 
 
 def simple_scene(extra_points=None):
@@ -71,6 +71,19 @@ class TestScatter:
         svg = render_scatter(dataset, grouping).to_svg()
         assert NOISE_COLOR in svg
         assert ">noise<" in svg
+
+    def test_group_colors_cycle_past_ten_groups(self):
+        # groups g0..g11 get ids 0..11 in first-appearance order; every 13th row is noise
+        tokens = ["noise" if i % 13 == 12 else f"g{i % 13}" for i in range(39)]
+        x = np.column_stack([np.arange(39.0), np.ones(39)])
+        dataset = make_dataset(x, np.column_stack([np.arange(39.0), np.zeros(39)]), tokens)
+        svg = render_scatter(dataset, from_labels(dataset.labels, dataset.Y)).to_svg()
+        expected = [NOISE_COLOR if t == "noise" else PALETTE[int(t[1:]) % 10] for t in tokens]
+        assert re.findall(r'<circle [^>]*r="3" fill="(#\w+)"', svg) == expected
+        legend = re.findall(r'height="10" fill="(#\w+)"/>\n<text [^>]*>([^<]*)</text>', svg)
+        groups = [(PALETTE[k % 10], f"g{k}") for k in range(12)]
+        assert legend == groups + [(NOISE_COLOR, "noise")]
+        assert legend[10] == (PALETTE[0], "g10")
 
     def test_byte_identical_runs(self):
         first = simple_scene().to_svg()
@@ -189,7 +202,7 @@ class TestIntergroupGlyph:
         )
         labels = ["a"] * n + ["b"] * n
         dataset = Dataset(
-            ("f0", "f1"), x, y, tuple(labels), Provenance("x", "y", "l", 2 * n)
+            ("f0", "f1"), x, y, tuple(labels), Provenance("x", "y", "l")
         )
         grouping = from_labels(labels, y)
         clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
@@ -239,7 +252,7 @@ class TestIntergroupGlyph:
         y[2 * n :, 0] += 8.0
         labels = ["a"] * n + ["b"] * n + ["c"] * n
         dataset = Dataset(
-            ("f0", "f1"), x, y, tuple(labels), Provenance("x", "y", "l", 3 * n)
+            ("f0", "f1"), x, y, tuple(labels), Provenance("x", "y", "l")
         )
         grouping = from_labels(labels, y)
         with pytest.warns(Warning):
@@ -313,7 +326,7 @@ class TestWellFormed:
         y = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 2.0]]
         x = np.column_stack([np.arange(5.0), np.ones(5)])
         dataset = Dataset(
-            ("a<b", "c&d"), np.asarray(x), np.asarray(y), None, Provenance("x", "y", None, 5)
+            ("a<b", "c&d"), np.asarray(x), np.asarray(y), None, Provenance("x", "y", None)
         )
         scene = render_scatter(dataset)
         clock = manual_clock([arrow("a<b", 1.0, 0.0), arrow("c&d", 0.0, 0.5)])
