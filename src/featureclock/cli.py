@@ -120,26 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    raw: dict = {}
-    for key in (
-        "alpha",
-        "top_k",
-        "theta_step_deg",
-        "standardize_x",
-        "center_y",
-        "standardize_betas",
-        "significance_rule",
-        "circles",
-        "clock_scale",
-        "seed",
-        "cluster_on",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    if getattr(args, "canvas", None) is not None:
+    """Every RunConfig field from the flag of that name; an unset flag is None (the default)."""
+    raw = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(RunConfig)}
+    if args.canvas is not None:
         raw["canvas"] = _parse_canvas(args.canvas)
-    if getattr(args, "cluster", None) is not None:
+    if args.cluster is not None:
         raw.update(_parse_cluster(args.cluster))
     return validate_config(raw)
 
@@ -150,11 +135,10 @@ def _resolve_grouping(args: argparse.Namespace, dataset: Dataset, config: RunCon
         return from_labels(dataset.labels, dataset.Y)
     if args.command == "global":
         return None
+    data = dataset.X if config.cluster_on == "x" else dataset.Y
     if config.cluster_method == "kmeans":
-        data = dataset.X if config.cluster_on == "x" else dataset.Y
         return kmeans(data, config.cluster_k, config.seed, dataset.Y)
     if config.cluster_method == "dbscan":
-        data = dataset.X if config.cluster_on == "x" else dataset.Y
         return dbscan(data, config.cluster_eps, config.cluster_min_pts, dataset.Y)
     raise InputDataError("a grouping source is required: --labels or --cluster")
 

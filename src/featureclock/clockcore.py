@@ -24,6 +24,7 @@ from .numstats import (
     as_matrix,
     center_columns,
     constant_columns,
+    distinct,
     negligible,
     ols_fit,
     standardize_columns,
@@ -199,11 +200,9 @@ def build_clock(
     if len(names) != d:
         raise ComputationError(f"got {len(names)} feature names for {d} features")
 
-    members = np.sort(np.asarray(member_idx, dtype=np.intp), axis=None)
+    members = distinct(np.sort(np.asarray(member_idx, dtype=np.intp), axis=None))
     if not members.size:
         raise ComputationError("member set is empty")
-    # deduplicated by hand: np.unique imports numpy.ma on first use (~1 MB, ~15 ms)
-    members = members[np.concatenate(([True], members[1:] != members[:-1]))]
     if members[0] < 0 or members[-1] >= n:
         raise ComputationError(f"member indices must be in [0, {n}), got {members[0]}..{members[-1]}")
     label = group if group is not None else variant

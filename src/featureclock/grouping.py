@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputDataError
-from .numstats import as_matrix
+from .numstats import as_matrix, distinct
 
 # Label value for points no cluster claims. The token "noise" (any case) in a
 # labels file maps here; noise points never join a group or shift a center.
@@ -210,33 +210,13 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
         frontier = [i]
         while len(frontier):
             reached = np.concatenate([indices[indptr[j] : indptr[j + 1]] for j in frontier])
-            reached = np.unique(reached[labels[reached] == NOISE])
+            reached = distinct(np.sort(reached[labels[reached] == NOISE]))
             labels[reached] = cid
             frontier = reached[core[reached]]
         cid += 1
 
     names = {g: str(g) for g in range(cid)}
     return GroupingResult(labels, _make_groups(labels, names, emb))
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
 
 
 def mst_over_centers(grouping: GroupingResult) -> tuple[tuple[int, int, float], ...]:
@@ -254,10 +234,12 @@ def mst_over_centers(grouping: GroupingResult) -> tuple[tuple[int, int, float], 
             candidates.append((length, a, b))
     candidates.sort()
 
-    forest = _UnionFind(ids)
+    tree = {gid: gid for gid in ids}  # group id -> id of the tree holding it
     edges = []
     for length, a, b in candidates:
-        if forest.union(a, b):
+        ta, tb = tree[a], tree[b]
+        if ta != tb:
+            tree = {gid: ta if t == tb else t for gid, t in tree.items()}
             edges.append((a, b, length))
             if len(edges) == len(ids) - 1:
                 break

@@ -178,16 +178,6 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
     return Dataset(tuple(x_header), X, Y, labels, provenance)
 
 
-def _nearest_divisor_step(step: float) -> float:
-    """Smallest angle of the form 180/m (integer m >= 2) that is >= step.
-
-    Steps above 90 degrees clamp to 90, the coarsest usable sweep.
-    """
-    m = int(180.0 / step + 1e-9)
-    m = max(m, 2)
-    return 180.0 / m
-
-
 def _finite(name: str, value) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -195,14 +185,15 @@ def _finite(name: str, value) -> float:
     return number
 
 
-def validate_config(options=None, /, **overrides) -> RunConfig:
-    """Apply defaults and range checks to raw options; returns a RunConfig.
+def validate_config(options=None, /) -> RunConfig:
+    """Apply defaults and range checks to a dict of raw options; returns a RunConfig.
 
-    The projection step must divide 180 degrees; otherwise it is adjusted to
-    the nearest achievable divisor and a warning is emitted.
+    Keys are RunConfig field names; a None value keeps the default. The
+    projection step must be at least 0.1 degrees (1800 lines). A step that
+    does not divide 180 degrees is raised to the next step of the form 180/m,
+    and a step above 90 is clamped to 90; both warn.
     """
     raw = dict(options or {})
-    raw.update(overrides)
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -223,11 +214,11 @@ def validate_config(options=None, /, **overrides) -> RunConfig:
         merged["top_k"] = top_k
 
     step = _finite("theta_step", merged["theta_step_deg"])
-    if step <= 0:
-        raise InputDataError(f"theta_step must be positive, got {step}")
+    if step < 0.1:
+        raise InputDataError(f"theta_step must be at least 0.1 degrees, got {step}")
     lines = 180.0 / step
     if abs(lines - round(lines)) > 1e-9 or round(lines) < 2:
-        adjusted = _nearest_divisor_step(step)
+        adjusted = 180.0 / max(2, int(lines + 1e-9))
         warnings.warn(
             f"theta_step {step} does not divide 180 into at least 2 lines; "
             f"using {adjusted}",

@@ -31,6 +31,14 @@ def negligible(spread, magnitude):
     return np.asarray(spread) <= NOISE_RATIO * np.asarray(magnitude)
 
 
+def distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending 1-D array, in order; empty stays empty."""
+    # by hand: numpy's unique() imports numpy.ma on first use (~1 MB, ~15 ms)
+    keep = np.ones(ascending.shape, dtype=bool)
+    keep[1:] = ascending[1:] != ascending[:-1]
+    return ascending[keep]
+
+
 def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int = 1) -> np.ndarray:
     """Validate a 2-D array of finite floats and return it as float64."""
     arr = np.asarray(values, dtype=float)

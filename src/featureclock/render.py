@@ -364,13 +364,12 @@ def _emit_arrows(parts, arrows, cx, cy, tx, ty, s, *, rim_radius=None):
                 f'{_fmt(bx - 3.5 * nx)},{_fmt(by - 3.5 * ny)}" '
                 f'fill="{arrow.color}"/>'
             )
-        if arrow.annotation:
-            lux, luy = unit_vector(label_angle)
-            ring = rim_radius if rim_radius is not None else arrow.length
-            lx = tx(cx + ring * lux) + 14 * lux
-            ly = ty(cy + ring * luy) - 14 * luy
-            parts.append(
-                f'<text x="{_fmt(lx)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
-                f'font-size="11" text-anchor="middle" fill="{arrow.color}">'
-                f'{escape(arrow.annotation)}</text>'
-            )
+        lux, luy = unit_vector(label_angle)
+        ring = rim_radius if rim_radius is not None else arrow.length
+        lx = tx(cx + ring * lux) + 14 * lux
+        ly = ty(cy + ring * luy) - 14 * luy
+        parts.append(
+            f'<text x="{_fmt(lx)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="middle" fill="{arrow.color}">'
+            f'{escape(arrow.annotation)}</text>'
+        )

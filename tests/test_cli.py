@@ -3,12 +3,16 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import featureclock
 from featureclock import from_labels, standardize_columns
 from featureclock.cli import demo_paths, main
 
@@ -159,6 +163,38 @@ class TestGlobalCommand:
         assert config["standardize_x"] is True
         assert config["center_y"] is True
         assert config["significance_rule"] == "or"
+
+    @pytest.mark.parametrize(
+        "cluster, expected",
+        [
+            ("kmeans:4", {"cluster_method": "kmeans", "cluster_k": 4}),
+            ("dbscan:0.5,3", {"cluster_method": "dbscan", "cluster_eps": 0.5, "cluster_min_pts": 3}),
+        ],
+    )
+    def test_every_flag_reaches_config(self, iris_paths, tmp_path, cluster, expected):
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        flags = ["--alpha", "0.01", "--top-k", "2", "--theta-step", "6", "--no-standardize-x",
+                 "--no-center-y", "--standardize-betas", "--significance-rule", "and", "--circles",
+                 "--scale", "2", "--seed", "3", "--canvas", "800x500", "--cluster-on", "y",
+                 "--cluster", cluster]
+        assert run(["global", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
+        config = json.loads((out / "clock.json").read_text())["config"]
+        expected = {
+            "alpha": 0.01, "top_k": 2, "theta_step_deg": 6.0, "standardize_x": False,
+            "center_y": False, "standardize_betas": True, "significance_rule": "and",
+            "circles": True, "clock_scale": 2.0, "seed": 3, "canvas": [800, 500],
+            "cluster_on": "y", **expected,
+        }
+        assert {key: config[key] for key in expected} == expected
+
+    def test_tiny_theta_step_exit_2(self, iris_paths, tmp_path, capsys):
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        args = ["global", "--x", x, "--y", y, "--theta-step", "1e-308", "--circles"]
+        assert run([*args, "--out-dir", out]) == 2
+        assert "theta_step must be at least 0.1 degrees, got 1e-308" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_theta_adjustment_warned_and_recorded(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
@@ -426,6 +462,25 @@ class TestDemo:
             assert run([view, "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 0
             for suffix in ("svg", "json"):
                 assert (out / f"clock.{suffix}").read_bytes() == (demo / f"{stem}.{suffix}").read_bytes()
+
+    def test_numpy_ma_never_imported(self, iris_paths, tmp_path):
+        # np.unique imports numpy.ma on its first call; the runtime avoids it
+        x, y, _ = iris_paths
+        intergroup = ["intergroup", "--x", str(x), "--y", str(y), "--cluster", "dbscan:0.5,5",
+                      "--out-dir", str(tmp_path / "intergroup")]
+        demo = ["demo", "--out-dir", str(tmp_path / "demo")]
+        script = (
+            "import sys\n"
+            "from featureclock.cli import main\n"
+            f"for argv in {[intergroup, demo]!r}:\n"
+            "    assert main(argv) == 0\n"
+            "    print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(featureclock.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "False"]
 
     def test_bundled_embedding_is_own_pca_output(self, iris_dataset):
         z, _, _ = standardize_columns(iris_dataset.X)

@@ -285,6 +285,10 @@ class TestMst:
         assert sorted((a, b) for a, b, _ in mst) == [(0, 1), (1, 2)]
         assert sum(length for _, _, length in mst) == pytest.approx(3.0)
 
+    def test_unit_square_ties_taken_in_id_pair_order(self):
+        grouping = self.grouping_from_centers([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert mst_over_centers(grouping) == ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0))
+
     def test_single_group_no_edges(self):
         grouping = self.grouping_from_centers([[1.0, 1.0]])
         assert mst_over_centers(grouping) == ()

@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,17 @@ class TestValidateConfig:
         with pytest.raises(InputDataError, match="theta_step"):
             validate_config({"theta_step_deg": 0.0})
 
+    @pytest.mark.parametrize("step", [1e-300, 0.05])
+    def test_theta_below_tenth_degree_rejected(self, step):
+        with pytest.raises(InputDataError, match="theta_step must be at least 0.1 degrees"):
+            validate_config({"theta_step_deg": step})
+
+    def test_theta_tenth_degree_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = validate_config({"theta_step_deg": 0.1})
+        assert config.theta_step_deg == 0.1
+
     def test_unknown_option_rejected(self):
         with pytest.raises(InputDataError, match="unknown options"):
             validate_config({"gamma": 1.0})
@@ -281,10 +293,6 @@ class TestValidateConfig:
         # the CLI tests cover the other numeric options; anchor has no flag
         with pytest.raises(InputDataError, match="anchor . must be a finite number"):
             validate_config({"anchor": anchor})
-
-    def test_overrides_win(self):
-        config = validate_config({"alpha": 0.2}, alpha=0.1)
-        assert config.alpha == 0.1
 
     def test_run_config_direct_construction_allows_alpha_zero(self):
         assert RunConfig(alpha=0.0).alpha == 0.0

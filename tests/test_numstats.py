@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from featureclock import (
@@ -15,7 +15,7 @@ from featureclock import (
     standardize_columns,
     student_t_two_sided_p,
 )
-from featureclock.numstats import constant_columns
+from featureclock.numstats import constant_columns, distinct
 
 from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided
 
@@ -59,6 +59,17 @@ class TestStandardize:
         assert constant_columns(column)[0]
         z, _, _ = standardize_columns(column)
         assert np.max(np.abs(z)) < 1e-6  # centered, not blown up to unit variance
+
+
+class TestDistinct:
+    @given(st.lists(st.integers(-5, 5), max_size=50))
+    @example([])  # the DBSCAN frontier is empty at the end of every cluster
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_unique(self, values):
+        a = np.array(values, dtype=np.int64)
+        got = distinct(np.sort(a))
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, np.unique(a))
 
 
 class TestCenter:
