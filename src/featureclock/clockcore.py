@@ -215,7 +215,7 @@ def build_clock(
 
     kept = kept_features(x[members], names, f"group {label!r}")
     if not kept:
-        raise ComputationError(f"group {label!r}: every feature is constant")
+        raise GroupTooSmallError(f"group {label!r}: every feature is constant")
     if members.size < len(kept) + 2:
         raise GroupTooSmallError(
             f"group {label!r} too small for clock: {members.size} points for "
@@ -228,14 +228,12 @@ def build_clock(
 
     with naming_dependent(kept, names, f"group {label!r}"):
         fit0, fit90 = ols_fit(xs, yc)
-    b0 = fit0.coefficients.copy()
-    b90 = fit90.coefficients.copy()
+    b0, b90 = fit0.coefficients, fit90.coefficients
     if config.standardize_betas:
         both = np.concatenate([b0, b90])
         pooled = float(both.std(ddof=1))
         if not negligible(pooled, np.abs(both).max()):
-            b0 /= pooled
-            b90 /= pooled
+            b0, b90 = b0 / pooled, b90 / pooled
 
     arrows_all = []
     for i, j in enumerate(kept):
@@ -270,7 +268,7 @@ def build_clock(
     out_variant = variant
     if config.circles:
         m = max(2, int(round(180.0 / config.theta_step_deg)))
-        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, m)
+        sweep = circle_sweep(b0, b90, m)
         circles = {names[j]: tuple(sweep[i]) for i, j in enumerate(kept)}
         out_variant = "circles"
 
@@ -290,7 +288,7 @@ def build_global_clock(dataset: Dataset, config: RunConfig | None = None) -> Clo
 
 
 def build_local_clocks(dataset: Dataset, grouping, config: RunConfig | None = None) -> list[Clock]:
-    """One clock per non-noise group; undersized groups are skipped with a warning."""
+    """One clock per non-noise group; groups that cannot be fitted are skipped with a warning."""
     config = config or RunConfig()
     if grouping.labels.shape[0] != dataset.X.shape[0]:
         raise ComputationError(

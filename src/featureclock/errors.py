@@ -14,7 +14,7 @@ class ComputationError(FeatureClockError):
 
 
 class GroupTooSmallError(ComputationError):
-    """A point group has too few members to fit the axis regressions."""
+    """A point group cannot be fitted: too few members, or every feature constant."""
 
 
 class ClockWarning(UserWarning):

@@ -88,41 +88,20 @@ def standardize_columns(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_rank(r: np.ndarray) -> None:
     """Raise RankDeficientError unless the square R factor of a design has full rank.
 
-    The rank comes from a Householder QR of R with greedy column pivoting;
-    the columns left after the pivots run out are the dependent ones, listed
-    in the error's ``columns``. The columns are first scaled to unit norm
-    (R's column norms are X's), so the rank does not depend on the units of
-    any feature. Column norms are recomputed at every step, which is exact
-    and cheap for d x d.
+    |R[k, k]| over the norm of R's column k is the sine of the angle between
+    design column k and the span of the columns before it (R's column norms
+    are the design's), so the ratio does not depend on the units of any
+    feature. A column whose ratio is at most ``RANK_TOL * sqrt(d)`` is a
+    linear combination of the columns before it and is listed in the error's
+    ``columns``; reordering the columns chooses which one is named.
     """
-    scale = np.sqrt((r * r).sum(axis=0))
-    a = r / np.where(scale > 0.0, scale, 1.0)
-    d = a.shape[1]
-    perm = np.arange(d)
-    diag = np.zeros(d)
-    for k in range(d):
-        sub = a[k:, k:]
-        norms = np.sqrt((sub * sub).sum(axis=0))
-        # The first column of largest norm, up to rounding: standardized
-        # columns tie at the first step, and rounding must not pick for them.
-        j = k + int(np.argmax(negligible(norms.max() - norms, norms.max())))
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        col = a[k:, k]
-        diag[k] = float(np.linalg.norm(col))
-        if diag[k] == 0.0:
-            continue
-        v = col.copy()
-        v[0] += diag[k] if v[0] >= 0 else -diag[k]
-        v /= np.linalg.norm(v)
-        a[k:, k:] -= 2.0 * np.outer(v, v @ a[k:, k:])
-    tol = RANK_TOL * math.sqrt(float((a * a).sum()))
-    rank = int(np.sum(diag > tol))
-    if rank < d:
-        dependent = sorted(int(perm[i]) for i in range(rank, d))
+    d = r.shape[1]
+    norms = np.sqrt((r * r).sum(axis=0))
+    ratio = np.abs(np.diagonal(r)) / np.where(norms > 0.0, norms, 1.0)
+    dependent = np.flatnonzero(ratio <= RANK_TOL * math.sqrt(d)).tolist()
+    if dependent:
         raise RankDeficientError(
-            f"design matrix is rank deficient (rank {rank} of {d}); "
+            f"design matrix is rank deficient (rank {d - len(dependent)} of {d}); "
             f"offending columns: {dependent}",
             dependent,
         )
@@ -148,11 +127,10 @@ def ols_fit(x, y) -> RegressionFit | tuple[RegressionFit, ...]:
     from one LAPACK QR of the augmented matrix [X | Y] = QR: with R11 the
     leading d x d block, R12 the block beside it and R22 the block below,
     beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and diag((X^T X)^-1) is the
-    row sums of squares of R11^-1. A column-pivoted QR of R11 (d x d, so its
-    cost does not grow with n) checks the rank first. Standard errors are
-    s^2 * diag((X^T X)^-1) with s^2 = RSS / dof and dof = n - d - 1 (one
-    degree lost to the centering that absorbed the intercept). p-values are
-    two-sided Student-t tails.
+    row sums of squares of R11^-1. :func:`check_rank` reads the rank from the
+    diagonal of R11 first. Standard errors are s^2 * diag((X^T X)^-1) with
+    s^2 = RSS / dof and dof = n - d - 1 (one degree lost to the centering that
+    absorbed the intercept). p-values are two-sided Student-t tails.
     """
     x = as_matrix(x, name="design matrix")
     yv = np.asarray(y, dtype=float)

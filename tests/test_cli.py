@@ -215,6 +215,22 @@ class TestGlobalCommand:
         assert len(clock["circles"]["petal_length"]) == 36
         assert "<polyline" in (out / "clock.svg").read_text()
 
+    @pytest.mark.parametrize("flags", [[], ["--standardize-betas"]])
+    def test_circles_sweep_passes_through_arrow_pair(self, iris_paths, tmp_path, flags):
+        # The sweep at 0 and 90 degrees is the drawn arrow's (beta0, beta90),
+        # also when --standardize-betas rescales the arrows.
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        args = ["global", "--x", x, "--y", y, "--alpha", "0.01", "--top-k", "2", "--theta-step", "6",
+                "--no-standardize-x", "--no-center-y", "--significance-rule", "and", "--circles",
+                "--scale", "2", "--seed", "3", "--canvas", "800x500", "--out-dir", out, *flags]
+        assert run(args) == 0
+        clock = json.loads((out / "clock.json").read_text())["clocks"][0]
+        assert clock["arrows"]
+        for arrow in clock["arrows"]:
+            sweep = dict(map(tuple, clock["circles"][arrow["feature"]]))
+            assert (sweep[0.0], sweep[90.0]) == (arrow["beta0"], arrow["beta90"])
+
 
 class TestLocalCommand:
     def test_iris_species_three_clocks(self, iris_paths, tmp_path):
@@ -275,6 +291,28 @@ class TestLocalCommand:
         report = json.loads((out / "clock.json").read_text())
         counts = sorted(c["member_count"] for c in report["clocks"])
         assert counts == [40, 40]
+
+    def test_all_constant_group_skipped(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        xm = rng.normal(size=(60, 3))
+        xm[40:] = xm[40]  # group c: 20 identical rows
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1", "f2"], xm)
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(60, 2)))
+        labels = write_labels(tmp_path / "l.csv", ["a"] * 20 + ["b"] * 20 + ["c"] * 20)
+        out = tmp_path / "out"
+        assert run(["local", "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 0
+        message = "skipping group 'c': group 'c': every feature is constant"
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "clock.json").read_text())
+        assert [c["group"] for c in report["clocks"]] == ["a", "b"]
+        assert message in report["warnings"]
+
+    def test_all_constant_global_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1"], np.tile([1.5, -2.0], (30, 1)))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(30, 2)))
+        assert run(["global", "--x", x, "--y", y, "--out-dir", tmp_path / "out"]) == 3
+        assert "error: group 'global': every feature is constant" in capsys.readouterr().err
 
 
 class TestIntergroupCommand:

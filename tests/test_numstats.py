@@ -127,6 +127,48 @@ class TestOlsFit:
                 ols_fit(x, target)
             assert len(info.value.columns) == 1
 
+    def test_rank_deficiency_names_the_later_column(self):
+        # v = 10 * (x1 - x0): the column named is the one that is a
+        # combination of the columns before it in file order.
+        rng = np.random.default_rng(11)
+        u, v, w = rng.normal(size=(3, 30))
+        x = standardize_columns(np.column_stack([u, u + 0.1 * v, v, w]))[0]
+        with pytest.raises(RankDeficientError, match=r"rank 3 of 4\); offending columns: \[2\]$") as info:
+            ols_fit(x, rng.normal(size=30))
+        assert info.value.columns == (2,)
+
+    @given(
+        d=st.integers(min_value=2, max_value=12),
+        n_extra=st.integers(min_value=0, max_value=30),
+        planted=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_rule_on_planted_dependencies(self, d, n_extra, planted, seed):
+        rng = np.random.default_rng(seed)
+        n = d + 2 + n_extra
+        x = rng.normal(size=(n, d))
+        for p in rng.choice(np.arange(1, d), size=min(planted, d - 1), replace=False):
+            coef = rng.uniform(0.5, 2.0, size=p) * rng.choice([-1.0, 1.0], size=p)
+            coef[rng.random(p) < 0.4] = 0.0
+            coef[rng.integers(p)] = 1.0  # never the zero column
+            x[:, p] = x[:, :p] @ coef
+        x *= 10.0 ** rng.uniform(-100.0, 100.0, size=d)
+        # The oracles see unit columns, and count singular values above the
+        # same 1e-8 that bounds a named column's distance from the span.
+        unit = x / np.linalg.norm(x, axis=0)
+        try:
+            ols_fit(x, rng.normal(size=n))
+            named = []
+        except RankDeficientError as exc:
+            named = list(exc.columns)
+        assert len(named) == d - np.linalg.matrix_rank(unit, tol=1e-8)
+        for k in named:
+            coef = np.linalg.lstsq(unit[:, :k], unit[:, k], rcond=None)[0]
+            assert np.linalg.norm(unit[:, :k] @ coef - unit[:, k]) <= 1e-8
+        rest = [k for k in range(d) if k not in named]
+        assert np.linalg.matrix_rank(unit[:, rest], tol=1e-8) == len(rest)
+
     def test_orthonormal_columns_closed_form(self):
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(25, 4)))
