@@ -36,6 +36,9 @@ def _capture_warnings(sink: list[str]):
     for item in caught:
         if issubclass(item.category, ClockWarning):
             sink.append(str(item.message))
+        else:  # not ours to report: hand it back to the caller's filters
+            warnings.warn_explicit(item.message, item.category, item.filename, item.lineno,
+                                   source=item.source)
 
 
 def _parse_canvas(text: str) -> tuple[int, int]:
@@ -125,6 +128,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.canvas is not None:
         raw["canvas"] = _parse_canvas(args.canvas)
     if args.cluster is not None:
+        if args.labels is not None:
+            raise InputDataError("--labels and --cluster are exclusive; pass one of them")
         raw.update(_parse_cluster(args.cluster))
     return validate_config(raw)
 

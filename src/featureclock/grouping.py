@@ -94,7 +94,8 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
     Empty clusters are repaired by reseeding them with the point farthest
-    from its current center. Identical data, k, and seed give identical
+    from its current center among clusters of two or more points, so every
+    cluster keeps a member. Identical data, k, and seed give identical
     labels. ``data`` may be the high-dimensional matrix or the embedding;
     centers are always computed from ``embedding``.
     """
@@ -125,15 +126,12 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     for _ in range(300):
         dist = np.column_stack([((arr - center) ** 2).sum(axis=1) for center in centers])
         assignment = dist.argmin(axis=1)
-        repaired: list[int] = []
         for cid in range(k):
             if not np.any(assignment == cid):
                 assigned = dist[np.arange(n), assignment].copy()
-                if repaired:  # keep earlier repairs from being stolen
-                    assigned[repaired] = -1.0
-                far = int(assigned.argmax())
-                assignment[far] = cid
-                repaired.append(far)
+                # never take a cluster's last point, an earlier repair included
+                assigned[np.bincount(assignment, minlength=k)[assignment] < 2] = -1.0
+                assignment[int(assigned.argmax())] = cid
         if np.array_equal(assignment, labels):
             break
         labels = assignment

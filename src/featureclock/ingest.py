@@ -1,10 +1,11 @@
 """CSV ingestion into validated datasets, plus run-configuration handling.
 
-Every input file is UTF-8, with or without a byte-order mark, read by one csv
-module reader: comma separator, one header row, no missing values. Numeric
-cells are converted a block of rows at a time by ``np.array(..., dtype=float)``,
-which parses each cell as Python's ``float`` does. Only a block that fails
-to convert is checked cell by cell, so every malformed input becomes an
+Every input file is UTF-8, with or without a byte-order mark: comma
+separator, one header row, no missing values. The csv module reads headers and
+labels. Each numeric table is converted by one ``np.loadtxt`` call, so a cell
+is a plain ASCII decimal or exponent float, optionally quoted or padded with
+whitespace. Only a table that loadtxt refuses, or that has the wrong width or
+a non-finite value, is read again by the csv module, cell by cell, to raise an
 InputDataError naming the file's first fault by row and column.
 """
 
@@ -16,16 +17,12 @@ import math
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ClockWarning, InputDataError
-
-# Cells converted per np.array call: a whole file at once would hold every
-# cell's string in memory, and one row per call pays numpy's call cost per row.
-_BLOCK_CELLS = 2**12
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,8 @@ def _rows(p: Path):
         raise InputDataError(f"{p}: {exc}") from None
 
 
-def _convert(p: Path, width: int, numbered: list) -> np.ndarray:
-    """One block of rows as a float array; on failure, report its first fault."""
-    with suppress(ValueError):  # a ragged block or a cell that float() rejects
-        values = np.array([row for _, row in numbered], dtype=float)
-        if values.shape == (len(numbered), width) and np.isfinite(values).all():
-            return values
+def _first_fault(p: Path, width: int, numbered) -> None:
+    """Raise the first malformed row or cell of a numeric table that loadtxt refused."""
     for lineno, row in numbered:
         if len(row) != width:
             raise InputDataError(f"{p}: row {lineno} has {len(row)} cells, expected {width}")
@@ -106,24 +99,28 @@ def _convert(p: Path, width: int, numbered: list) -> np.ndarray:
             if not text:
                 raise InputDataError(f"{p}: missing value {where}")
             try:
+                if not text.isascii() or "_" in text:  # float() reads these; loadtxt does not
+                    raise ValueError(text)
                 value = float(text)
             except ValueError:
                 raise InputDataError(f"{p}: non-numeric value {text!r} {where}") from None
             if not math.isfinite(value):
                 raise InputDataError(f"{p}: non-finite value {text!r} {where}")
-    raise AssertionError(f"{p}: block failed to convert but has no faulty cell")
+    raise AssertionError(f"{p}: loadtxt refused the table but no row or cell is faulty")
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row; report bad cells by row/column."""
     p = Path(path)
     rows = _rows(p)
-    header = next(rows)
-    per_block = max(1, _BLOCK_CELLS // max(1, len(header)))
-    blocks = []
-    while numbered := list(islice(rows, per_block)):
-        blocks.append(_convert(p, len(header), numbered))
-    return header, np.concatenate(blocks)
+    # raises on a missing, empty or row-less file; loadtxt only warns on the last
+    header, first = next(rows), next(rows)
+    with suppress(ValueError), open(p, encoding="utf-8-sig", newline="") as handle:
+        next(csv.reader(handle))  # the header record, which may span lines
+        values = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        if values.shape[1] == len(header) and np.isfinite(values).all():
+            return header, values
+    _first_fault(p, len(header), chain([first], rows))
 
 
 def _read_labels(path) -> list[str]:

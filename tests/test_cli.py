@@ -7,12 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import featureclock
+import featureclock.cli as cli_module
 from featureclock import from_labels, standardize_columns
 from featureclock.cli import demo_paths, main
 
@@ -196,6 +198,21 @@ class TestGlobalCommand:
         assert "theta_step must be at least 0.1 degrees, got 1e-308" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_foreign_warning_reaches_the_caller(self, iris_paths, tmp_path, capsys, monkeypatch):
+        build = cli_module.build_global_clock
+
+        def noisy_build(*args):
+            warnings.warn("mean of empty slice", RuntimeWarning)
+            return build(*args)
+
+        monkeypatch.setattr(cli_module, "build_global_clock", noisy_build)
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="mean of empty slice"):
+            assert run(["global", "--x", x, "--y", y, "--out-dir", out]) == 0
+        assert "empty slice" not in capsys.readouterr().err
+        assert json.loads((out / "clock.json").read_text())["warnings"] == []
+
     def test_theta_adjustment_warned_and_recorded(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         out = tmp_path / "out"
@@ -274,6 +291,15 @@ class TestLocalCommand:
     def test_grouping_source_required(self, noise_inputs):
         x, y = noise_inputs
         assert run(["local", "--x", x, "--y", y]) == 2
+
+    @pytest.mark.parametrize("command", ["global", "local", "intergroup"])
+    def test_labels_with_cluster_exit_2(self, iris_paths, tmp_path, capsys, command):
+        x, y, labels = iris_paths
+        out = tmp_path / "out"
+        args = [command, "--x", x, "--y", y, "--labels", labels, "--cluster", "kmeans:5"]
+        assert run([*args, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: --labels and --cluster are exclusive; pass one of them\n"
+        assert not out.exists()
 
     def test_cluster_on_embedding_space(self, tmp_path):
         rng = np.random.default_rng(3)

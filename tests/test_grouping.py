@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ class TestKmeans:
         data = blob_fixture()
         with pytest.raises(InputDataError, match="seed must be non-negative, got -1"):
             kmeans(data, 2, seed=-1, embedding=data)
+
+    def test_repair_keeps_every_cluster(self):
+        # three distinct values for k=4: a repair that took a cluster's only
+        # point left it empty, and its center became the mean of no rows
+        data = np.array([[0.0], [1.0], [2.0], [2.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grouping = kmeans(data, 4, seed=40, embedding=np.zeros((5, 2)))
+        assert set(grouping.labels.tolist()) == {0, 1, 2, 3}
+        assert [g.id for g in grouping.groups] == [0, 1, 2, 3]
 
     def test_centers_come_from_embedding(self):
         data = blob_fixture(seed=6)
