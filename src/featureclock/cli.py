@@ -74,7 +74,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--x", required=True, help="CSV of high-dimensional features")
     parser.add_argument("--y", required=True, help="CSV of 2D embedding coordinates")
     parser.add_argument("--labels", default=None, help="CSV of per-point labels")
-    parser.add_argument("--cluster", default=None, help="kmeans:<k> or dbscan:<eps>,<min_pts>")
+    parser.add_argument("--cluster", default=None,
+                        help="kmeans:<k> or dbscan:<eps>,<min_pts> (local and intergroup only)")
     parser.add_argument("--cluster-on", dest="cluster_on", choices=("x", "y"), default=None,
                         help="space to cluster in (default: x)")
     parser.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
@@ -130,6 +131,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.cluster is not None:
         if args.labels is not None:
             raise InputDataError("--labels and --cluster are exclusive; pass one of them")
+        if args.command == "global":
+            raise InputDataError("--cluster applies to local and intergroup only; "
+                                 "color the global view with --labels")
         raw.update(_parse_cluster(args.cluster))
     return validate_config(raw)
 

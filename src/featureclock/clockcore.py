@@ -115,22 +115,24 @@ def _is_significant(p0: float, p90: float, alpha: float, rule: str) -> bool:
     return min(p0, p90) < alpha
 
 
-def kept_features(x, names, where: str) -> list[int]:
-    """Indices of the non-constant columns of ``x``.
+def fit_design(x, rows, names, where: str, *, scale: bool = True):
+    """``(kept, design)``: the rows of ``x`` standardized, or only centered without ``scale``.
 
-    Constant columns are dropped with a warning that names them; ``where``
-    (for example ``group 'a'``) prefixes the message.
+    The rows are copied once. Constant columns are dropped with a warning that
+    names them, prefixed by ``where``, and ``kept`` maps each design column to
+    its feature index. Raises GroupTooSmallError when every feature is constant.
     """
-    constant = constant_columns(x)
-    kept = [j for j in range(len(names)) if not constant[j]]
-    if 0 < len(kept) < len(names):
-        dropped = [names[j] for j in range(len(names)) if constant[j]]
-        warnings.warn(
-            f"{where}: dropping zero-variance features: {', '.join(dropped)}",
-            ClockWarning,
-            stacklevel=3,
-        )
-    return kept
+    # one F-ordered copy: numpy sums each contiguous column pairwise, whatever else is kept
+    design = x.T.take(rows, axis=1).T
+    constant = constant_columns(design)
+    kept = np.flatnonzero(~constant).tolist()
+    if not kept:
+        raise GroupTooSmallError(f"{where}: every feature is constant")
+    if constant.any():
+        dropped = ", ".join(names[j] for j in np.flatnonzero(constant))
+        warnings.warn(f"{where}: dropping zero-variance features: {dropped}", ClockWarning, stacklevel=3)
+        design = design[:, kept]  # stays F-ordered; take() would return a C-ordered block
+    return kept, standardize_columns(design) if scale else center_columns(design)
 
 
 @contextmanager
@@ -138,7 +140,7 @@ def naming_dependent(kept, names, where: str):
     """Re-raise a RankDeficientError with feature names in place of column slots.
 
     ``kept`` maps each design column to its feature index, as returned by
-    :func:`kept_features`.
+    :func:`fit_design`.
     """
     try:
         yield
@@ -213,17 +215,13 @@ def build_clock(
             f"group {label!r} too small for clock: {members.size} points"
         )
 
-    kept = kept_features(x[members], names, f"group {label!r}")
-    if not kept:
-        raise GroupTooSmallError(f"group {label!r}: every feature is constant")
+    kept, xs = fit_design(x, members, names, f"group {label!r}", scale=config.standardize_x)
     if members.size < len(kept) + 2:
         raise GroupTooSmallError(
             f"group {label!r} too small for clock: {members.size} points for "
             f"{len(kept)} features (need at least {len(kept) + 2})"
         )
 
-    xk = x[np.ix_(members, kept)]
-    xs = standardize_columns(xk)[0] if config.standardize_x else center_columns(xk)
     yc = center_columns(ym) if config.center_y else ym
 
     with naming_dependent(kept, names, f"group {label!r}"):

@@ -15,16 +15,16 @@ import numpy as np
 
 from .clockcore import (
     ClockArrow,
-    kept_features,
+    fit_design,
     max_contribution,
     naming_dependent,
     select_arrows,
     unit_vector,
 )
-from .errors import ClockWarning, ComputationError
+from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import as_matrix, check_rank, normal_two_sided_p, standardize_columns
+from .numstats import as_matrix, check_rank, normal_two_sided_p
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -170,16 +170,11 @@ def build_intergroup_clocks(
             continue
 
         labels = np.concatenate([np.zeros(ga.members.size), np.ones(gb.members.size)])
-        xu = x[np.concatenate([ga.members, gb.members])]
-        kept = kept_features(xu, names, where)
-        if not kept:
-            warnings.warn(
-                f"skipping {where}: every feature is constant",
-                ClockWarning,
-                stacklevel=2,
-            )
+        try:
+            kept, xs = fit_design(x, np.concatenate([ga.members, gb.members]), names, where)
+        except GroupTooSmallError as exc:
+            warnings.warn(f"skipping {exc}", ClockWarning, stacklevel=2)
             continue
-        xs, _, _ = standardize_columns(xu[:, kept])
         with naming_dependent(kept, names, where):
             check_rank(np.linalg.qr(xs, mode="r"))
         fit = logistic_fit(xs, labels)

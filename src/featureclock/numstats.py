@@ -69,20 +69,18 @@ def center_columns(m) -> np.ndarray:
     return centered
 
 
-def standardize_columns(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardize_columns(m) -> np.ndarray:
     """Center columns and scale to unit sample (n-1) standard deviation.
 
-    Returns ``(standardized, means, stds)``. Constant columns (see
-    :func:`constant_columns`) are centered but not scaled; callers decide
-    whether to drop them.
+    Constant columns (see :func:`constant_columns`) are centered but not
+    scaled; callers decide whether to drop them.
     """
     x = as_matrix(m, min_rows=2, name="matrix")
-    means = x.mean(axis=0)
     stds = x.std(axis=0, ddof=1)
-    centered = x - means
+    centered = x - x.mean(axis=0)
     centered -= centered.mean(axis=0)
     centered /= np.where(constant_columns(x, stds), 1.0, stds)
-    return centered, means, stds
+    return centered
 
 
 def check_rank(r: np.ndarray) -> None:

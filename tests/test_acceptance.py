@@ -59,7 +59,7 @@ def criterion(number, description):
 
 def random_problem(seed, n=60, d=5):
     rng = np.random.default_rng(seed)
-    x, _, _ = standardize_columns(rng.normal(size=(n, d)))
+    x = standardize_columns(rng.normal(size=(n, d)))
     y = center_columns(rng.normal(size=(n, 2)))
     return x, y
 
@@ -104,7 +104,7 @@ def test_criterion_2_circle_theorem():
 @criterion(3, "iris clock arrows equal the PCA biplot loadings")
 def test_criterion_3_pca_biplot_equivalence(iris_dataset):
     clock = build_global_clock(iris_dataset)
-    z, _, _ = standardize_columns(iris_dataset.X)
+    z = standardize_columns(iris_dataset.X)
     model = pca_2d(z)
     names = list(iris_dataset.feature_names)
     assert len(clock.arrows) == 4

@@ -79,7 +79,7 @@ class TestGlobalCommand:
         report = json.loads((out / "clock.json").read_text())
         arrows = report["clocks"][0]["arrows"]
         assert len(arrows) == 4
-        z, _, _ = standardize_columns(iris_dataset.X)
+        z = standardize_columns(iris_dataset.X)
         model = pca_2d(z)
         names = list(iris_dataset.feature_names)
         for arrow in arrows:
@@ -180,7 +180,7 @@ class TestGlobalCommand:
                  "--no-center-y", "--standardize-betas", "--significance-rule", "and", "--circles",
                  "--scale", "2", "--seed", "3", "--canvas", "800x500", "--cluster-on", "y",
                  "--cluster", cluster]
-        assert run(["global", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
+        assert run(["local", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
         config = json.loads((out / "clock.json").read_text())["config"]
         expected = {
             "alpha": 0.01, "top_k": 2, "theta_step_deg": 6.0, "standardize_x": False,
@@ -189,6 +189,17 @@ class TestGlobalCommand:
             "cluster_on": "y", **expected,
         }
         assert {key: config[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("cluster", ["kmeans:5", "dbscan:0.5,3"])
+    def test_global_with_cluster_exit_2(self, iris_paths, tmp_path, capsys, cluster):
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        assert run(["global", "--x", x, "--y", y, "--cluster", cluster, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: --cluster applies to local and intergroup only; "
+            "color the global view with --labels\n"
+        )
+        assert not out.exists()
 
     def test_tiny_theta_step_exit_2(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
@@ -547,7 +558,7 @@ class TestDemo:
         assert result.stdout.split() == ["False", "False"]
 
     def test_bundled_embedding_is_own_pca_output(self, iris_dataset):
-        z, _, _ = standardize_columns(iris_dataset.X)
+        z = standardize_columns(iris_dataset.X)
         scores = pca_2d(z).transform(z)
         assert np.max(np.abs(scores - iris_dataset.Y)) < 1e-9
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ def make_dataset(x, y, names=None, labels=None):
 def identity_fixture(n=60, seed=0, d=2):
     """Unit-variance features whose first two columns are the embedding."""
     rng = np.random.default_rng(seed)
-    z, _, _ = standardize_columns(rng.normal(size=(n, d)))
+    z = standardize_columns(rng.normal(size=(n, d)))
     return z, z[:, :2].copy()
 
 
@@ -90,7 +91,7 @@ class TestAxisRegressions:
 
     def test_swapped_embedding_swaps_fits(self):
         rng = np.random.default_rng(2)
-        x, _, _ = standardize_columns(rng.normal(size=(40, 4)))
+        x = standardize_columns(rng.normal(size=(40, 4)))
         y = center_columns(rng.normal(size=(40, 2)))
         fit0, fit90 = ols_fit(x, y)
         swapped0, swapped90 = ols_fit(x, y[:, ::-1])
@@ -99,7 +100,7 @@ class TestAxisRegressions:
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
-        x, _, _ = standardize_columns(rng.normal(size=(40, 5)))
+        x = standardize_columns(rng.normal(size=(40, 5)))
         y = center_columns(rng.normal(size=(40, 2)))
         fit0, fit90 = ols_fit(x, y)
         beta0, *_ = np.linalg.lstsq(x, y[:, 0], rcond=None)
@@ -135,7 +136,7 @@ class TestMaxContribution:
 
     def test_grid_refit_oracle(self):
         rng = np.random.default_rng(4)
-        x, _, _ = standardize_columns(rng.normal(size=(60, 5)))
+        x = standardize_columns(rng.normal(size=(60, 5)))
         y = center_columns(rng.normal(size=(60, 2)))
         fit0, fit90 = ols_fit(x, y)
         angles, grid = refit_sweep(x, y, 1800)
@@ -162,7 +163,7 @@ class TestCircleSweep:
 
     def test_m2_gives_axis_coefficients(self):
         rng = np.random.default_rng(5)
-        x, _, _ = standardize_columns(rng.normal(size=(30, 3)))
+        x = standardize_columns(rng.normal(size=(30, 3)))
         y = center_columns(rng.normal(size=(30, 2)))
         fit0, fit90 = ols_fit(x, y)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 2)
@@ -172,7 +173,7 @@ class TestCircleSweep:
 
     def test_samples_lie_on_diameter_circle(self):
         rng = np.random.default_rng(6)
-        x, _, _ = standardize_columns(rng.normal(size=(50, 4)))
+        x = standardize_columns(rng.normal(size=(50, 4)))
         y = center_columns(rng.normal(size=(50, 2)))
         fit0, fit90 = ols_fit(x, y)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 36)
@@ -188,7 +189,7 @@ class TestCircleSweep:
 
     def test_analytic_matches_refit(self):
         rng = np.random.default_rng(7)
-        x, _, _ = standardize_columns(rng.normal(size=(40, 3)))
+        x = standardize_columns(rng.normal(size=(40, 3)))
         y = center_columns(rng.normal(size=(40, 2)))
         fit0, fit90 = ols_fit(x, y)
         fast = circle_sweep(fit0.coefficients, fit90.coefficients, 12)
@@ -222,7 +223,7 @@ class TestBuildClock:
 
     def test_iris_matches_biplot_loadings(self, iris_dataset):
         clock = build_global_clock(iris_dataset)
-        z, _, _ = standardize_columns(iris_dataset.X)
+        z = standardize_columns(iris_dataset.X)
         model = pca_2d(z)
         for j, name in enumerate(iris_dataset.feature_names):
             arrow = next(a for a in clock.arrows if a.feature == name)
@@ -271,11 +272,35 @@ class TestBuildClock:
         assert clock.anchor == (3.0, -1.0)
 
     def test_zero_variance_feature_dropped_with_warning(self):
-        x, y = identity_fixture(d=3)
-        x = np.column_stack([x, np.full(len(x), 2.5)])
-        with pytest.warns(ClockWarning, match="zero-variance"):
-            clock = build_clock(x, y, range(len(x)), feature_names=["a", "b", "c", "const"])
-        assert all(a.feature != "const" for a in clock.arrows)
+        # The dropped column leaves the fit bit-identical to one on X without it:
+        # standardizing a C-ordered kept block would sum its columns in another order.
+        rng = np.random.default_rng(21)
+        x = rng.normal(loc=4.0, scale=3.0, size=(200, 6))
+        y = x[:, :2] @ np.array([[0.5, -0.2], [0.1, 0.4]]) + rng.normal(size=(200, 2))
+        names = [f"f{j}" for j in range(6)]
+        with_const = np.insert(x, 2, 7.25, axis=1)
+        for standardize_x in (True, False):
+            config = RunConfig(standardize_x=standardize_x, alpha=1.0)
+            with pytest.warns(ClockWarning, match="dropping zero-variance features: const$"):
+                clock = build_clock(with_const, y, range(200), config,
+                                    feature_names=[*names[:2], "const", *names[2:]])
+            reference = build_clock(x, y, range(200), config, feature_names=names)
+            assert len(clock.arrows) == 6
+            assert clock.arrows == reference.arrows
+
+    def test_memory_stays_near_the_data(self):
+        # one copy of the member rows, its standardized design, then ols_fit's
+        # [X | Y] stack and the QR's own copy of it
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4000, 100))
+        y = rng.normal(size=(4000, 2))
+        tracemalloc.start()
+        try:
+            build_clock(x, y, range(4000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * x.nbytes
 
     def test_rank_deficiency_names_features(self):
         # Feature slots count only the kept columns: after dropping "const",
@@ -422,7 +447,7 @@ class TestScaleInvariance:
     def test_flags_and_angles(self, x_exp, x_off, y_exp, y_off, exact):
         x, y = two_signal_fixture()
         if exact:  # embedding is exactly linear in the first two features
-            x, _, _ = standardize_columns(x)
+            x = standardize_columns(x)
             y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]])
             # An offset c rounds the data by about c * eps: a real residual
             # far above rounding noise, so the fit is no longer exact.
@@ -445,7 +470,7 @@ class TestScaleInvariance:
 
     def test_exact_fit_pins_only_the_signal(self):
         x, _ = two_signal_fixture()
-        x, _, _ = standardize_columns(x)
+        x = standardize_columns(x)
         y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]])
         for scale in (1e-10, 1e-8, 1.0, 1e8):
             arrows = all_arrows(x, y * scale, RunConfig())

@@ -72,7 +72,7 @@ class TestLogisticFit:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(200, 1))
         labels = np.concatenate([np.zeros(100), np.ones(100)])
-        xs, _, _ = standardize_columns(x)
+        xs = standardize_columns(x)
         fit = logistic_fit(xs, labels)
         assert abs(fit.coefficients[0]) < 0.1
         assert fit.p_values[0] > 0.5
@@ -141,11 +141,11 @@ class TestLogisticFit:
         dataset = shifted_fixture()
         rows = np.arange(dataset.X.shape[0])
         labels = (rows >= 250).astype(float)
-        xs, _, _ = standardize_columns(dataset.X)
+        xs = standardize_columns(dataset.X)
         base = logistic_fit(xs, labels)
         scaled_x = dataset.X.copy()
         scaled_x[:, 0] *= 250.0
-        zs, _, _ = standardize_columns(scaled_x)
+        zs = standardize_columns(scaled_x)
         scaled = logistic_fit(zs, labels)
         assert (base.p_values < 0.05).tolist() == (scaled.p_values < 0.05).tolist()
 
@@ -198,6 +198,38 @@ class TestIntergroupClocks:
             "edge 'g0'-'g1': features are linear combinations of the others: a_plus_b"
         )
         assert info.value.columns == (2,)
+
+    def test_dropped_column_leaves_the_fit_bit_identical(self):
+        dataset = shifted_fixture(n_per=150)
+        x = dataset.X * 3.0 + 4.0
+        names = ("f0", "f1", "f2")
+        with_const = make_dataset(np.insert(x, 1, -2.5, axis=1), dataset.Y, dataset.labels,
+                                  ("f0", "const", "f1", "f2"))
+        grouping = from_labels(dataset.labels, dataset.Y)
+        mst = mst_over_centers(grouping)
+        config = RunConfig(alpha=1.0)
+        with pytest.warns(ClockWarning, match="'low'-'high': dropping zero-variance features: const$"):
+            (clock,) = build_intergroup_clocks(with_const, grouping, mst, config)
+        (reference,) = build_intergroup_clocks(
+            make_dataset(x, dataset.Y, dataset.labels, names), grouping, mst, config
+        )
+        assert len(clock.arrows) == 3
+        assert clock.arrows == reference.arrows
+
+    def test_all_constant_edge_skipped_with_warning(self):
+        n = 20
+        x = np.vstack([np.full((2 * n, 2), 1.5), np.random.default_rng(10).normal(size=(n, 2))])
+        y = np.repeat([[0.0, 0.0], [4.0, 0.0], [9.0, 0.0]], n, axis=0)
+        y += np.random.default_rng(11).normal(scale=0.1, size=y.shape)
+        labels = ["a"] * n + ["b"] * n + ["c"] * n
+        dataset = make_dataset(x, y, labels)
+        grouping = from_labels(labels, y)
+        with pytest.warns(ClockWarning) as caught:
+            clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
+        assert "skipping edge 'a'-'b': every feature is constant" in [
+            str(w.message) for w in caught
+        ]
+        assert [clock.edge_names for clock in clocks] == [("b", "c")]
 
     def test_single_group_raises(self):
         dataset = shifted_fixture()
