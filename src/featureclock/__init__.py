@@ -43,7 +43,6 @@ from .numstats import (
     normal_two_sided_p,
     ols_fit,
     regularized_incomplete_beta,
-    standardize_columns,
     student_t_two_sided_p,
 )
 from .render import Scene, render_circles, render_clock, render_intergroup, render_scatter
@@ -88,7 +87,6 @@ __all__ = [
     "render_clock",
     "render_intergroup",
     "render_scatter",
-    "standardize_columns",
     "student_t_two_sided_p",
     "validate_config",
     "__version__",

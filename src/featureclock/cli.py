@@ -123,17 +123,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Per view, the flags it never reads (by destination) and the message that rejects each.
+_UNREAD = {
+    "global": {"cluster": "--cluster applies to local and intergroup only; "
+                          "color the global view with --labels"},
+    "intergroup": {
+        dest: f"{flag} applies to global and local only"
+        for dest, flag in (("standardize_x", "--no-standardize-x"), ("center_y", "--no-center-y"),
+                           ("standardize_betas", "--standardize-betas"),
+                           ("significance_rule", "--significance-rule"), ("circles", "--circles"),
+                           ("theta_step_deg", "--theta-step"), ("clock_scale", "--scale"))
+    },
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Every RunConfig field from the flag of that name; an unset flag is None (the default)."""
     raw = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(RunConfig)}
     if args.canvas is not None:
         raw["canvas"] = _parse_canvas(args.canvas)
+    if args.cluster is not None and args.labels is not None:
+        raise InputDataError("--labels and --cluster are exclusive; pass one of them")
+    for dest, message in _UNREAD.get(args.command, {}).items():
+        if getattr(args, dest) is not None:
+            raise InputDataError(message)
     if args.cluster is not None:
-        if args.labels is not None:
-            raise InputDataError("--labels and --cluster are exclusive; pass one of them")
-        if args.command == "global":
-            raise InputDataError("--cluster applies to local and intergroup only; "
-                                 "color the global view with --labels")
         raw.update(_parse_cluster(args.cluster))
     return validate_config(raw)
 

@@ -109,30 +109,33 @@ class Clock:
     group: str | None = None
 
 
-def _is_significant(p0: float, p90: float, alpha: float, rule: str) -> bool:
-    if rule == "and":
-        return max(p0, p90) < alpha
-    return min(p0, p90) < alpha
+def fit_design(x, rows, targets, names, where: str, *, scale: bool = True):
+    """``(kept, xy)``: one F-ordered buffer [X | targets] over the given rows of ``x``.
 
-
-def fit_design(x, rows, names, where: str, *, scale: bool = True):
-    """``(kept, design)``: the rows of ``x`` standardized, or only centered without ``scale``.
-
-    The rows are copied once. Constant columns are dropped with a warning that
-    names them, prefixed by ``where``, and ``kept`` maps each design column to
-    its feature index. Raises GroupTooSmallError when every feature is constant.
+    Each column's std is taken once, for the constant test and the scaling.
+    Constant columns are dropped with a warning that names them, prefixed by
+    ``where``; the kept ones move left in place and are standardized there
+    (only centered without ``scale``), and ``kept`` maps each to its feature
+    index. The k columns of ``targets`` (k may be 0) follow as given. Raises
+    GroupTooSmallError when every feature is constant.
     """
-    # one F-ordered copy: numpy sums each contiguous column pairwise, whatever else is kept
-    design = x.T.take(rows, axis=1).T
-    constant = constant_columns(design)
+    d, k = x.shape[1], targets.shape[1]
+    xy = np.empty((len(rows), d + k), order="F")
+    # F-ordered: numpy sums each contiguous column pairwise, whatever else is kept
+    xy[:, :d] = x[rows]
+    stds = xy[:, :d].std(axis=0, ddof=1)
+    constant = constant_columns(xy[:, :d], stds)
     kept = np.flatnonzero(~constant).tolist()
     if not kept:
         raise GroupTooSmallError(f"{where}: every feature is constant")
     if constant.any():
         dropped = ", ".join(names[j] for j in np.flatnonzero(constant))
         warnings.warn(f"{where}: dropping zero-variance features: {dropped}", ClockWarning, stacklevel=3)
-        design = design[:, kept]  # stays F-ordered; take() would return a C-ordered block
-    return kept, standardize_columns(design) if scale else center_columns(design)
+        for slot, j in enumerate(kept):  # slot <= j, so no column is overwritten before it moves
+            xy[:, slot] = xy[:, j]
+    standardize_columns(xy[:, : len(kept)], stds[kept] if scale else None)
+    xy[:, len(kept) : len(kept) + k] = targets
+    return kept, xy[:, : len(kept) + k]
 
 
 @contextmanager
@@ -215,17 +218,16 @@ def build_clock(
             f"group {label!r} too small for clock: {members.size} points"
         )
 
-    kept, xs = fit_design(x, members, names, f"group {label!r}", scale=config.standardize_x)
+    yc = center_columns(ym) if config.center_y else ym
+    kept, xy = fit_design(x, members, yc, names, f"group {label!r}", scale=config.standardize_x)
     if members.size < len(kept) + 2:
         raise GroupTooSmallError(
             f"group {label!r} too small for clock: {members.size} points for "
             f"{len(kept)} features (need at least {len(kept) + 2})"
         )
 
-    yc = center_columns(ym) if config.center_y else ym
-
     with naming_dependent(kept, names, f"group {label!r}"):
-        fit0, fit90 = ols_fit(xs, yc)
+        fit0, fit90 = ols_fit(xy, 2)
     b0, b90 = fit0.coefficients, fit90.coefficients
     if config.standardize_betas:
         both = np.concatenate([b0, b90])
@@ -233,23 +235,14 @@ def build_clock(
         if not negligible(pooled, np.abs(both).max()):
             b0, b90 = b0 / pooled, b90 / pooled
 
+    # the "and" rule needs both axis p-values below alpha, the "or" rule either
+    combine = max if config.significance_rule == "and" else min
     arrows_all = []
     for i, j in enumerate(kept):
         magnitude, angle = max_contribution(float(b0[i]), float(b90[i]))
-        p0 = float(fit0.p_values[i])
-        p90 = float(fit90.p_values[i])
-        arrows_all.append(
-            ClockArrow(
-                names[j],
-                float(b0[i]),
-                float(b90[i]),
-                magnitude,
-                angle,
-                p0,
-                p90,
-                _is_significant(p0, p90, config.alpha, config.significance_rule),
-            )
-        )
+        p0, p90 = float(fit0.p_values[i]), float(fit90.p_values[i])
+        arrows_all.append(ClockArrow(names[j], float(b0[i]), float(b90[i]), magnitude, angle,
+                                     p0, p90, combine(p0, p90) < config.alpha))
     arrows = select_arrows(arrows_all, config, f"clock for group {label!r}")
 
     anchor = config.anchor if config.anchor is not None else (

@@ -170,8 +170,9 @@ def build_intergroup_clocks(
             continue
 
         labels = np.concatenate([np.zeros(ga.members.size), np.ones(gb.members.size)])
+        rows = np.concatenate([ga.members, gb.members])
         try:
-            kept, xs = fit_design(x, np.concatenate([ga.members, gb.members]), names, where)
+            kept, xs = fit_design(x, rows, np.empty((rows.size, 0)), names, where)
         except GroupTooSmallError as exc:
             warnings.warn(f"skipping {exc}", ClockWarning, stacklevel=2)
             continue

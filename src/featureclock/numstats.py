@@ -1,8 +1,9 @@
 """Self-contained numerical kernel used by the clock builders.
 
-Column standardization, ordinary least squares with classical t-tests, and
-Student-t tail probabilities. Every routine is a pure function of its inputs:
-no caching, no shared mutable state, safe to call concurrently.
+Ordinary least squares with classical t-tests on one [X | Y] buffer, the
+column tests and standardization that fill it, and Student-t tail
+probabilities. No routine caches or shares state; only standardize_columns
+writes to its argument (in place, into the caller's buffer).
 """
 
 from __future__ import annotations
@@ -53,11 +54,8 @@ def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int 
     return arr
 
 
-def constant_columns(x, stds=None) -> np.ndarray:
-    """Mask of columns whose sample std is rounding noise next to their largest |value|."""
-    x = np.asarray(x, dtype=float)
-    if stds is None:
-        stds = x.std(axis=0, ddof=1)
+def constant_columns(x, stds) -> np.ndarray:
+    """Mask of the columns of ``x`` whose sample std is rounding noise next to their largest |value|."""
     return negligible(stds, np.maximum(x.max(axis=0), -x.min(axis=0)))
 
 
@@ -69,18 +67,16 @@ def center_columns(m) -> np.ndarray:
     return centered
 
 
-def standardize_columns(m) -> np.ndarray:
-    """Center columns and scale to unit sample (n-1) standard deviation.
+def standardize_columns(x, stds=None) -> None:
+    """Center the columns of ``x`` in place, then divide them by ``stds`` when given.
 
-    Constant columns (see :func:`constant_columns`) are centered but not
-    scaled; callers decide whether to drop them.
+    Two centering passes keep residual means near machine zero. Working in
+    place lets a design be standardized inside its fit buffer, with no copy.
     """
-    x = as_matrix(m, min_rows=2, name="matrix")
-    stds = x.std(axis=0, ddof=1)
-    centered = x - x.mean(axis=0)
-    centered -= centered.mean(axis=0)
-    centered /= np.where(constant_columns(x, stds), 1.0, stds)
-    return centered
+    x -= x.mean(axis=0)
+    x -= x.mean(axis=0)
+    if stds is not None:
+        x /= stds
 
 
 def check_rank(r: np.ndarray) -> None:
@@ -117,34 +113,28 @@ class RegressionFit:
     residual_variance: float
 
 
-def ols_fit(x, y) -> RegressionFit | tuple[RegressionFit, ...]:
-    """Least squares of centered targets on a centered/standardized design.
+def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
+    """Least squares of each of the last ``k`` columns of ``xy`` on the columns before them.
 
-    ``y`` is one target of shape (n,), which returns one RegressionFit, or k
-    targets of shape (n, k), which return a tuple of k fits. All of them come
-    from one LAPACK QR of the augmented matrix [X | Y] = QR: with R11 the
-    leading d x d block, R12 the block beside it and R22 the block below,
-    beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and diag((X^T X)^-1) is the
-    row sums of squares of R11^-1. :func:`check_rank` reads the rank from the
-    diagonal of R11 first. Standard errors are s^2 * diag((X^T X)^-1) with
-    s^2 = RSS / dof and dof = n - d - 1 (one degree lost to the centering that
-    absorbed the intercept). p-values are two-sided Student-t tails.
+    ``xy`` is [X | Y]: a centered or standardized design X of d columns
+    followed by k centered targets, as built by ``clockcore.fit_design``.
+    Returns a tuple of k fits, all from one LAPACK QR of ``xy`` as given.
+    With R11 the leading d x d block of R, R12 the block beside it and R22
+    the block below, beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and
+    diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
+    reads the rank from the diagonal of R11 first. Standard errors are
+    s^2 * diag((X^T X)^-1) with s^2 = RSS / dof and dof = n - d - 1 (one
+    degree lost to the centering that absorbed the intercept). p-values are
+    two-sided Student-t tails.
     """
-    x = as_matrix(x, name="design matrix")
-    yv = np.asarray(y, dtype=float)
-    n, d = x.shape
-    if yv.ndim not in (1, 2) or yv.shape[0] != n:
-        raise ComputationError(f"target of shape {yv.shape} does not match {n} rows")
-    if not np.all(np.isfinite(yv)):
-        raise ComputationError("target contains NaN or infinite values")
+    xy = as_matrix(xy, name="design matrix", min_cols=k + 1)
+    n, d = xy.shape[0], xy.shape[1] - k
     if n < d + 2:
         raise ComputationError(
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
 
-    targets = yv.reshape(n, -1)
-    k = targets.shape[1]
-    r = np.linalg.qr(np.column_stack([x, targets]), mode="r")
+    r = np.linalg.qr(xy, mode="r")
     r11 = r[:d, :d]
     check_rank(r11)
 
@@ -153,7 +143,7 @@ def ols_fit(x, y) -> RegressionFit | tuple[RegressionFit, ...]:
     rinv = solution[:, k:]
     xtx_inv_diag = (rinv * rinv).sum(axis=1)
     rss = (r[d:, d:] ** 2).sum(axis=0)
-    target_norms = np.sqrt((targets * targets).sum(axis=0))
+    target_norms = np.sqrt((xy[:, d:] ** 2).sum(axis=0))
     dof = n - d - 1
 
     fits = []
@@ -172,7 +162,7 @@ def ols_fit(x, y) -> RegressionFit | tuple[RegressionFit, ...]:
         else:
             p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
         fits.append(RegressionFit(beta, se, t, p, dof, s2))
-    return fits[0] if yv.ndim == 1 else tuple(fits)
+    return tuple(fits)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

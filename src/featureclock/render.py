@@ -320,10 +320,12 @@ def _emit(scene: Scene) -> str:
                 f'stroke-width="1.5"{dash}/>'
             )
 
-    x0 = scene.width - 160
-    y0 = 24
+    # rows 18 px apart from y = 24; a row past the bottom margin starts a new column to the left
+    per_column = max(1, int((scene.height - _MARGIN - 24) // 18) + 1)
     for i, (label, color, dash) in enumerate(scene.legend):
-        y = y0 + 18 * i
+        column, row = divmod(i, per_column)
+        x0 = scene.width - 160 * (column + 1)
+        y = 24 + 18 * row
         parts.append(
             f'<rect x="{x0}" y="{y - 9}" width="10" height="10" fill="{color}"/>'
         )

@@ -8,6 +8,10 @@ an eigendecomposition instead of regressions on the embedding, and a
 point-by-point breadth-first DBSCAN instead of blocked distances and
 frontier expansion, and a csv-module table read cell by cell with float()
 instead of one np.loadtxt call.
+
+The last three functions are different: they keep the library's earlier
+design path (separate copies, then a column stack) as the reference that the
+one-buffer path must match bit for bit.
 """
 
 import csv
@@ -17,6 +21,16 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from featureclock.numstats import (
+    RegressionFit,
+    as_matrix,
+    center_columns,
+    check_rank,
+    constant_columns,
+    negligible,
+    student_t_two_sided_p,
+)
 
 
 def simpson_t_two_sided(t: float, dof: int, panels: int = 20000) -> float:
@@ -275,3 +289,67 @@ def read_table_reference(path):
                 return f"{path}: non-finite value {text!r} {where}"
         values.append([float(cell) for cell in row])
     return np.array(values)
+
+
+def standardize_reference(m):
+    """Center columns and scale them to unit sample (n-1) standard deviation.
+
+    The library's column standardization before ``fit_design`` took it
+    over, kept as the bit-identity reference: the std, then two centering
+    passes on a new array, then one division. Constant columns are centered
+    but not scaled.
+    """
+    x = as_matrix(m, min_rows=2)
+    stds = x.std(axis=0, ddof=1)
+    centered = x - x.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    centered /= np.where(constant_columns(x, stds), 1.0, stds)
+    return centered
+
+
+def fit_design_reference(x, rows, targets, *, scale=True):
+    """``(kept, [X | targets])`` along the design path of separate copies.
+
+    An F-ordered gather of the rows, the constant columns dropped from it
+    (a copy that stays F-ordered), the kept block standardized, or only
+    centered without ``scale``, and ``np.column_stack`` with the targets.
+    """
+    design = x.T.take(rows, axis=1).T
+    kept = np.flatnonzero(~constant_columns(design, design.std(axis=0, ddof=1))).tolist()
+    design = design[:, kept]
+    xs = standardize_reference(design) if scale else center_columns(design)
+    return kept, np.column_stack([xs, targets])
+
+
+def ols_fit_reference(x, y):
+    """Per-target OLS fits of ``y`` (n, k) on ``x`` in the two-argument form.
+
+    One QR of ``np.column_stack([x, y])``, a C-ordered stack, with every
+    statistic taken as the library took it before it factored a caller's
+    [X | Y] buffer as given. The one other difference: the exact-fit test
+    reads the target norms from that C-ordered stack, and numpy sums the
+    columns of a C-ordered (n, k >= 2) array row by row, not pairwise.
+    """
+    n, d = x.shape
+    k = y.shape[1]
+    r = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    check_rank(r[:d, :d])
+    solution = np.linalg.solve(r[:d, :d], np.column_stack([r[:d, d:], np.eye(d)]))
+    rinv = solution[:, k:]
+    xtx_inv_diag = (rinv * rinv).sum(axis=1)
+    rss = (r[d:, d:] ** 2).sum(axis=0)
+    target_norms = np.sqrt((y * y).sum(axis=0))
+    dof = n - d - 1
+    fits = []
+    for j in range(k):
+        beta = solution[:, j].copy()
+        s2 = float(rss[j]) / dof
+        se = np.sqrt(s2 * xtx_inv_diag)
+        t = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
+        if negligible(math.sqrt(rss[j]), target_norms[j]):
+            idle = negligible(np.abs(beta) / np.sqrt(xtx_inv_diag), target_norms[j])
+            p = np.where(idle, 1.0, 0.0)
+        else:
+            p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
+        fits.append(RegressionFit(beta, se, t, p, dof, s2))
+    return tuple(fits)

@@ -25,7 +25,6 @@ from featureclock import (
     max_contribution,
     mst_over_centers,
     ols_fit,
-    standardize_columns,
     student_t_two_sided_p,
 )
 from featureclock.cli import main
@@ -37,6 +36,7 @@ from oracles import (
     pca_2d,
     refit_sweep,
     simpson_t_two_sided,
+    standardize_reference,
 )
 
 
@@ -59,7 +59,7 @@ def criterion(number, description):
 
 def random_problem(seed, n=60, d=5):
     rng = np.random.default_rng(seed)
-    x = standardize_columns(rng.normal(size=(n, d)))
+    x = standardize_reference(rng.normal(size=(n, d)))
     y = center_columns(rng.normal(size=(n, 2)))
     return x, y
 
@@ -68,7 +68,7 @@ def random_problem(seed, n=60, d=5):
 def test_criterion_1_closed_form_maximum():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
@@ -87,7 +87,7 @@ def test_criterion_1_closed_form_maximum():
 def test_criterion_2_circle_theorem():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         angles, grid = refit_sweep(x, y, 1800)
         rad = np.radians(angles)
         cos, sin = np.cos(rad), np.sin(rad)
@@ -104,7 +104,7 @@ def test_criterion_2_circle_theorem():
 @criterion(3, "iris clock arrows equal the PCA biplot loadings")
 def test_criterion_3_pca_biplot_equivalence(iris_dataset):
     clock = build_global_clock(iris_dataset)
-    z = standardize_columns(iris_dataset.X)
+    z = standardize_reference(iris_dataset.X)
     model = pca_2d(z)
     names = list(iris_dataset.feature_names)
     assert len(clock.arrows) == 4
@@ -132,7 +132,7 @@ def test_criterion_4_ols_oracle():
         n, d = 30, 4
         x = rng.normal(size=(n, d))
         y = x @ rng.normal(size=d) + rng.normal(size=n)
-        fit = ols_fit(x, y)
+        (fit,) = ols_fit(np.column_stack([x, y]), 1)
         beta, se, p = normal_equations_fit(x, y)
         assert float(np.max(np.abs(fit.coefficients - beta))) < 1e-8
         assert float(np.max(np.abs(fit.std_errors - se))) < 1e-8

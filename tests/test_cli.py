@@ -15,10 +15,10 @@ import pytest
 
 import featureclock
 import featureclock.cli as cli_module
-from featureclock import from_labels, standardize_columns
+from featureclock import from_labels
 from featureclock.cli import demo_paths, main
 
-from oracles import pca_2d
+from oracles import pca_2d, standardize_reference
 
 
 def run(args):
@@ -79,7 +79,7 @@ class TestGlobalCommand:
         report = json.loads((out / "clock.json").read_text())
         arrows = report["clocks"][0]["arrows"]
         assert len(arrows) == 4
-        z = standardize_columns(iris_dataset.X)
+        z = standardize_reference(iris_dataset.X)
         model = pca_2d(z)
         names = list(iris_dataset.feature_names)
         for arrow in arrows:
@@ -312,6 +312,20 @@ class TestLocalCommand:
         assert capsys.readouterr().err == "error: --labels and --cluster are exclusive; pass one of them\n"
         assert not out.exists()
 
+    def test_and_rule_is_subset_of_or_rule(self, shifted_inputs, tmp_path):
+        x, y, labels = shifted_inputs
+        out_or = tmp_path / "or"
+        out_and = tmp_path / "and"
+        base = ["local", "--x", x, "--y", y, "--labels", labels, "--alpha", "0.5"]
+        assert run(base + ["--out-dir", out_or]) == 0
+        assert run(base + ["--significance-rule", "and", "--out-dir", out_and]) == 0
+
+        def arrows(out):
+            clocks = json.loads((out / "clock.json").read_text())["clocks"]
+            return {(c["group"], a["feature"]) for c in clocks for a in c["arrows"]}
+
+        assert arrows(out_and) < arrows(out_or)
+
     def test_cluster_on_embedding_space(self, tmp_path):
         rng = np.random.default_rng(3)
         xm = rng.normal(size=(80, 3))  # featureless in X
@@ -383,20 +397,18 @@ class TestIntergroupCommand:
         assert len(report["mst"]) == 2
         assert len(report["clocks"]) == 2
 
-    def test_and_rule_is_subset_of_or_rule(self, shifted_inputs, tmp_path):
-        x, y, labels = shifted_inputs
-        out_or = tmp_path / "or"
-        out_and = tmp_path / "and"
-        base = ["intergroup", "--x", x, "--y", y, "--labels", labels]
-        assert run(base + ["--out-dir", out_or]) == 0
-        assert run(base + ["--significance-rule", "and", "--out-dir", out_and]) == 0
-        arrows_or = {
-            a["feature"] for c in json.loads((out_or / "clock.json").read_text())["clocks"] for a in c["arrows"]
-        }
-        arrows_and = {
-            a["feature"] for c in json.loads((out_and / "clock.json").read_text())["clocks"] for a in c["arrows"]
-        }
-        assert arrows_and <= arrows_or
+    @pytest.mark.parametrize(
+        "flags",
+        [["--no-standardize-x"], ["--no-center-y"], ["--standardize-betas"],
+         ["--significance-rule", "and"], ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
+    )
+    def test_unread_flag_exit_2(self, iris_paths, tmp_path, capsys, flags):
+        x, y, labels = iris_paths
+        out = tmp_path / "out"
+        args = ["intergroup", "--x", x, "--y", y, "--labels", labels, *flags, "--out-dir", out]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {flags[0]} applies to global and local only\n"
+        assert not out.exists()
 
     def test_dbscan_all_noise_exit_3(self, noise_inputs, capsys):
         x, y = noise_inputs
@@ -487,6 +499,79 @@ DEMO_GOLDEN = {
 }
 
 
+# Flags read by both the global and the local view.
+_EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-standardize-x",
+               "--no-center-y", "--standardize-betas", "--significance-rule", "and", "--circles",
+               "--scale", "1.5", "--canvas", "800x500"]
+
+# sha256 of clock.json and clock.svg for iris runs that, between them, pass
+# every flag each view reads ("--labels" stands for the bundled labels file).
+# Like DEMO_GOLDEN, change an entry only when an output changes on purpose.
+FLAG_GOLDEN = {
+    "global-circles": (
+        ["global", "--circles"],
+        "1dc1687a904f6a2c6edc68efc2d9c8d1b0c9c4795abe32645f1458ac91733b51",
+        "558454657f875cd739ee606968f88c94dbe72680be5dd57a631e90c51532ff3f",
+    ),
+    "global-labels-raw-x": (
+        ["global", "--labels", "--no-standardize-x"],
+        "ef9c46af2ffcac303bf586fe5602875f9c93ff89cf82f4e20a7e5c8b5d03de60",
+        "1f8d031da61381e0c7e9d9eba2c1014d883492216d0295cd1429fc482e49e314",
+    ),
+    "global-every-flag": (
+        ["global", "--labels", *_EVERY_FLAG, "--seed", "3"],
+        "287894b8a85d81b3b8146ad5a7e3a44849bb54b7dcfc3bfc8921c54d8415d360",
+        "438289ba5eb215bffd4686d410dfb6c548df5b7727d2a5864d0f278a10f1e335",
+    ),
+    "local-kmeans": (
+        ["local", "--cluster", "kmeans:3"],
+        "92a66f3822e18130f2863032710ed56906f8fca2c576e6180ed009ea8145720b",
+        "2a54a3a9dedfedba43826b824188ac2cfc1dff6b3dccafc5d3b3181112c234f2",
+    ),
+    "local-circles-labels": (
+        ["local", "--circles", "--labels"],
+        "575d47f67b4b7317d0e00cb805ba49b7ff9459f7429fdecc177791c17edaf58a",
+        "6c067ad9307fc3b29b5401d362bf0fc4694f1a51f1bb55052d8d74916dc36c5c",
+    ),
+    "local-dbscan": (
+        ["local", "--cluster", "dbscan:0.4,4"],
+        "70778642a45813f6a18f0f283f61b55f625943f56cd053c657833f30ee2b4142",
+        "099e370f47cdc14bc6245a7dac7e548331edb58754976eb0ab14cf0ba53ff0ca",
+    ),
+    "local-every-flag": (
+        ["local", "--cluster", "kmeans:3", "--cluster-on", "y", "--seed", "5", *_EVERY_FLAG],
+        "7d58b156e57de04bf36287b9ca5eee9d851056e2ea0cf2484edfbed5c43c24f7",
+        "8c8a011a61ca3603224d67057e03092ccb8f90ae1d54364f2453934ae6b3e465",
+    ),
+    "intergroup-kmeans": (
+        ["intergroup", "--cluster", "kmeans:4"],
+        "e101c7564b9a644e7c48bdd581f7d093be1b512317a22597bd79b4708daa56d9",
+        "31ffe2a3fda4eba516a1f31547a657905005fca4c09dbe3f9149b2347e6c4491",
+    ),
+    "intergroup-dbscan": (
+        ["intergroup", "--cluster", "dbscan:0.5,5"],
+        "939ededa69098a25b71e0c4ae762f71b66663a8d12507cd22d2d201771ca4c22",
+        "628b7bb84fdec9c264c51ce7fe2c18e1d3fa1e9097b63e53b74fcb3cb94b9d2d",
+    ),
+    "intergroup-every-flag": (
+        ["intergroup", "--cluster", "kmeans:4", "--cluster-on", "y", "--seed", "2",
+                              "--alpha", "0.1", "--top-k", "2", "--canvas", "800x500"],
+        "839d84590e82a87ca2a6205c2b04ebe9e13cf0bcd7debcf87ce2d54f4767d2e5",
+        "13cbe68debe089b04a61ac975345497db32048ac12979ae262828950d06226c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_GOLDEN))
+def test_flag_runs_match_golden(iris_paths, tmp_path, name):
+    args, json_hash, svg_hash = FLAG_GOLDEN[name]
+    x, y, labels = iris_paths
+    argv = [part for arg in args for part in ((arg, labels) if arg == "--labels" else (arg,))]
+    out = tmp_path / "out"
+    assert run([argv[0], "--x", x, "--y", y, *argv[1:], "--out-dir", out]) == 0
+    assert hash_tree(out) == {"clock.json": json_hash, "clock.svg": svg_hash}
+
+
 class TestDemo:
     def test_outputs_and_determinism(self, tmp_path):
         first = tmp_path / "a"
@@ -558,7 +643,7 @@ class TestDemo:
         assert result.stdout.split() == ["False", "False"]
 
     def test_bundled_embedding_is_own_pca_output(self, iris_dataset):
-        z = standardize_columns(iris_dataset.X)
+        z = standardize_reference(iris_dataset.X)
         scores = pca_2d(z).transform(z)
         assert np.max(np.abs(scores - iris_dataset.Y)) < 1e-9
 

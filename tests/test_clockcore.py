@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -21,12 +22,17 @@ from featureclock import (
     from_labels,
     max_contribution,
     ols_fit,
-    standardize_columns,
 )
-from featureclock.clockcore import unit_vector
+from featureclock.clockcore import fit_design, unit_vector
 from featureclock.ingest import Dataset, Provenance
 
-from oracles import pca_2d, refit_sweep
+from oracles import (
+    fit_design_reference,
+    ols_fit_reference,
+    pca_2d,
+    refit_sweep,
+    standardize_reference,
+)
 
 
 def make_dataset(x, y, names=None, labels=None):
@@ -44,7 +50,7 @@ def make_dataset(x, y, names=None, labels=None):
 def identity_fixture(n=60, seed=0, d=2):
     """Unit-variance features whose first two columns are the embedding."""
     rng = np.random.default_rng(seed)
-    z = standardize_columns(rng.normal(size=(n, d)))
+    z = standardize_reference(rng.normal(size=(n, d)))
     return z, z[:, :2].copy()
 
 
@@ -83,7 +89,7 @@ class TestProjection:
 class TestAxisRegressions:
     def test_identity_embedding(self):
         x, y = identity_fixture(d=3)
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         assert np.allclose(fit0.coefficients, [1.0, 0.0, 0.0], atol=1e-10)
         assert np.allclose(fit90.coefficients, [0.0, 1.0, 0.0], atol=1e-10)
         assert fit0.p_values[0] == 0.0  # exact fit
@@ -91,22 +97,75 @@ class TestAxisRegressions:
 
     def test_swapped_embedding_swaps_fits(self):
         rng = np.random.default_rng(2)
-        x = standardize_columns(rng.normal(size=(40, 4)))
+        x = standardize_reference(rng.normal(size=(40, 4)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(x, y)
-        swapped0, swapped90 = ols_fit(x, y[:, ::-1])
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        swapped0, swapped90 = ols_fit(np.column_stack([x, y[:, ::-1]]), 2)
         assert np.allclose(fit0.coefficients, swapped90.coefficients)
         assert np.allclose(fit90.coefficients, swapped0.coefficients)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
-        x = standardize_columns(rng.normal(size=(40, 5)))
+        x = standardize_reference(rng.normal(size=(40, 5)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         beta0, *_ = np.linalg.lstsq(x, y[:, 0], rcond=None)
         beta90, *_ = np.linalg.lstsq(x, y[:, 1], rcond=None)
         assert np.max(np.abs(fit0.coefficients - beta0)) < 1e-8
         assert np.max(np.abs(fit90.coefficients - beta90)) < 1e-8
+
+
+class TestFitDesign:
+    """The one-buffer design equals, bit for bit, the path of separate copies."""
+
+    @given(
+        n_rows=st.integers(min_value=12, max_value=60),
+        d=st.integers(min_value=1, max_value=6),
+        constants=st.lists(st.booleans(), max_size=3),
+        k=st.integers(min_value=0, max_value=2),
+        scale=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_buffer_equals_the_separate_copies(self, n_rows, d, constants, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        n = n_rows + int(rng.integers(0, 20))
+        rows = rng.choice(n, size=n_rows, replace=False)  # unsorted, as on an edge
+        x = rng.normal(loc=rng.uniform(-5.0, 5.0, size=d), size=(n, d))
+        x *= 10.0 ** rng.uniform(-100.0, 100.0, size=d)
+        # constant columns; a False one is constant only on the chosen rows
+        for everywhere in constants:
+            column = rng.normal(size=n) * 10.0 ** rng.uniform(-100.0, 100.0)
+            if everywhere:
+                column[:] = column[0]
+            else:
+                column[rows] = column[rows[0]]
+            x = np.insert(x, int(rng.integers(0, x.shape[1] + 1)), column, axis=1)
+        targets = center_columns(rng.normal(size=(n_rows, k))) if k else np.empty((n_rows, 0))
+        names = [f"f{j}" for j in range(x.shape[1])]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClockWarning)
+            kept, xy = fit_design(x, rows, targets, names, "test", scale=scale)
+        ref_kept, ref = fit_design_reference(x, rows, targets, scale=scale)
+        assert kept == ref_kept
+        assert xy.shape == ref.shape
+        assert np.array_equal(xy, ref)
+        assert xy.flags.f_contiguous
+
+        if k:
+            m = len(kept)
+            fits = ols_fit(xy, k)
+            ref_fits = ols_fit_reference(ref[:, :m], ref[:, m:])
+            assert len(fits) == k
+            for fit, expected in zip(fits, ref_fits):
+                for field in dataclasses.fields(fit):
+                    assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name))
+
+    def test_row_out_of_range_raises(self):
+        x = np.arange(12.0).reshape(4, 3)
+        with pytest.raises(IndexError):
+            fit_design(x, np.array([0, 1, 4]), np.empty((3, 0)), ["a", "b", "c"], "test")
 
 
 class TestMaxContribution:
@@ -136,9 +195,9 @@ class TestMaxContribution:
 
     def test_grid_refit_oracle(self):
         rng = np.random.default_rng(4)
-        x = standardize_columns(rng.normal(size=(60, 5)))
+        x = standardize_reference(rng.normal(size=(60, 5)))
         y = center_columns(rng.normal(size=(60, 2)))
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
@@ -155,7 +214,7 @@ class TestMaxContribution:
 class TestCircleSweep:
     def test_cosine_response(self):
         x, y = identity_fixture()
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 3)  # angles 0, 60, 120
         angle, coef = sweep[0][1]
         assert angle == pytest.approx(60.0)
@@ -163,9 +222,9 @@ class TestCircleSweep:
 
     def test_m2_gives_axis_coefficients(self):
         rng = np.random.default_rng(5)
-        x = standardize_columns(rng.normal(size=(30, 3)))
+        x = standardize_reference(rng.normal(size=(30, 3)))
         y = center_columns(rng.normal(size=(30, 2)))
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 2)
         for j in range(3):
             assert sweep[j][0] == (0.0, pytest.approx(fit0.coefficients[j]))
@@ -173,9 +232,9 @@ class TestCircleSweep:
 
     def test_samples_lie_on_diameter_circle(self):
         rng = np.random.default_rng(6)
-        x = standardize_columns(rng.normal(size=(50, 4)))
+        x = standardize_reference(rng.normal(size=(50, 4)))
         y = center_columns(rng.normal(size=(50, 2)))
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 36)
         for j in range(4):
             b0 = float(fit0.coefficients[j])
@@ -189,9 +248,9 @@ class TestCircleSweep:
 
     def test_analytic_matches_refit(self):
         rng = np.random.default_rng(7)
-        x = standardize_columns(rng.normal(size=(40, 3)))
+        x = standardize_reference(rng.normal(size=(40, 3)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(x, y)
+        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
         fast = circle_sweep(fit0.coefficients, fit90.coefficients, 12)
         angles, slow = refit_sweep(x, y, 12)
         for j in range(3):
@@ -223,7 +282,7 @@ class TestBuildClock:
 
     def test_iris_matches_biplot_loadings(self, iris_dataset):
         clock = build_global_clock(iris_dataset)
-        z = standardize_columns(iris_dataset.X)
+        z = standardize_reference(iris_dataset.X)
         model = pca_2d(z)
         for j, name in enumerate(iris_dataset.feature_names):
             arrow = next(a for a in clock.arrows if a.feature == name)
@@ -289,8 +348,8 @@ class TestBuildClock:
             assert clock.arrows == reference.arrows
 
     def test_memory_stays_near_the_data(self):
-        # one copy of the member rows, its standardized design, then ols_fit's
-        # [X | Y] stack and the QR's own copy of it
+        # the [X | Y] buffer, then the QR's own copy of it (or, while the
+        # buffer is filled, the gathered rows or the std's deviations)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4000, 100))
         y = rng.normal(size=(4000, 2))
@@ -300,7 +359,7 @@ class TestBuildClock:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * x.nbytes
+        assert peak < 2.5 * x.nbytes
 
     def test_rank_deficiency_names_features(self):
         # Feature slots count only the kept columns: after dropping "const",
@@ -447,7 +506,7 @@ class TestScaleInvariance:
     def test_flags_and_angles(self, x_exp, x_off, y_exp, y_off, exact):
         x, y = two_signal_fixture()
         if exact:  # embedding is exactly linear in the first two features
-            x = standardize_columns(x)
+            x = standardize_reference(x)
             y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]])
             # An offset c rounds the data by about c * eps: a real residual
             # far above rounding noise, so the fit is no longer exact.
@@ -470,7 +529,7 @@ class TestScaleInvariance:
 
     def test_exact_fit_pins_only_the_signal(self):
         x, _ = two_signal_fixture()
-        x = standardize_columns(x)
+        x = standardize_reference(x)
         y = x[:, :2] @ np.array([[1.0, 0.4], [-0.3, 0.8]])
         for scale in (1e-10, 1e-8, 1.0, 1e8):
             arrows = all_arrows(x, y * scale, RunConfig())

@@ -13,12 +13,11 @@ from featureclock import (
     from_labels,
     logistic_fit,
     mst_over_centers,
-    standardize_columns,
 )
 from featureclock import intergroup as intergroup_module
 from featureclock.ingest import Dataset, Provenance
 
-from oracles import logistic_mle, logistic_penalized_gradient
+from oracles import logistic_mle, logistic_penalized_gradient, standardize_reference
 
 
 def make_dataset(x, y, labels, names=None):
@@ -72,7 +71,7 @@ class TestLogisticFit:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(200, 1))
         labels = np.concatenate([np.zeros(100), np.ones(100)])
-        xs = standardize_columns(x)
+        xs = standardize_reference(x)
         fit = logistic_fit(xs, labels)
         assert abs(fit.coefficients[0]) < 0.1
         assert fit.p_values[0] > 0.5
@@ -141,11 +140,11 @@ class TestLogisticFit:
         dataset = shifted_fixture()
         rows = np.arange(dataset.X.shape[0])
         labels = (rows >= 250).astype(float)
-        xs = standardize_columns(dataset.X)
+        xs = standardize_reference(dataset.X)
         base = logistic_fit(xs, labels)
         scaled_x = dataset.X.copy()
         scaled_x[:, 0] *= 250.0
-        zs = standardize_columns(scaled_x)
+        zs = standardize_reference(scaled_x)
         scaled = logistic_fit(zs, labels)
         assert (base.p_values < 0.05).tolist() == (scaled.p_values < 0.05).tolist()
 

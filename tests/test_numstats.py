@@ -7,33 +7,46 @@ from hypothesis import strategies as st
 
 from featureclock import (
     regularized_incomplete_beta,
+    ClockWarning,
     ComputationError,
+    GroupTooSmallError,
     RankDeficientError,
+    build_clock,
     center_columns,
     normal_two_sided_p,
     ols_fit,
-    standardize_columns,
     student_t_two_sided_p,
 )
-from featureclock.numstats import constant_columns, distinct
+from featureclock.clockcore import fit_design
+from featureclock.numstats import distinct
 
-from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided
+from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided, standardize_reference
+
+
+def design_of(x, names=None):
+    """``fit_design`` over every row of ``x``, with no targets."""
+    x = np.asarray(x, dtype=float)
+    names = names or [f"f{j}" for j in range(x.shape[1])]
+    return fit_design(x, np.arange(len(x)), np.empty((len(x), 0)), names, "test")
 
 
 class TestStandardize:
     def test_symmetric_column(self):
-        z = standardize_columns([[1.0], [2.0], [3.0]])
+        _, z = design_of([[1.0], [2.0], [3.0]])
         assert np.allclose(z[:, 0], [-1.0, 0.0, 1.0])
 
     def test_constant_column_is_flagged(self):
-        z = standardize_columns([[5.0], [5.0], [5.0]])
-        assert np.allclose(z, 0.0)
-        assert constant_columns([[5.0], [5.0], [5.0]])[0]
+        with pytest.warns(ClockWarning, match="test: dropping zero-variance features: c$"):
+            kept, z = design_of([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]], ["c", "v"])
+        assert kept == [1]
+        assert np.allclose(z[:, 0], [-1.0, 0.0, 1.0])
+        with pytest.raises(GroupTooSmallError, match="test: every feature is constant"):
+            design_of([[5.0], [5.0], [5.0]])
 
     def test_random_moments_two_pass_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.normal(loc=3.0, scale=2.5, size=(50, 4))
-        z = standardize_columns(x)
+        _, z = design_of(x)
         for j in range(4):
             col = z[:, j].tolist()
             mean = math.fsum(col) / 50
@@ -42,21 +55,23 @@ class TestStandardize:
             assert abs(math.sqrt(var) - 1.0) < 1e-12
 
     def test_needs_two_rows(self):
-        with pytest.raises(ComputationError):
-            standardize_columns([[1.0, 2.0]])
+        # A sample std needs two rows: clocks reject smaller groups before any design is built.
+        for rows in ([0], [0, 1]):
+            with pytest.raises(GroupTooSmallError):
+                build_clock(np.eye(3), np.eye(3)[:, :2], rows)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1.0, 1e150])
     def test_cutoff_follows_column_scale(self, scale):
-        z = standardize_columns(np.array([[1.0], [2.0], [3.0]]) * scale)
+        kept, z = design_of(np.array([[1.0], [2.0], [3.0]]) * scale)
+        assert kept == [0]  # not flagged as constant
         assert np.allclose(z[:, 0], [-1.0, 0.0, 1.0])
-        assert not constant_columns(np.array([[1.0], [2.0], [3.0]]) * scale)[0]
 
     def test_rounding_noise_on_large_offset_is_constant(self):
         rng = np.random.default_rng(19)
         column = 1e9 + 1e-7 * rng.normal(size=(50, 1))
-        assert constant_columns(column)[0]
-        z = standardize_columns(column)
-        assert np.max(np.abs(z)) < 1e-6  # centered, not blown up to unit variance
+        with pytest.warns(ClockWarning, match="dropping zero-variance features: f0$"):
+            kept, _ = design_of(np.column_stack([column, rng.normal(size=50)]))
+        assert kept == [1]  # dropped, not blown up to unit variance
 
 
 class TestDistinct:
@@ -90,14 +105,14 @@ class TestOlsFit:
     def test_exact_fit_single_column(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=12)
-        fit = ols_fit(y.reshape(-1, 1), y)
+        (fit,) = ols_fit(np.column_stack([y, y]), 1)
         assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.residual_variance == pytest.approx(0.0, abs=1e-20)
         assert fit.p_values[0] == 0.0
 
     def test_zero_target(self):
         rng = np.random.default_rng(4)
-        fit = ols_fit(rng.normal(size=(15, 3)), np.zeros(15))
+        (fit,) = ols_fit(np.column_stack([rng.normal(size=(15, 3)), np.zeros(15)]), 1)
         assert np.allclose(fit.coefficients, 0.0)
         assert np.allclose(fit.t_stats, 0.0)
         assert np.allclose(fit.p_values, 1.0)
@@ -106,7 +121,7 @@ class TestOlsFit:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 3))
         y = x @ np.array([0.5, -1.0, 2.0]) + rng.normal(size=20)
-        fit = ols_fit(x, y)
+        (fit,) = ols_fit(np.column_stack([x, y]), 1)
         beta, se, p = normal_equations_fit(x, y)
         assert np.max(np.abs(fit.coefficients - beta)) < 1e-8
         assert np.max(np.abs(fit.std_errors - se)) < 1e-8
@@ -114,15 +129,15 @@ class TestOlsFit:
 
     def test_insufficient_observations(self):
         with pytest.raises(ComputationError, match="insufficient observations"):
-            ols_fit(np.eye(4), np.ones(4))
+            ols_fit(np.column_stack([np.eye(4), np.ones(4)]), 1)
 
     def test_rank_deficient_names_columns(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(20, 2))
         x = np.column_stack([x, x[:, 0] + x[:, 1]])
-        for target in (rng.normal(size=20), rng.normal(size=(20, 2))):
+        for target in (rng.normal(size=(20, 1)), rng.normal(size=(20, 2))):
             with pytest.raises(RankDeficientError, match="rank deficient") as info:
-                ols_fit(x, target)
+                ols_fit(np.column_stack([x, target]), target.shape[1])
             assert len(info.value.columns) == 1
 
     def test_rank_deficiency_names_the_later_column(self):
@@ -130,9 +145,9 @@ class TestOlsFit:
         # combination of the columns before it in file order.
         rng = np.random.default_rng(11)
         u, v, w = rng.normal(size=(3, 30))
-        x = standardize_columns(np.column_stack([u, u + 0.1 * v, v, w]))
+        x = standardize_reference(np.column_stack([u, u + 0.1 * v, v, w]))
         with pytest.raises(RankDeficientError, match=r"rank 3 of 4\); offending columns: \[2\]$") as info:
-            ols_fit(x, rng.normal(size=30))
+            ols_fit(np.column_stack([x, rng.normal(size=30)]), 1)
         assert info.value.columns == (2,)
 
     @given(
@@ -156,7 +171,7 @@ class TestOlsFit:
         # same 1e-8 that bounds a named column's distance from the span.
         unit = x / np.linalg.norm(x, axis=0)
         try:
-            ols_fit(x, rng.normal(size=n))
+            ols_fit(np.column_stack([x, rng.normal(size=n)]), 1)
             named = []
         except RankDeficientError as exc:
             named = list(exc.columns)
@@ -171,12 +186,12 @@ class TestOlsFit:
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(25, 4)))
         y = rng.normal(size=25)
-        fit = ols_fit(q, y)
+        (fit,) = ols_fit(np.column_stack([q, y]), 1)
         assert np.max(np.abs(fit.coefficients - q.T @ y)) < 1e-10
 
     def test_dof_is_n_minus_d_minus_1(self):
         rng = np.random.default_rng(9)
-        fit = ols_fit(rng.normal(size=(20, 3)), rng.normal(size=20))
+        (fit,) = ols_fit(np.column_stack([rng.normal(size=(20, 3)), rng.normal(size=20)]), 1)
         assert fit.dof == 16
 
     @given(
@@ -190,11 +205,11 @@ class TestOlsFit:
         n = d + 2 + n_extra  # n_extra = 0 is the smallest n the fit accepts
         x = rng.normal(size=(n, d))
         y = x @ rng.normal(size=(d, 2)) + rng.normal(size=(n, 2))
-        pair = ols_fit(x, y)
+        pair = ols_fit(np.column_stack([x, y]), 2)
         assert len(pair) == 2
         reference, *_ = np.linalg.lstsq(x, y, rcond=None)
         for j, fit in enumerate(pair):
-            single = ols_fit(x, y[:, j])
+            (single,) = ols_fit(np.column_stack([x, y[:, j]]), 1)
             scale = 1.0 + np.max(np.abs(reference[:, j]))
             assert np.max(np.abs(fit.coefficients - reference[:, j])) < 1e-9 * scale
             assert np.max(np.abs(fit.coefficients - single.coefficients)) < 1e-12 * scale
@@ -210,8 +225,8 @@ class TestOlsFit:
         yc = y - y.mean()
 
         def coefs(matrix):
-            z = standardize_columns(matrix)
-            return ols_fit(z, yc).coefficients
+            z = standardize_reference(matrix)
+            return ols_fit(np.column_stack([z, yc]), 1)[0].coefficients
 
         scaled = x.copy()
         scaled[:, 1] *= 37.5

@@ -18,7 +18,6 @@ from featureclock import (
     render_clock,
     render_intergroup,
     render_scatter,
-    standardize_columns,
 )
 from featureclock.ingest import Dataset, Provenance
 from featureclock.render import NOISE_COLOR, PALETTE
@@ -154,6 +153,22 @@ class TestClockGlyph:
         clock = manual_clock([arrow("f0", 1.0, 0.0)])
         svg = render_clock(scene, clock).to_svg()
         assert ">f0<" in svg
+
+    @pytest.mark.parametrize("canvas", [(900, 600), (900, 300)])
+    def test_long_legend_stays_on_the_canvas(self, canvas):
+        # 60 features: the first column holds the rows above the bottom margin
+        arrows = [arrow(f"f{j}", math.cos(j), math.sin(j)) for j in range(60)]
+        x = np.column_stack([np.arange(3.0), np.ones(3)])
+        scene = render_scatter(make_dataset(x, [[-2.0, -2.0], [2.0, 2.0], [0.0, 1.0]]), canvas=canvas)
+        svg = render_clock(scene, manual_clock(arrows)).to_svg()
+        rects = re.findall(r'<rect x="([\d.-]+)" y="([\d.-]+)" width="10" height="10"', svg)
+        assert len(rects) == 60
+        width, height = canvas
+        for rx, ry in rects:
+            assert 0 <= float(rx) and float(rx) + 10 <= width
+            assert 0 <= float(ry) and float(ry) + 10 <= height
+        labels = re.findall(r'font-size="12" fill="#222222">(f\d+)</text>', svg)
+        assert labels == [f"f{j}" for j in range(60)]
 
 
 class TestCirclesGlyph:
