@@ -126,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 # Per view, the flags it never reads (by destination) and the message that rejects each.
 _UNREAD = {
     "global": {"cluster": "--cluster applies to local and intergroup only; "
-                          "color the global view with --labels"},
+                          "color the global view with --labels",
+               "seed": "--seed applies to local and intergroup only",
+               "cluster_on": "--cluster-on applies to local and intergroup only"},
     "intergroup": {
         dest: f"{flag} applies to global and local only"
         for dest, flag in (("standardize_x", "--no-standardize-x"), ("center_y", "--no-center-y"),

@@ -21,7 +21,9 @@ from .numstats import as_matrix, distinct
 NOISE = -1
 
 # Squared distances held at once by DBSCAN's neighbor pass (1 MiB of
-# float64): the block has max(1, _BLOCK_CELLS // n) rows of n columns.
+# float64): a block of rows times the columns within eps of them on the first
+# coordinate, at least one row, so a block of n columns has
+# max(1, _BLOCK_CELLS // n) rows.
 _BLOCK_CELLS = 2**17
 
 
@@ -142,35 +144,64 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
-def _neighbor_graph(arr: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed eps-ball neighbors of every point as CSR ``(indptr, indices)``.
+def _neighbor_graph(arr: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed eps-ball neighbors of every point as ``(starts, stops, indices)``.
 
-    Squared distances are built for a block of rows at a time, one coordinate
-    after another, so no temporary grows past one block. Row i's neighbors
-    are ``indices[indptr[i]:indptr[i + 1]]``, ascending and including i.
+    Point i's neighbors are ``indices[starts[i]:stops[i]]``: original row ids,
+    i among them, in no particular order. The points are sorted by their first
+    coordinate, and each block of sorted rows is compared only with the
+    columns whose first coordinate lies within reach of the block's own, one
+    coordinate after another, so no temporary grows past one block.
     """
     n = arr.shape[0]
-    first, *rest = [np.ascontiguousarray(arr[:, k]) for k in range(arr.shape[1])]
-    step = max(1, _BLOCK_CELLS // n)
-    d2 = np.empty((step, n))
-    diff = np.empty((step, n))
+    order = np.argsort(arr[:, 0], kind="stable")
+    first, *rest = [arr[order, k] for k in range(arr.shape[1])]
+    # No neighbor lies outside its row's window. Rounding to nearest is
+    # monotone and adding a non-negative square never lowers a sum, so a
+    # neighbor's computed d2 is at least fl(D * D), D = fl(first[j] - first[i]).
+    # Every float D with |D| >= reach has fl(D * D) > eps2: sqrt is correctly
+    # rounded, the factor lifts reach * reach clear of eps2's rounding, and the
+    # addend does so when eps2 is subnormal or zero. So a neighbor has
+    # |D| < reach, hence |first[j] - first[i]| < reach exactly (reach is a
+    # float), and then fl(first[i] - reach) <= first[j] <= fl(first[i] + reach)
+    # however large the coordinates: a bound beyond first[j], a float, cannot
+    # round past it.
+    reach = math.sqrt(eps2) * (1 + 2**-40) + 2**-500
+    left = np.searchsorted(first, first - reach, side="left")
+    right = np.searchsorted(first, first + reach, side="right")
+    ids = order.astype(np.int32)
+    cells = max(_BLOCK_CELLS, n)
+    d2 = np.empty(cells)
+    diff = np.empty(cells)
     counts = np.empty(n, dtype=np.int64)
     pieces = []
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block, scratch = d2[: hi - lo], diff[: hi - lo]
-        np.subtract(first[None, :], first[lo:hi, None], out=block)
+    lo = 0
+    while lo < n:
+        # k rows span widths[k - 1] columns, and k * widths[k - 1] grows with
+        # k, so one search finds the most rows whose cells fit the budget
+        base = left[lo]
+        widths = right[lo : lo + max(1, _BLOCK_CELLS // (right[lo] - base))] - base
+        area = widths * np.arange(1, widths.size + 1)
+        rows = max(1, int(np.searchsorted(area, _BLOCK_CELLS, side="right")))
+        hi, width = lo + rows, int(widths[rows - 1])
+        block = d2[: rows * width].reshape(rows, width)
+        scratch = diff[: rows * width].reshape(rows, width)
+        np.subtract(first[None, base : base + width], first[lo:hi, None], out=block)
         block *= block
         for c in rest:
-            np.subtract(c[None, :], c[lo:hi, None], out=scratch)
+            np.subtract(c[None, base : base + width], c[lo:hi, None], out=scratch)
             scratch *= scratch
             block += scratch
-        rows, cols = np.divmod(np.flatnonzero(block <= eps2), n)
-        counts[lo:hi] = np.bincount(rows, minlength=hi - lo)
-        pieces.append(cols.astype(np.int32))
+        near = block <= eps2
+        counts[lo:hi] = np.count_nonzero(near, axis=1)
+        pieces.append(np.broadcast_to(ids[base : base + width], near.shape)[near])
+        lo = hi
+    del d2, diff, block, scratch  # free the block buffers before the pieces are joined
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, np.concatenate(pieces)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return indptr[rank], indptr[rank + 1], np.concatenate(pieces)
 
 
 def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
@@ -184,10 +215,14 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     point (a non-core neighbor of core points) joins the lowest cluster id
     that reaches it, so results are deterministic.
 
-    Time is O(n^2 d). Memory is one block of about ``_BLOCK_CELLS`` squared
-    distances plus 4 bytes per neighbor pair. Up to 7 coordinates the sums
-    equal numpy's row sum ``((data - data[i]) ** 2).sum(axis=1)`` bit for bit;
-    from 8 on numpy adds in pairs, so a distance may differ from it by 1 ulp.
+    Time is O(n log n) to sort the points by their first coordinate, plus d
+    times the cells of the row blocks' column windows, which hold the pairs
+    whose first coordinates lie within eps: still O(n^2 d) when every point is
+    that close to every other on the first coordinate. Memory is one block of
+    about ``_BLOCK_CELLS`` squared distances plus 4 bytes per neighbor pair.
+    Up to 7 coordinates the sums equal numpy's row sum
+    ``((data - data[i]) ** 2).sum(axis=1)`` bit for bit; from 8 on numpy adds
+    in pairs, so a distance may differ from it by 1 ulp.
     """
     arr = as_matrix(data, name="data")
     n = arr.shape[0]
@@ -197,8 +232,8 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     if min_pts < 1:
         raise InputDataError(f"min_pts must be at least 1, got {min_pts}")
 
-    indptr, indices = _neighbor_graph(arr, eps * eps)
-    core = np.diff(indptr) >= min_pts
+    starts, stops, indices = _neighbor_graph(arr, eps * eps)
+    core = stops - starts >= min_pts
     labels = np.full(n, NOISE, dtype=int)
     cid = 0
     for i in np.flatnonzero(core):
@@ -207,7 +242,7 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
         labels[i] = cid
         frontier = [i]
         while len(frontier):
-            reached = np.concatenate([indices[indptr[j] : indptr[j + 1]] for j in frontier])
+            reached = np.concatenate([indices[starts[j] : stops[j]] for j in frontier])
             reached = distinct(np.sort(reached[labels[reached] == NOISE]))
             labels[reached] = cid
             frontier = reached[core[reached]]

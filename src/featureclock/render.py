@@ -320,15 +320,21 @@ def _emit(scene: Scene) -> str:
                 f'stroke-width="1.5"{dash}/>'
             )
 
-    # rows 18 px apart from y = 24; a row past the bottom margin starts a new column to the left
+    # rows 18 px apart from y = 24; a row past the bottom margin starts a new column to the
+    # left, and when no column is left the last row counts the entries left out
     per_column = max(1, int((scene.height - _MARGIN - 24) // 18) + 1)
-    for i, (label, color, dash) in enumerate(scene.legend):
+    slots = per_column * max(1, scene.width // 160)
+    rows = [(label, color) for label, color, _ in scene.legend]
+    if len(rows) > slots:
+        rows[slots - 1 :] = [(f"+{len(rows) - slots + 1} more", None)]
+    for i, (label, color) in enumerate(rows):
         column, row = divmod(i, per_column)
-        x0 = scene.width - 160 * (column + 1)
+        x0 = max(0, scene.width - 160 * (column + 1))
         y = 24 + 18 * row
-        parts.append(
-            f'<rect x="{x0}" y="{y - 9}" width="10" height="10" fill="{color}"/>'
-        )
+        if color is not None:
+            parts.append(
+                f'<rect x="{x0}" y="{y - 9}" width="10" height="10" fill="{color}"/>'
+            )
         parts.append(
             f'<text x="{x0 + 16}" y="{y}" font-family="sans-serif" font-size="12" '
             f'fill="#222222">{escape(label)}</text>'

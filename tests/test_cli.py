@@ -201,6 +201,15 @@ class TestGlobalCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--cluster-on", "y"], ["--cluster-on", "x"]])
+    def test_global_with_seed_or_cluster_on_exit_2(self, iris_paths, tmp_path, capsys, flags):
+        x, y, labels = iris_paths
+        out = tmp_path / "out"
+        args = ["global", "--x", x, "--y", y, "--labels", labels, *flags, "--out-dir", out]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {flags[0]} applies to local and intergroup only\n"
+        assert not out.exists()
+
     def test_tiny_theta_step_exit_2(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         out = tmp_path / "out"
@@ -251,7 +260,7 @@ class TestGlobalCommand:
         out = tmp_path / "out"
         args = ["global", "--x", x, "--y", y, "--alpha", "0.01", "--top-k", "2", "--theta-step", "6",
                 "--no-standardize-x", "--no-center-y", "--significance-rule", "and", "--circles",
-                "--scale", "2", "--seed", "3", "--canvas", "800x500", "--out-dir", out, *flags]
+                "--scale", "2", "--canvas", "800x500", "--out-dir", out, *flags]
         assert run(args) == 0
         clock = json.loads((out / "clock.json").read_text())["clocks"][0]
         assert clock["arrows"]
@@ -519,8 +528,8 @@ FLAG_GOLDEN = {
         "1f8d031da61381e0c7e9d9eba2c1014d883492216d0295cd1429fc482e49e314",
     ),
     "global-every-flag": (
-        ["global", "--labels", *_EVERY_FLAG, "--seed", "3"],
-        "287894b8a85d81b3b8146ad5a7e3a44849bb54b7dcfc3bfc8921c54d8415d360",
+        ["global", "--labels", *_EVERY_FLAG],
+        "a77c8e86ccbf216713eb96f772a7f771d095d3c6950daed8b4a86f8ae6cdb3a8",
         "438289ba5eb215bffd4686d410dfb6c548df5b7727d2a5864d0f278a10f1e335",
     ),
     "local-kmeans": (

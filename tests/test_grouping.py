@@ -232,6 +232,55 @@ class TestDbscan:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=1, max_value=300),
+        d=st.integers(min_value=1, max_value=4),
+        values=st.integers(min_value=1, max_value=5),
+        eps=st.sampled_from([1.0, math.sqrt(2.0), 2.0]),
+        min_pts=st.integers(min_value=1, max_value=8),
+        block_cells=st.sampled_from([1, 1000, grouping_module._BLOCK_CELLS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_coordinate_ties_match_reference(
+        self, seed, n, d, values, eps, min_pts, block_cells
+    ):
+        # the first coordinate takes a few multiples of eps, so many points tie
+        # on it and neighboring values sit at the edge of each other's window;
+        # 0/1 in the other coordinates puts many pairs exactly at eps
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 2, size=(n, d)).astype(float)
+        data[:, 0] = rng.integers(0, values, size=n) * eps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, [0, 0]])
+        assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=300),
+        d=st.integers(min_value=1, max_value=3),
+        grid=st.sampled_from([(1e8, float(np.spacing(1e8))), (-1e8, float(np.spacing(1e8))),
+                              (0.0, 1e-165)]),
+        factor=st.sampled_from([0.5, 1.0, math.sqrt(2.0), 1.5, 2.0, 2.5]),
+        min_pts=st.integers(min_value=1, max_value=8),
+        block_cells=st.sampled_from([1, 1000, grouping_module._BLOCK_CELLS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_offset_and_tiny_grids_match_reference(
+        self, seed, n, d, grid, factor, min_pts, block_cells
+    ):
+        # a grid one ulp apart at 1e8, where first +- eps rounds to a grid
+        # point, and one so fine that every squared step underflows to 0
+        offset, step = grid
+        eps = factor * step
+        rng = np.random.default_rng(seed)
+        data = offset + rng.integers(0, 6, size=(n, d)) * step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, [0, 0]])
+        assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=300),
         d=st.sampled_from([8, 12, 30]),
         min_pts=st.integers(min_value=1, max_value=8),
     )

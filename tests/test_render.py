@@ -154,21 +154,28 @@ class TestClockGlyph:
         svg = render_clock(scene, clock).to_svg()
         assert ">f0<" in svg
 
-    @pytest.mark.parametrize("canvas", [(900, 600), (900, 300)])
+    @pytest.mark.parametrize("canvas", [(900, 600), (900, 300), (400, 100), (150, 100)])
     def test_long_legend_stays_on_the_canvas(self, canvas):
-        # 60 features: the first column holds the rows above the bottom margin
+        # 60 features: the first column holds the rows above the bottom margin;
+        # 400x100 has room for two columns of two rows, 150x100 for one column,
+        # and the last of those rows counts the rest
+        shown = {(400, 100): 3, (150, 100): 1}.get(canvas, 60)
         arrows = [arrow(f"f{j}", math.cos(j), math.sin(j)) for j in range(60)]
         x = np.column_stack([np.arange(3.0), np.ones(3)])
         scene = render_scatter(make_dataset(x, [[-2.0, -2.0], [2.0, 2.0], [0.0, 1.0]]), canvas=canvas)
         svg = render_clock(scene, manual_clock(arrows)).to_svg()
         rects = re.findall(r'<rect x="([\d.-]+)" y="([\d.-]+)" width="10" height="10"', svg)
-        assert len(rects) == 60
+        assert len(rects) == shown
         width, height = canvas
         for rx, ry in rects:
             assert 0 <= float(rx) and float(rx) + 10 <= width
             assert 0 <= float(ry) and float(ry) + 10 <= height
-        labels = re.findall(r'font-size="12" fill="#222222">(f\d+)</text>', svg)
-        assert labels == [f"f{j}" for j in range(60)]
+        rows = re.findall(r'<text x="([\d.-]+)" y="([\d.-]+)" font-family="sans-serif" '
+                          r'font-size="12" fill="#222222">([^<]*)</text>', svg)
+        more = [f"+{60 - shown} more"] if shown < 60 else []
+        assert [label for _, _, label in rows] == [f"f{j}" for j in range(shown)] + more
+        for tx, ty, _ in rows:
+            assert 0 <= float(tx) < width and 0 <= float(ty) <= height
 
 
 class TestCirclesGlyph:
