@@ -1,5 +1,9 @@
 """Command-line frontend: compute clocks from CSV inputs, write SVG and JSON.
 
+Each view command (global, local, intergroup) runs one pipeline: read the
+flags and files, group the points, build the clocks, render and report.
+``demo`` runs those three commands on the bundled iris fixture.
+
 Exit codes: 0 success, 2 bad input (files or flags), 3 computation failure.
 Warnings go to stderr and are echoed in the JSON report. Reports are
 key-sorted with floats trimmed to 12 significant digits, so identical runs
@@ -241,15 +245,19 @@ def _write_outputs(out_dir, stem: str, scene, report: dict) -> None:
         raise InputDataError(f"{out}: cannot write outputs: {exc.strerror or exc}") from None
 
 
-def run_view(view: str, dataset: Dataset, grouping: GroupingResult | None, config: RunConfig,
-             notes: list[str]):
-    """Build the clocks of one view, render them and assemble the report.
+def _cmd_view(args: argparse.Namespace, stem: str = "clock") -> list[str]:
+    """Run one view command and write its ``<stem>.svg`` and ``<stem>.json``.
 
-    ``view`` is ``global``, ``local`` or ``intergroup``. Warnings raised while
-    the clocks are built are appended to ``notes`` and echoed in the report.
-    Returns ``(scene, report)``.
+    ``args.command`` is ``global``, ``local`` or ``intergroup``. Warnings
+    raised while the flags are read, the files loaded, the points grouped and
+    the clocks built are echoed in the report and returned.
     """
+    view = args.command
+    notes: list[str] = []
     with _capture_warnings(notes):
+        config = _config_from_args(args)
+        dataset = load_dataset(args.x, args.y, args.labels)
+        grouping = _resolve_grouping(args, dataset, config)
         if view == "global":
             clocks = [build_global_clock(dataset, config)]
         elif view == "local":
@@ -263,23 +271,14 @@ def run_view(view: str, dataset: Dataset, grouping: GroupingResult | None, confi
         report = _report(view, config, dataset, [_intergroup_record(c) for c in clocks], notes)
         by_id = {g.id: g.name for g in grouping.groups}
         report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst]
-        return scene, report
-    for clock in clocks:
-        if clock.circles is not None:
-            render_circles(scene, clock, clock_scale=config.clock_scale)
-        else:
-            render_clock(scene, clock, clock_scale=config.clock_scale)
-    return scene, _report(view, config, dataset, [_clock_record(c) for c in clocks], notes)
-
-
-def _cmd_view(args: argparse.Namespace) -> list[str]:
-    notes: list[str] = []
-    with _capture_warnings(notes):
-        config = _config_from_args(args)
-        dataset = load_dataset(args.x, args.y, args.labels)
-        grouping = _resolve_grouping(args, dataset, config)
-    scene, report = run_view(args.command, dataset, grouping, config, notes)
-    _write_outputs(args.out_dir, "clock", scene, report)
+    else:
+        for clock in clocks:
+            if clock.circles is not None:
+                render_circles(scene, clock, clock_scale=config.clock_scale)
+            else:
+                render_clock(scene, clock, clock_scale=config.clock_scale)
+        report = _report(view, config, dataset, [_clock_record(c) for c in clocks], notes)
+    _write_outputs(args.out_dir, stem, scene, report)
     return notes
 
 
@@ -294,19 +293,16 @@ def demo_paths() -> tuple[Path, Path, Path]:
 
 
 def _cmd_demo(args: argparse.Namespace) -> list[str]:
-    dataset = load_dataset(*demo_paths())
-    config = validate_config({})
-    grouping = from_labels(dataset.labels, dataset.Y)
+    """Run the three view commands on the bundled iris fixture with ``--labels`` and default flags."""
+    x, y, labels = (str(path) for path in demo_paths())
     notes: list[str] = []
     for view, stem in (
         ("global", "global_clock"),
         ("local", "local_clocks"),
         ("intergroup", "intergroup_clocks"),
     ):
-        view_notes: list[str] = []
-        scene, report = run_view(view, dataset, grouping, config, view_notes)
-        _write_outputs(args.out_dir, stem, scene, report)
-        notes += view_notes
+        argv = [view, "--x", x, "--y", y, "--labels", labels, f"--out-dir={args.out_dir}"]
+        notes += _cmd_view(build_parser().parse_args(argv), stem)
     return notes
 
 

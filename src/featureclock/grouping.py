@@ -49,8 +49,6 @@ def _make_groups(labels: np.ndarray, names: dict[int, str], embedding: np.ndarra
     groups = []
     for gid in sorted(names):
         members = np.flatnonzero(labels == gid)
-        if not members.size:
-            continue
         rows = embedding[members]
         center = (float(rows[:, 0].mean()), float(rows[:, 1].mean()))
         groups.append(Group(gid, names[gid], members, center))

@@ -1,7 +1,9 @@
 """Inter-group clocks: which features separate two groups of points.
 
 Each spanning-tree edge between group centers gets a binary logistic
-regression over the two groups' standardized features. Significant
+regression over the two groups' standardized features. The fit reads the
+design's rank from one QR, under the same rule as the axis fit, and takes its
+standard errors from the Fisher information at its final iterate. Significant
 coefficients become arrows along the line joining the centers: a positive
 coefficient points at the group encoded as class 1.
 """
@@ -43,7 +45,6 @@ class LogisticFit:
     coefficients: np.ndarray
     intercept: float
     std_errors: np.ndarray
-    wald_z: np.ndarray
     p_values: np.ndarray
     converged: bool
     iterations: int
@@ -61,11 +62,13 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 def logistic_fit(x, labels) -> LogisticFit:
     """Fit class probabilities by iteratively reweighted least squares.
 
-    Maximizes the log-likelihood minus (L2_PENALTY/2)*||coefficients||^2; the
-    intercept is unpenalized. Iterations stop when the largest parameter
-    update falls below 1e-10 or after 100 rounds, in which case the result is
-    returned with ``converged=False`` and a warning. Standard errors come from
-    the inverse penalized Fisher information.
+    Raises RankDeficientError when one QR of ``x`` shows a dependent column,
+    under the rule of the axis fit. Maximizes the log-likelihood minus
+    (L2_PENALTY/2)*||coefficients||^2; the intercept is unpenalized.
+    Iterations stop when the largest parameter update falls below 1e-10 or
+    after 100 rounds, in which case the result is returned with
+    ``converged=False`` and a warning. Standard errors come from the inverse
+    penalized Fisher information at the final iterate.
     """
     xm = as_matrix(x, name="design matrix")
     yv = np.asarray(labels, dtype=float).ravel()
@@ -80,6 +83,7 @@ def logistic_fit(x, labels) -> LogisticFit:
         raise ComputationError(
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
+    check_rank(np.linalg.qr(xm, mode="r"))
 
     design = np.column_stack([np.ones(n), xm])
     ridge = np.full(d + 1, L2_PENALTY)
@@ -87,18 +91,18 @@ def logistic_fit(x, labels) -> LogisticFit:
     beta = np.zeros(d + 1)
     converged = False
     iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
+    while True:  # each iterate is evaluated once: for its step, or for the standard errors
         prob = _sigmoid(design @ beta)
         weight = np.clip(prob * (1.0 - prob), 1e-12, None)
-        gradient = design.T @ (yv - prob) - ridge * beta
         fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
-        step = np.linalg.solve(fisher, gradient)
+        if converged or iterations == _MAX_ITER:
+            break
+        iterations += 1
+        step = np.linalg.solve(fisher, design.T @ (yv - prob) - ridge * beta)
         if not np.all(np.isfinite(step)):
             break
         beta = beta + step
-        if float(np.max(np.abs(step))) < _STEP_TOL:
-            converged = True
-            break
+        converged = float(np.max(np.abs(step))) < _STEP_TOL
     if not converged:
         warnings.warn(
             "logistic fit did not converge (groups may be linearly separable); "
@@ -107,22 +111,17 @@ def logistic_fit(x, labels) -> LogisticFit:
             stacklevel=2,
         )
 
-    prob = _sigmoid(design @ beta)
-    weight = np.clip(prob * (1.0 - prob), 1e-12, None)
-    fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
-    covariance = np.linalg.inv(fisher)
-    se = np.sqrt(np.maximum(np.diag(covariance)[1:], 0.0))
+    se = np.sqrt(np.maximum(np.diag(np.linalg.inv(fisher))[1:], 0.0))
     coef = beta[1:]
     z = np.divide(coef, se, out=np.zeros_like(coef), where=se > 0)
     p = np.array([normal_two_sided_p(float(zj)) for zj in z])
-    return LogisticFit(coef, float(beta[0]), se, z, p, converged, iterations)
+    return LogisticFit(coef, float(beta[0]), se, p, converged, iterations)
 
 
 @dataclass(frozen=True)
 class IntergroupClock:
     """Arrows along the segment joining two group centers."""
 
-    edge: tuple[int, int]
     edge_names: tuple[str, str]
     centers: tuple[tuple[float, float], tuple[float, float]]
     anchor: tuple[float, float]
@@ -177,8 +176,7 @@ def build_intergroup_clocks(
             warnings.warn(f"skipping {exc}", ClockWarning, stacklevel=2)
             continue
         with naming_dependent(kept, names, where):
-            check_rank(np.linalg.qr(xs, mode="r"))
-        fit = logistic_fit(xs, labels)
+            fit = logistic_fit(xs, labels)
 
         _, axis = max_contribution(gb.center[0] - ga.center[0], gb.center[1] - ga.center[1])
         ux, uy = unit_vector(axis)
@@ -198,7 +196,6 @@ def build_intergroup_clocks(
         arrows = select_arrows(arrows, config, where)
         clocks.append(
             IntergroupClock(
-                (a, b),
                 (ga.name, gb.name),
                 (ga.center, gb.center),
                 anchor,

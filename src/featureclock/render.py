@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -37,6 +36,12 @@ NOISE_COLOR = "#999999"
 
 _MARGIN = 50.0
 _ANNOTATION_STEP = 12.0  # degrees to nudge overlapping rim labels
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped for SVG character data."""
+    # by hand: xml.sax.saxutils imports urllib.request, http, email and ssl (~30 ms)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass
@@ -300,7 +305,7 @@ def _emit(scene: Scene) -> str:
             parts.append(
                 f'<text x="{_fmt(tx(glyph.cx))}" y="{_fmt(ty(glyph.cy) + s * glyph.radius + 16)}" '
                 f'font-family="sans-serif" font-size="12" text-anchor="middle" '
-                f'fill="#444444">{escape(glyph.caption)}</text>'
+                f'fill="#444444">{_escape(glyph.caption)}</text>'
             )
         _emit_arrows(
             parts, glyph.arrows, glyph.cx, glyph.cy, tx, ty, s, rim_radius=glyph.radius
@@ -337,7 +342,7 @@ def _emit(scene: Scene) -> str:
             )
         parts.append(
             f'<text x="{x0 + 16}" y="{y}" font-family="sans-serif" font-size="12" '
-            f'fill="#222222">{escape(label)}</text>'
+            f'fill="#222222">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")
@@ -379,5 +384,5 @@ def _emit_arrows(parts, arrows, cx, cy, tx, ty, s, *, rim_radius=None):
         parts.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle" fill="{arrow.color}">'
-            f'{escape(arrow.annotation)}</text>'
+            f'{_escape(arrow.annotation)}</text>'
         )

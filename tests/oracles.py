@@ -9,9 +9,10 @@ point-by-point breadth-first DBSCAN instead of blocked distances and
 frontier expansion, and a csv-module table read cell by cell with float()
 instead of one np.loadtxt call.
 
-The last three functions are different: they keep the library's earlier
+The last four functions are different. Three keep the library's earlier
 design path (separate copies, then a column stack) as the reference that the
-one-buffer path must match bit for bit.
+one-buffer path must match bit for bit; the fourth keeps its earlier IRLS
+loop, which the logistic fit must match bit for bit.
 """
 
 import csv
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from featureclock.intergroup import L2_PENALTY, LogisticFit
 from featureclock.numstats import (
     RegressionFit,
     as_matrix,
@@ -29,6 +31,7 @@ from featureclock.numstats import (
     check_rank,
     constant_columns,
     negligible,
+    normal_two_sided_p,
     student_t_two_sided_p,
 )
 
@@ -353,3 +356,44 @@ def ols_fit_reference(x, y):
             p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
         fits.append(RegressionFit(beta, se, t, p, dof, s2))
     return tuple(fits)
+
+
+def logistic_fit_reference(x, labels, max_iter=100):
+    """The penalized IRLS logistic fit with the rank checked at the call site.
+
+    The library's loop before it checked the rank itself and kept its last
+    Fisher information, as the bit-identity reference: one QR of ``x`` is
+    checked first; each round evaluates the probabilities, gradient and Fisher
+    information at the top; the standard errors come from one more
+    evaluation at the final coefficients. ``max_iter`` is the library's cap.
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    check_rank(np.linalg.qr(x, mode="r"))
+    n, d = x.shape
+    design = np.column_stack([np.ones(n), x])
+    ridge = np.full(d + 1, L2_PENALTY)
+    ridge[0] = 0.0
+    beta = np.zeros(d + 1)
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        prob = _sigmoid(design @ beta)
+        weight = np.clip(prob * (1.0 - prob), 1e-12, None)
+        gradient = design.T @ (labels - prob) - ridge * beta
+        fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
+        step = np.linalg.solve(fisher, gradient)
+        if not np.all(np.isfinite(step)):
+            break
+        beta = beta + step
+        if float(np.max(np.abs(step))) < 1e-10:
+            converged = True
+            break
+    prob = _sigmoid(design @ beta)
+    weight = np.clip(prob * (1.0 - prob), 1e-12, None)
+    fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
+    covariance = np.linalg.inv(fisher)
+    se = np.sqrt(np.maximum(np.diag(covariance)[1:], 0.0))
+    coef = beta[1:]
+    z = np.divide(coef, se, out=np.zeros_like(coef), where=se > 0)
+    p = np.array([normal_two_sided_p(float(zj)) for zj in z])
+    return LogisticFit(coef, float(beta[0]), se, p, converged, iterations)

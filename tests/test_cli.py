@@ -633,7 +633,8 @@ class TestDemo:
                 assert (out / f"clock.{suffix}").read_bytes() == (demo / f"{stem}.{suffix}").read_bytes()
 
     def test_numpy_ma_never_imported(self, iris_paths, tmp_path):
-        # np.unique imports numpy.ma on its first call; the runtime avoids it
+        # np.unique imports numpy.ma on its first call, and xml.sax.saxutils
+        # imports urllib, http, email and ssl; the runtime avoids both
         x, y, _ = iris_paths
         intergroup = ["intergroup", "--x", str(x), "--y", str(y), "--cluster", "dbscan:0.5,5",
                       "--out-dir", str(tmp_path / "intergroup")]
@@ -643,13 +644,13 @@ class TestDemo:
             "from featureclock.cli import main\n"
             f"for argv in {[intergroup, demo]!r}:\n"
             "    assert main(argv) == 0\n"
-            "    print('numpy.ma' in sys.modules)\n"
+            "    print('numpy.ma' in sys.modules, 'xml.sax' in sys.modules)\n"
         )
         src = str(Path(featureclock.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False", "False"]
+        assert result.stdout.split() == ["False"] * 4
 
     def test_bundled_embedding_is_own_pca_output(self, iris_dataset):
         z = standardize_reference(iris_dataset.X)

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featureclock import (
     ClockWarning,
@@ -17,7 +20,12 @@ from featureclock import (
 from featureclock import intergroup as intergroup_module
 from featureclock.ingest import Dataset, Provenance
 
-from oracles import logistic_mle, logistic_penalized_gradient, standardize_reference
+from oracles import (
+    logistic_fit_reference,
+    logistic_mle,
+    logistic_penalized_gradient,
+    standardize_reference,
+)
 
 
 def make_dataset(x, y, labels, names=None):
@@ -135,6 +143,41 @@ class TestLogisticFit:
         assert not fit.converged
         assert fit.iterations == 2
         assert np.all(np.isfinite(fit.coefficients))
+
+    @given(
+        n_per=st.integers(min_value=5, max_value=80),
+        d=st.integers(min_value=1, max_value=6),
+        shift=st.floats(min_value=0.0, max_value=8.0),
+        cap=st.sampled_from([None, 2]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_refitting_reference(self, n_per, d, shift, cap, seed):
+        """Reusing the loop's last Fisher information changes no bit of the fit."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(loc=rng.uniform(-3.0, 3.0, size=d), size=(2 * n_per, d))
+        x[n_per:] += shift * rng.normal(size=d)  # up to linearly separable groups
+        x *= 10.0 ** rng.uniform(-2.0, 2.0, size=d)
+        labels = np.repeat([0.0, 1.0], n_per)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClockWarning)
+            if cap is not None:
+                patch.setattr(intergroup_module, "_MAX_ITER", cap)
+            fit = logistic_fit(x, labels)
+        expected = logistic_fit_reference(x, labels, max_iter=cap or 100)
+        if cap is not None:
+            assert fit.iterations == cap
+        for field in dataclasses.fields(fit):
+            assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name)), field.name
+
+    def test_dependent_column_raises_with_its_slot(self):
+        rng = np.random.default_rng(12)
+        a, b, e = rng.normal(size=(3, 120))
+        a[60:] += 2.0
+        labels = np.repeat([0.0, 1.0], 60)
+        with pytest.raises(RankDeficientError) as info:
+            logistic_fit(np.column_stack([a, b, e, a + b]), labels)
+        assert info.value.columns == (3,)
 
     def test_standardization_keeps_significance_decision(self):
         dataset = shifted_fixture()

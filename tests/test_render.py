@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -247,17 +248,7 @@ class TestIntergroupGlyph:
 
     def test_empty_arrows_segment_only(self):
         dataset, grouping, clocks = self.fixture()
-        bare = [
-            type(clocks[0])(
-                clocks[0].edge,
-                clocks[0].edge_names,
-                clocks[0].centers,
-                clocks[0].anchor,
-                clocks[0].axis_angle_deg,
-                (),
-                True,
-            )
-        ]
+        bare = [dataclasses.replace(clocks[0], arrows=())]
         scene = render_scatter(dataset, grouping)
         svg = render_intergroup(scene, bare).to_svg()
         assert 'stroke-dasharray="4,3"' in svg
