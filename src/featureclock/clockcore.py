@@ -23,12 +23,19 @@ from .ingest import Dataset, RunConfig
 from .numstats import (
     as_matrix,
     center_columns,
+    column_stds,
     constant_columns,
     distinct,
     negligible,
     ols_fit,
     standardize_columns,
 )
+
+
+# Cells of X gathered, or of deviations held by the std, at once while a fit's
+# buffer is filled (256 KiB of float64): blocks of max(1, _BLOCK_CELLS // d)
+# rows, then of max(1, _BLOCK_CELLS // n) columns.
+_BLOCK_CELLS = 2**15
 
 
 def unit_vector(angle_deg: float) -> tuple[float, float]:
@@ -112,18 +119,22 @@ class Clock:
 def fit_design(x, rows, targets, names, where: str, *, scale: bool = True):
     """``(kept, xy)``: one F-ordered buffer [X | targets] over the given rows of ``x``.
 
-    Each column's std is taken once, for the constant test and the scaling.
-    Constant columns are dropped with a warning that names them, prefixed by
-    ``where``; the kept ones move left in place and are standardized there
-    (only centered without ``scale``), and ``kept`` maps each to its feature
-    index. The k columns of ``targets`` (k may be 0) follow as given. Raises
-    GroupTooSmallError when every feature is constant.
+    The rows are gathered, and each column's std taken once for the constant
+    test and the scaling, a block at a time, so no temporary grows past
+    ``_BLOCK_CELLS`` cells. Constant columns are dropped with a warning that
+    names them, prefixed by ``where``; the kept ones move left in place and
+    are standardized there (only centered without ``scale``), and ``kept``
+    maps each to its feature index. The k columns of ``targets`` (k may be 0)
+    follow as given. Raises GroupTooSmallError when every feature is
+    constant.
     """
     d, k = x.shape[1], targets.shape[1]
     xy = np.empty((len(rows), d + k), order="F")
     # F-ordered: numpy sums each contiguous column pairwise, whatever else is kept
-    xy[:, :d] = x[rows]
-    stds = xy[:, :d].std(axis=0, ddof=1)
+    step = max(1, _BLOCK_CELLS // d)
+    for lo in range(0, len(rows), step):
+        xy[lo : lo + step, :d] = x[rows[lo : lo + step]]
+    stds = column_stds(xy[:, :d], _BLOCK_CELLS)
     constant = constant_columns(xy[:, :d], stds)
     kept = np.flatnonzero(~constant).tolist()
     if not kept:

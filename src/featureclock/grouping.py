@@ -109,10 +109,18 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     if seed < 0:
         raise InputDataError(f"seed must be non-negative, got {seed}")
 
+    # every squared distance is taken in one (n, d) scratch buffer
+    diff = np.empty_like(arr)
+
+    def squared_distances(center, out=None):
+        np.subtract(arr, center, out=diff)
+        np.square(diff, out=diff)
+        return diff.sum(axis=1, out=out)
+
     rng = np.random.default_rng(seed)
     centers = np.empty((k, arr.shape[1]))
     centers[0] = arr[int(rng.integers(n))]
-    closest = ((arr - centers[0]) ** 2).sum(axis=1)
+    closest = squared_distances(centers[0])
     for c in range(1, k):
         total = float(closest.sum())
         if total <= 0.0:
@@ -120,11 +128,13 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
         else:
             idx = int(rng.choice(n, p=closest / total))
         centers[c] = arr[idx]
-        closest = np.minimum(closest, ((arr - centers[c]) ** 2).sum(axis=1))
+        np.minimum(closest, squared_distances(centers[c]), out=closest)
 
     labels = np.full(n, -1, dtype=int)
+    dist = np.empty((n, k), order="F")  # F-ordered: each center's column is contiguous
     for _ in range(300):
-        dist = np.column_stack([((arr - center) ** 2).sum(axis=1) for center in centers])
+        for c in range(k):
+            squared_distances(centers[c], out=dist[:, c])
         assignment = dist.argmin(axis=1)
         for cid in range(k):
             if not np.any(assignment == cid):
@@ -238,9 +248,14 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
         if labels[i] != NOISE:
             continue
         labels[i] = cid
-        frontier = [i]
-        while len(frontier):
-            reached = np.concatenate([indices[starts[j] : stops[j]] for j in frontier])
+        frontier = np.array([i])
+        while frontier.size:
+            # the frontier's neighbor lists end to end, in one gather: slot t,
+            # inside list s, reads indices[starts[s] + t - (slots before list s)]
+            begin, sizes = starts[frontier], stops[frontier] - starts[frontier]
+            slots = np.repeat(begin - (np.cumsum(sizes) - sizes), sizes)
+            slots += np.arange(slots.size)
+            reached = indices[slots]
             reached = distinct(np.sort(reached[labels[reached] == NOISE]))
             labels[reached] = cid
             frontier = reached[core[reached]]

@@ -26,7 +26,7 @@ from .clockcore import (
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import as_matrix, check_rank, normal_two_sided_p
+from .numstats import as_matrix, check_rank, normal_two_sided_p, qr_r_in_place
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -83,7 +83,7 @@ def logistic_fit(x, labels) -> LogisticFit:
         raise ComputationError(
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
-    check_rank(np.linalg.qr(xm, mode="r"))
+    check_rank(qr_r_in_place(xm.copy(order="F")))  # the IRLS below still reads xm
 
     design = np.column_stack([np.ones(n), xm])
     ridge = np.full(d + 1, L2_PENALTY)

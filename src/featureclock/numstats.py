@@ -2,8 +2,11 @@
 
 Ordinary least squares with classical t-tests on one [X | Y] buffer, the
 column tests and standardization that fill it, and Student-t tail
-probabilities. No routine caches or shares state; only standardize_columns
-writes to its argument (in place, into the caller's buffer).
+probabilities. No routine caches or shares state. Three routines write to
+their argument, so that a fit runs inside its caller's buffer with no copy:
+standardize_columns (in place), qr_r_in_place (the factorization) and
+ols_fit (a writable F-ordered float64 buffer is factored as given; any other
+input is copied once first).
 """
 
 from __future__ import annotations
@@ -12,6 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# numpy lists lapack_lite among its "private but present" modules; it has
+# been there since numpy 1.x. Its dgeqrf is the LAPACK routine behind
+# np.linalg.qr, called here on the caller's buffer instead of on the two
+# copies np.linalg.qr makes; a test pins its R to np.linalg.qr's bit for bit.
+from numpy.linalg import lapack_lite
 
 from .errors import ComputationError, RankDeficientError
 
@@ -67,6 +76,21 @@ def center_columns(m) -> np.ndarray:
     return centered
 
 
+def column_stds(x, cells: int) -> np.ndarray:
+    """``x.std(axis=0, ddof=1)``, taken over blocks of whole columns of at most ``cells`` cells.
+
+    The deviations held at once fill one block (at least one column). On an
+    F-ordered ``x`` numpy sums each contiguous column on its own, so the
+    result equals the one-call std bit for bit.
+    """
+    n, d = x.shape
+    step = max(1, cells // n)
+    stds = np.empty(d)
+    for j in range(0, d, step):
+        stds[j : j + step] = x[:, j : j + step].std(axis=0, ddof=1)
+    return stds
+
+
 def standardize_columns(x, stds=None) -> None:
     """Center the columns of ``x`` in place, then divide them by ``stds`` when given.
 
@@ -101,6 +125,29 @@ def check_rank(r: np.ndarray) -> None:
         )
 
 
+def qr_r_in_place(a) -> np.ndarray:
+    """R of the QR factorization of ``a``, factored in ``a``'s own memory.
+
+    ``a`` is an F-contiguous, writable float64 (n, m) array; LAPACK's dgeqrf
+    overwrites it with the Householder form, whose upper triangle is R. The
+    workspace size is LAPACK's own answer to a query, as np.linalg.qr asks
+    it, so the blocking and every bit of R are the same as np.linalg.qr's.
+    Returns R as a new min(n, m) x m array.
+    """
+    n, m = a.shape
+    column_major = a.T  # C-contiguous: a's memory as LAPACK reads it
+    lda = max(1, n)
+    tau = np.empty(min(n, m))
+    work = np.empty(1)
+    lapack_lite.dgeqrf(n, m, column_major, lda, tau, work, -1, 0)
+    lwork = max(1, m, int(work[0]))
+    work = np.empty(lwork)
+    info = lapack_lite.dgeqrf(n, m, column_major, lda, tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise ComputationError(f"QR factorization failed: LAPACK dgeqrf info={info}")
+    return np.triu(a[: min(n, m), :])
+
+
 @dataclass(frozen=True)
 class RegressionFit:
     """Per-feature least-squares results on centered data (intercept absorbed)."""
@@ -119,6 +166,9 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     ``xy`` is [X | Y]: a centered or standardized design X of d columns
     followed by k centered targets, as built by ``clockcore.fit_design``.
     Returns a tuple of k fits, all from one LAPACK QR of ``xy`` as given.
+    The QR runs in ``xy``'s memory: a writable F-ordered float64 ``xy`` is
+    overwritten, and any other input is first copied once into such a buffer
+    (so a C-ordered argument is left as it was).
     With R11 the leading d x d block of R, R12 the block beside it and R22
     the block below, beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and
     diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
@@ -127,14 +177,15 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     degree lost to the centering that absorbed the intercept). p-values are
     two-sided Student-t tails.
     """
-    xy = as_matrix(xy, name="design matrix", min_cols=k + 1)
+    xy = as_matrix(np.require(xy, np.float64, ["F", "W"]), name="design matrix", min_cols=k + 1)
     n, d = xy.shape[0], xy.shape[1] - k
     if n < d + 2:
         raise ComputationError(
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
 
-    r = np.linalg.qr(xy, mode="r")
+    target_norms = np.sqrt((xy[:, d:] ** 2).sum(axis=0))  # before the QR overwrites them
+    r = qr_r_in_place(xy)
     r11 = r[:d, :d]
     check_rank(r11)
 
@@ -143,7 +194,6 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     rinv = solution[:, k:]
     xtx_inv_diag = (rinv * rinv).sum(axis=1)
     rss = (r[d:, d:] ** 2).sum(axis=0)
-    target_norms = np.sqrt((xy[:, d:] ** 2).sum(axis=0))
     dof = n - d - 1
 
     fits = []

@@ -179,6 +179,16 @@ class TestLogisticFit:
             logistic_fit(np.column_stack([a, b, e, a + b]), labels)
         assert info.value.columns == (3,)
 
+    def test_design_left_untouched(self):
+        # the rank check factors a copy; an edge's F-ordered design is what
+        # the IRLS reads after it
+        rng = np.random.default_rng(13)
+        x = np.asfortranarray(rng.normal(size=(80, 3)))
+        x[40:, 0] += 1.5
+        before = x.copy(order="F")
+        logistic_fit(x, np.repeat([0.0, 1.0], 40))
+        assert np.array_equal(x, before)
+
     def test_standardization_keeps_significance_decision(self):
         dataset = shifted_fixture()
         rows = np.arange(dataset.X.shape[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from featureclock import (
     student_t_two_sided_p,
 )
 from featureclock.clockcore import fit_design
-from featureclock.numstats import distinct
+from featureclock.numstats import column_stds, distinct, qr_r_in_place
 
 from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided, standardize_reference
 
@@ -231,6 +232,76 @@ class TestOlsFit:
         scaled = x.copy()
         scaled[:, 1] *= 37.5
         assert np.max(np.abs(coefs(x) - coefs(scaled))) < 1e-12
+
+
+class TestInPlace:
+    """The fit's std and QR run in the caller's buffer and equal numpy's own bit for bit."""
+
+    @given(
+        d=st.integers(min_value=1, max_value=12),
+        k=st.integers(min_value=0, max_value=3),
+        n_extra=st.integers(min_value=0, max_value=40),
+        dropped=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(d=3, k=0, n_extra=0, dropped=0, seed=0)
+    @example(d=3, k=2, n_extra=0, dropped=2, seed=1)
+    @example(d=200, k=2, n_extra=198, dropped=3, seed=14)
+    def test_r_equals_numpy_qr(self, d, k, n_extra, dropped, seed):
+        # n_extra = 0 is n = d + 2, the smallest n a fit accepts (k = 3 makes
+        # the matrix wider than tall); the factored columns are the leading
+        # slice of a wider F-ordered buffer, as fit_design leaves them after
+        # dropping constant columns. Past 128 columns LAPACK factors in
+        # blocks whose width follows the workspace size, so only the
+        # workspace LAPACK asks for gives np.linalg.qr's rounding.
+        rng = np.random.default_rng(seed)
+        n, m = d + 2 + n_extra, d + k
+        a = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-100.0, 100.0, size=m)
+        buffer = np.empty((n, m + dropped), order="F")
+        buffer[:, :m] = a
+        beyond = rng.normal(size=(n, dropped))
+        buffer[:, m:] = beyond
+        view = buffer[:, :m]
+        expected = np.linalg.qr(a, mode="r")
+        r = qr_r_in_place(view)
+        assert r.shape == expected.shape == (min(n, m), m)
+        assert np.array_equal(r, expected)
+        assert np.array_equal(np.triu(view[: min(n, m)]), expected)  # R stays in the buffer
+        assert np.array_equal(buffer[:, m:], beyond)  # the columns beyond the slice are untouched
+
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        d=st.integers(min_value=1, max_value=9),
+        cells=st.sampled_from([1, 7, 300, 2**15]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_column_block_std_equals_numpy(self, n, d, cells, seed):
+        rng = np.random.default_rng(seed)
+        buffer = np.empty((n, d + 2), order="F")
+        buffer[:, :d] = rng.normal(loc=rng.uniform(-5.0, 5.0, size=d), size=(n, d))
+        buffer[:, :d] *= 10.0 ** rng.uniform(-100.0, 100.0, size=d)
+        x = buffer[:, :d]
+        assert np.array_equal(column_stds(x, cells), x.std(axis=0, ddof=1))
+
+    def test_ols_fit_overwrites_a_writable_f_buffer_only(self):
+        # a C-ordered or read-only argument is copied once and left as it was;
+        # a writable F-ordered float64 buffer is factored as given, R in its top
+        rng = np.random.default_rng(12)
+        xy = rng.normal(size=(30, 5))
+        c_ordered = xy.copy()
+        read_only = np.asfortranarray(xy)
+        read_only.flags.writeable = False
+        buffer = np.asfortranarray(xy)
+        runs = [ols_fit(arg, 2) for arg in (c_ordered, read_only, buffer)]
+        assert np.array_equal(c_ordered, xy)
+        assert np.array_equal(read_only, xy)
+        assert np.array_equal(np.triu(buffer[:5]), np.linalg.qr(xy, mode="r"))
+        for fits in runs[1:]:
+            for fit, expected in zip(fits, runs[0]):
+                for field in dataclasses.fields(fit):
+                    assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name))
 
 
 class TestStudentT:
