@@ -239,7 +239,8 @@ def _write_outputs(out_dir, stem: str, scene, report: dict) -> None:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{stem}.svg").write_text(scene.to_svg(), encoding="utf-8")
+        with open(out / f"{stem}.svg", "w", encoding="utf-8") as svg:
+            scene.to_svg(svg)
         (out / f"{stem}.json").write_text(format_report(report), encoding="utf-8")
     except OSError as exc:
         raise InputDataError(f"{out}: cannot write outputs: {exc.strerror or exc}") from None

@@ -23,7 +23,8 @@ NOISE = -1
 # Squared distances held at once by DBSCAN's neighbor pass (1 MiB of
 # float64): a block of rows times the columns within eps of them on the first
 # coordinate, at least one row, so a block of n columns has
-# max(1, _BLOCK_CELLS // n) rows.
+# max(1, _BLOCK_CELLS // n) rows. K-means takes blocks of
+# max(1, _BLOCK_CELLS // max(d, k)) rows against all k centers.
 _BLOCK_CELLS = 2**17
 
 
@@ -90,6 +91,25 @@ def from_labels(tokens, embedding) -> GroupingResult:
     return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
+def _mean_row(arr: np.ndarray, members: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``arr[members].mean(axis=0)`` bit for bit, ``len(scratch) - 1`` rows at a time.
+
+    ``scratch`` is a (rows + 1, d) buffer; ``members`` is not empty.
+    """
+    if arr.shape[1] == 1:  # numpy sums one column pairwise; it is n values at most
+        return arr[members].mean(axis=0)
+    # numpy sums the rows of a C-ordered block one after another, from zero, so
+    # a running sum put in as a block's first row continues the same sum
+    rows = len(scratch) - 1
+    total = np.zeros(arr.shape[1])
+    for lo in range(0, members.size, rows):
+        part = members[lo : lo + rows]
+        scratch[0] = total
+        np.take(arr, part, axis=0, out=scratch[1 : part.size + 1])
+        scratch[: part.size + 1].sum(axis=0, out=total)
+    return total / members.size
+
+
 def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
@@ -98,6 +118,10 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     cluster keeps a member. Identical data, k, and seed give identical
     labels. ``data`` may be the high-dimensional matrix or the embedding;
     centers are always computed from ``embedding``.
+
+    Memory beyond ``data`` is one block of rows, about ``_BLOCK_CELLS``
+    differences and as many squared distances, plus O(n): the labels, each
+    point's distance to its center and a cluster's member indices.
     """
     arr = as_matrix(data, name="data")
     n = arr.shape[0]
@@ -109,44 +133,61 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     if seed < 0:
         raise InputDataError(f"seed must be non-negative, got {seed}")
 
-    # every squared distance is taken in one (n, d) scratch buffer
-    diff = np.empty_like(arr)
+    # a block of rows at a time: its differences to one center, then its
+    # squared distances to every center; the spare row of diff carries the
+    # running sum of a center update
+    rows = max(1, _BLOCK_CELLS // max(arr.shape[1], k))
+    diff = np.empty((min(rows, n) + 1, arr.shape[1]))
+    dist = np.empty((min(rows, n), k))
 
-    def squared_distances(center, out=None):
-        np.subtract(arr, center, out=diff)
-        np.square(diff, out=diff)
-        return diff.sum(axis=1, out=out)
+    def squared_distances(lo, centers):
+        """Squared distances from the rows of the block at ``lo`` to ``centers``."""
+        points = arr[lo : lo + rows]
+        part = diff[: len(points)]
+        block = dist[: len(points), : len(centers)]
+        for c, center in enumerate(centers):
+            np.subtract(points, center, out=part)
+            np.square(part, out=part)
+            part.sum(axis=1, out=block[:, c])
+        return block
 
+    starts = range(0, n, rows)
+    # each row's squared distance to its nearest center: the centers chosen so
+    # far while seeding, then its assigned center in Lloyd's rounds
+    nearest = np.full(n, np.inf)
     rng = np.random.default_rng(seed)
     centers = np.empty((k, arr.shape[1]))
-    centers[0] = arr[int(rng.integers(n))]
-    closest = squared_distances(centers[0])
-    for c in range(1, k):
-        total = float(closest.sum())
+    for c in range(k):
+        # uniform for the first center, and once every row sits on a center
+        total = float(nearest.sum()) if c else 0.0
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=closest / total))
+            idx = int(rng.choice(n, p=nearest / total))
         centers[c] = arr[idx]
-        np.minimum(closest, squared_distances(centers[c]), out=closest)
+        for lo in starts:
+            part = nearest[lo : lo + rows]
+            np.minimum(part, squared_distances(lo, centers[c : c + 1])[:, 0], out=part)
 
     labels = np.full(n, -1, dtype=int)
-    dist = np.empty((n, k), order="F")  # F-ordered: each center's column is contiguous
     for _ in range(300):
-        for c in range(k):
-            squared_distances(centers[c], out=dist[:, c])
-        assignment = dist.argmin(axis=1)
+        assignment = np.empty(n, dtype=int)  # a new array: labels holds the last round's
+        for lo in starts:
+            block = squared_distances(lo, centers)
+            block.argmin(axis=1, out=assignment[lo : lo + rows])
+            block.min(axis=1, out=nearest[lo : lo + rows])
         for cid in range(k):
             if not np.any(assignment == cid):
-                assigned = dist[np.arange(n), assignment].copy()
+                assigned = nearest.copy()
                 # never take a cluster's last point, an earlier repair included
+                # (so the stale distance of a point moved by a repair is unread)
                 assigned[np.bincount(assignment, minlength=k)[assignment] < 2] = -1.0
                 assignment[int(assigned.argmax())] = cid
         if np.array_equal(assignment, labels):
             break
         labels = assignment
         for cid in range(k):
-            centers[cid] = arr[labels == cid].mean(axis=0)
+            centers[cid] = _mean_row(arr, np.flatnonzero(labels == cid), diff)
 
     names = {cid: str(cid) for cid in range(k)}
     return GroupingResult(labels, _make_groups(labels, names, emb))

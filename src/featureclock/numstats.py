@@ -58,7 +58,9 @@ def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int 
         raise ComputationError(
             f"{name} must be at least {min_rows}x{min_cols}, got {arr.shape[0]}x{arr.shape[1]}"
         )
-    if not np.all(np.isfinite(arr)):
+    # NaN propagates through min and max and an infinity is one of them, so
+    # two reductions decide finiteness without a full-size mask
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ComputationError(f"{name} contains NaN or infinite values")
     return arr
 

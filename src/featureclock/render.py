@@ -9,6 +9,7 @@ timestamps, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,11 @@ NOISE_COLOR = "#999999"
 
 _MARGIN = 50.0
 _ANNOTATION_STEP = 12.0  # degrees to nudge overlapping rim labels
+
+# Scatter markers formatted by one %-operation, a chunk at a time, so the text
+# of all markers never exists at once. "%.2f" formats as f"{v:.2f}" does.
+_MARKER_CHUNK = 1024
+_MARKER = '<circle cx="%.2f" cy="%.2f" r="3" fill="%s" fill-opacity="0.65"/>\n'
 
 
 def _escape(text: str) -> str:
@@ -91,15 +97,19 @@ class Scene:
     width: int = 900
     height: int = 600
     feature_styles: dict[str, tuple[str, str]] = field(default_factory=dict)
-    points: list[list[float]] = field(default_factory=list)  # embedding rows
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))  # embedding rows
     point_colors: list[str] = field(default_factory=list)
     clocks: list[ClockGlyph] = field(default_factory=list)
     segments: list[SegmentGlyph] = field(default_factory=list)
     circles: list[CirclesGlyph] = field(default_factory=list)
     legend: list[tuple[str, str, str]] = field(default_factory=list)
 
-    def to_svg(self) -> str:
-        return _emit(self)
+    def to_svg(self, out=None) -> str | None:
+        """The SVG text, or None after writing it piece by piece to the text file ``out``."""
+        if out is None:
+            return "".join(_svg_pieces(self))
+        out.writelines(_svg_pieces(self))
+        return None
 
 
 def _style_for(scene: Scene, feature: str) -> tuple[str, str]:
@@ -120,7 +130,7 @@ def _add_legend(scene: Scene, label: str, color: str, dash: str = "") -> None:
 
 def render_scatter(dataset: Dataset, grouping: GroupingResult | None = None, *, canvas=(900, 600)) -> Scene:
     """Scene with one marker per embedded point, colored by group when given."""
-    scene = Scene(width=int(canvas[0]), height=int(canvas[1]), points=dataset.Y.tolist())
+    scene = Scene(width=int(canvas[0]), height=int(canvas[1]), points=dataset.Y)
     for name in dataset.feature_names:
         _style_for(scene, name)
     if grouping is None:
@@ -212,9 +222,13 @@ def _fmt(value: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-def _data_bounds(scene: Scene) -> tuple[float, float, float, float]:
-    xs = [x for x, _ in scene.points]
-    ys = [y for _, y in scene.points]
+def _data_bounds(scene: Scene, points: np.ndarray) -> tuple[float, float, float, float]:
+    xs: list[float] = []
+    ys: list[float] = []
+    if points.size:
+        (x0, y0), (x1, y1) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+        xs.extend((x0, x1))
+        ys.extend((y0, y1))
     for c in scene.clocks:
         xs.extend((c.cx - c.radius, c.cx + c.radius))
         ys.extend((c.cy - c.radius, c.cy + c.radius))
@@ -251,8 +265,27 @@ def _nudged_angles(arrows: list[ArrowSpec]) -> list[float]:
     return out
 
 
-def _emit(scene: Scene) -> str:
-    xmin, ymin, xmax, ymax = _data_bounds(scene)
+def _markers(points: np.ndarray, colors: list[str], tx, ty) -> Iterator[str]:
+    """The scatter markers' lines, ``_MARKER_CHUNK`` markers per piece.
+
+    ``tx`` and ``ty`` map a whole column at once in the order they map one
+    float, so every coordinate is the float ``_fmt`` would be given; "-0.00"
+    becomes "0.00" as in ``_fmt``.
+    """
+    points = points[: len(colors)]
+    for lo in range(0, len(points), _MARKER_CHUNK):
+        chunk = points[lo : lo + _MARKER_CHUNK]
+        values = [None] * (3 * len(chunk))
+        values[0::3] = tx(chunk[:, 0]).tolist()
+        values[1::3] = ty(chunk[:, 1]).tolist()
+        values[2::3] = colors[lo : lo + len(chunk)]
+        yield (_MARKER * len(chunk) % tuple(values)).replace('"-0.00"', '"0.00"')
+
+
+def _svg_pieces(scene: Scene) -> Iterator[str]:
+    """The SVG text in pieces, each a run of whole lines."""
+    points = np.asarray(scene.points, dtype=float).reshape(-1, 2)
+    xmin, ymin, xmax, ymax = _data_bounds(scene, points)
     span_x = xmax - xmin if xmax > xmin else 1.0
     span_y = ymax - ymin if ymax > ymin else 1.0
     avail_w = scene.width - 2 * _MARGIN
@@ -261,25 +294,21 @@ def _emit(scene: Scene) -> str:
     ox = _MARGIN + (avail_w - s * span_x) / 2.0
     oy = _MARGIN + (avail_h - s * span_y) / 2.0
 
-    def tx(x: float) -> float:
+    def tx(x):  # a float or an array of them
         return ox + s * (x - xmin)
 
-    def ty(y: float) -> float:
+    def ty(y):
         return scene.height - (oy + s * (y - ymin))
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{scene.width}" '
-        f'height="{scene.height}" viewBox="0 0 {scene.width} {scene.height}">',
-        f'<rect x="0" y="0" width="{scene.width}" height="{scene.height}" fill="#ffffff"/>',
-    ]
+        f'height="{scene.height}" viewBox="0 0 {scene.width} {scene.height}">\n'
+        f'<rect x="0" y="0" width="{scene.width}" height="{scene.height}" fill="#ffffff"/>\n'
+    )
+    yield from _markers(points, scene.point_colors, tx, ty)
 
-    for (x, y), color in zip(scene.points, scene.point_colors):
-        parts.append(
-            f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="3" '
-            f'fill="{color}" fill-opacity="0.65"/>'
-        )
-
+    parts = []
     for seg in scene.segments:
         parts.append(
             f'<line x1="{_fmt(tx(seg.x1))}" y1="{_fmt(ty(seg.y1))}" '
@@ -346,7 +375,7 @@ def _emit(scene: Scene) -> str:
         )
 
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "\n".join(parts) + "\n"
 
 
 def _emit_arrows(parts, arrows, cx, cy, tx, ty, s, *, rim_radius=None):

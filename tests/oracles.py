@@ -9,10 +9,13 @@ point-by-point breadth-first DBSCAN instead of blocked distances and
 frontier expansion, and a csv-module table read cell by cell with float()
 instead of one np.loadtxt call.
 
-The last four functions are different. Three keep the library's earlier
-design path (separate copies, then a column stack) as the reference that the
-one-buffer path must match bit for bit; the fourth keeps its earlier IRLS
-loop, which the logistic fit must match bit for bit.
+The k-means oracle and the last four functions are different: each keeps
+an earlier design of the library as the reference that the current one must
+match bit for bit. The k-means oracle holds the full n x k distance matrix
+where the library takes a block of rows at a time, with the same random
+draws. Three of the last four keep the earlier design path (separate copies,
+then a column stack) that the one-buffer path must match; the fourth keeps
+the earlier IRLS loop of the logistic fit.
 """
 
 import csv
@@ -218,6 +221,40 @@ def dbscan_reference(data, eps: float, min_pts: int) -> np.ndarray:
             if reach.size >= min_pts:
                 queue.extend(int(r) for r in reach)
         cid += 1
+    return labels
+
+
+def kmeans_reference(data, k: int, seed: int) -> np.ndarray:
+    """K-means labels from one full (n, k) distance matrix per Lloyd round.
+
+    The k-means++ start draws from ``default_rng(seed)`` exactly as the
+    library does. An empty cluster takes the point farthest from its center
+    among clusters of two or more points, read from the distance matrix.
+    """
+    arr = np.asarray(data, dtype=float)
+    n = arr.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = [arr[int(rng.integers(n))]]
+    closest = ((arr - centers[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(closest.sum())
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        centers.append(arr[idx])
+        closest = np.minimum(closest, ((arr - arr[idx]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1)
+    for _ in range(300):
+        dist = np.column_stack([((arr - center) ** 2).sum(axis=1) for center in centers])
+        assignment = dist.argmin(axis=1)
+        for cid in range(k):
+            if not np.any(assignment == cid):
+                assigned = dist[np.arange(n), assignment]
+                assigned[np.bincount(assignment, minlength=k)[assignment] < 2] = -1.0
+                assignment[int(assigned.argmax())] = cid
+        if np.array_equal(assignment, labels):
+            break
+        labels = assignment
+        centers = [arr[labels == cid].mean(axis=0) for cid in range(k)]
     return labels
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import featureclock
 import featureclock.cli as cli_module
+import featureclock.render as render_module
 from featureclock import from_labels
 from featureclock.cli import demo_paths, main
 
@@ -668,6 +669,22 @@ class TestDemo:
         keys = (out / "global_clock.json").read_text()
         parsed = json.loads(keys)
         assert list(parsed) == sorted(parsed)  # key-sorted at the top level
+
+
+def test_cli_writes_the_svg_in_one_to_svg_call(iris_paths, tmp_path, monkeypatch):
+    """The benchmark's render.to_svg_s times Scene.to_svg, so the CLI's SVG must come from it."""
+    calls = []
+    original = render_module.Scene.to_svg
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(render_module.Scene, "to_svg", counted)
+    x, y, labels = iris_paths
+    assert run(["local", "--x", x, "--y", y, "--labels", labels, "--out-dir", tmp_path]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "clock.svg").read_text(encoding="utf-8").endswith("</svg>\n")
 
 
 def test_benchmark_traced_names_exist():

@@ -353,7 +353,7 @@ class TestBuildClock:
 
     def test_memory_stays_near_the_data(self):
         # the [X | Y] buffer, which the QR factors in place, plus one block of
-        # gathered rows or of the std's deviations and the finiteness mask
+        # gathered rows or of the std's deviations
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4000, 100))
         y = rng.normal(size=(4000, 2))

@@ -17,7 +17,7 @@ from featureclock import (
 )
 from featureclock import grouping as grouping_module
 
-from oracles import dbscan_reference, min_spanning_weight
+from oracles import dbscan_reference, kmeans_reference, min_spanning_weight
 
 
 def blob_fixture(seed=0, gap=50.0, n_per=20, spread=0.5):
@@ -140,19 +140,68 @@ class TestKmeans:
             rows = emb[g.members]
             assert g.center == (pytest.approx(rows[:, 0].mean()), pytest.approx(0.0))
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=200),
+        d=st.integers(min_value=1, max_value=12),
+        values=st.sampled_from([2, 3, None]),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        block_cells=st.sampled_from([1, 50, grouping_module._BLOCK_CELLS]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_matrix_reference(self, seed, n, d, values, k_frac, block_cells):
+        # a few distinct values with k near n leaves clusters empty, so the
+        # repair runs; one-row blocks put every row in a block of its own
+        rng = np.random.default_rng(seed)
+        if values is None:
+            data = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        else:
+            data = rng.integers(0, values, size=(n, d)).astype(float)
+        k = 1 + round(k_frac * (n - 1))
+        expected = kmeans_reference(data, k, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            # the blocks are C-ordered, so the input's memory order changes nothing
+            for arr in (data, np.asfortranarray(data)):
+                grouping = kmeans(arr, k, seed=seed, embedding=data[:, [0, 0]])
+                assert np.array_equal(grouping.labels, expected)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=300),
+        d=st.integers(min_value=1, max_value=12),
+        rows=st.sampled_from([1, 2, 7, 1000]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_mean_equals_numpy_mean(self, seed, n, d, rows):
+        # a carried running sum must add in numpy's order, and from the same
+        # zero, so the bytes match; numpy's mean of -0.0 cells is +0.0
+        rng = np.random.default_rng(seed)
+        arr = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=d)
+        arr[rng.random((n, d)) < 0.2] = -0.0
+        arr[:, rng.random(d) < 0.2] = -0.0
+        members = np.flatnonzero(rng.random(n) < rng.random())
+        if members.size == 0:
+            members = np.array([n // 2])
+        got = grouping_module._mean_row(arr, members, np.empty((rows + 1, d)))
+        assert got.tobytes() == arr[members].mean(axis=0).tobytes()
+
     def test_memory_stays_near_the_data(self):
-        # the n x k x d difference tensor of one Lloyd round would be 8 X.nbytes
+        # the n x k x d difference tensor of one Lloyd round would be 8 X.nbytes,
+        # a full n x d difference buffer 1 X.nbytes, and with k = 1 a copy of
+        # the cluster's rows for its mean 1 X.nbytes
         rng = np.random.default_rng(0)
         centers = rng.normal(size=(8, 20)) * 100.0
         data = centers[rng.integers(8, size=40_000)] + rng.normal(size=(40_000, 20))
-        tracemalloc.start()
-        try:
-            grouping = kmeans(data, 8, seed=0, embedding=data[:, :2])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(grouping.groups) == 8
-        assert peak < 2.5 * data.nbytes
+        for k in (8, 1):
+            tracemalloc.start()
+            try:
+                grouping = kmeans(data, k, seed=0, embedding=data[:, :2])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(grouping.groups) == k
+            assert peak < 0.55 * data.nbytes  # 0.46 (k = 8) and 0.49 (k = 1) measured
 
 
 class TestDbscan:

@@ -19,7 +19,7 @@ from featureclock import (
     student_t_two_sided_p,
 )
 from featureclock.clockcore import fit_design
-from featureclock.numstats import column_stds, distinct, qr_r_in_place
+from featureclock.numstats import as_matrix, column_stds, distinct, qr_r_in_place
 
 from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided, standardize_reference
 
@@ -84,6 +84,21 @@ class TestDistinct:
         got = distinct(np.sort(a))
         assert got.dtype == a.dtype
         assert np.array_equal(got, np.unique(a))
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (2, 1), (4, 2)])
+    def test_non_finite_cell_rejected(self, bad, cell):
+        # the first, a middle and the last cell of a 5 x 3 matrix
+        m = np.arange(15.0).reshape(5, 3)
+        m[cell] = bad
+        with pytest.raises(ComputationError, match="^m contains NaN or infinite values$"):
+            as_matrix(m, name="m")
+
+    def test_finite_extremes_accepted(self):
+        m = np.array([[np.finfo(float).max, -np.finfo(float).max], [5e-324, -0.0]])
+        assert as_matrix(m) is m
 
 
 class TestCenter:

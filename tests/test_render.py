@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featureclock import (
     Clock,
@@ -21,7 +24,8 @@ from featureclock import (
     render_scatter,
 )
 from featureclock.ingest import Dataset, Provenance
-from featureclock.render import NOISE_COLOR, PALETTE
+from featureclock import render as render_module
+from featureclock.render import NOISE_COLOR, PALETTE, _fmt, _markers
 
 
 def make_dataset(x, y, labels=None):
@@ -91,6 +95,83 @@ class TestScatter:
         assert hashlib.sha256(first.encode()).hexdigest() == hashlib.sha256(
             second.encode()
         ).hexdigest()
+
+
+# pixel values at the edges of "%.2f": signed zeros, both sides of the -0.00
+# boundary, exact binary ties that round to even, and a large magnitude
+EDGE_VALUES = [-0.0, 0.0, -0.004999999999999999, -0.005, 0.005, 0.125, -0.125, 0.375,
+               2.675, 1e15, -1e15]
+coordinate = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e16, 1e16))
+
+
+class TestStreaming:
+    @given(
+        points=st.lists(st.tuples(coordinate, coordinate), max_size=12),
+        transform=st.one_of(
+            st.none(),
+            st.tuples(st.floats(0.0, 1e3), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
+        ),
+        chunk=st.sampled_from([1, 3, render_module._MARKER_CHUNK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunked_markers_match_per_point_fmt(self, points, transform, chunk):
+        # no transform hands the raw values, -0.0 included, to the formatting
+        if transform is None:
+            def tx(v):
+                return v
+
+            ty = tx
+        else:
+            origin, scale, low = transform
+
+            def tx(v):
+                return origin + scale * (v - low)
+
+            def ty(v):
+                return 600 - (origin + scale * (v - low))
+        colors = [(*PALETTE, NOISE_COLOR)[i % 11] for i in range(len(points))]
+        expected = "".join(
+            f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="3" fill="{color}" '
+            f'fill-opacity="0.65"/>\n'
+            for (x, y), color in zip(points, colors)
+        )
+        array = np.array(points, dtype=float).reshape(-1, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render_module, "_MARKER_CHUNK", chunk)
+            assert "".join(_markers(array, colors, tx, ty)) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 3, render_module._MARKER_CHUNK])
+    def test_written_bytes_equal_to_svg(self, iris_dataset, tmp_path, chunk):
+        grouping = from_labels(iris_dataset.labels, iris_dataset.Y)
+        clock = build_clock(iris_dataset.X, iris_dataset.Y, range(150), RunConfig(circles=True),
+                            feature_names=("sépal", *iris_dataset.feature_names[1:]))
+        scene = render_scatter(iris_dataset, grouping)
+        render_circles(scene, clock)
+        render_clock(scene, dataclasses.replace(clock, circles=None))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render_module, "_MARKER_CHUNK", chunk)
+            with open(tmp_path / "out.svg", "w", encoding="utf-8") as handle:
+                assert scene.to_svg(handle) is None
+            text = scene.to_svg()
+        assert (tmp_path / "out.svg").read_bytes() == text.encode("utf-8")
+        assert "sépal" in text
+
+    def test_scatter_and_emission_memory_stays_near_the_points(self, tmp_path):
+        # per-point Python lists and one string per marker took 26 Y.nbytes
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=(40_000, 2)) * 10.0
+        dataset = make_dataset(rng.normal(size=(40_000, 3)), y)
+        grouping = from_labels([f"g{i}" for i in rng.integers(8, size=40_000)], y)
+        tracemalloc.start()
+        try:
+            scene = render_scatter(dataset, grouping)
+            with open(tmp_path / "scatter.svg", "w", encoding="utf-8") as handle:
+                scene.to_svg(handle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert marker_count((tmp_path / "scatter.svg").read_text()) == 40_000
+        assert peak < 1.8 * y.nbytes  # 1.56 measured
 
 
 def line_length_px(svg, color):
