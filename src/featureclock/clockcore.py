@@ -23,19 +23,12 @@ from .ingest import Dataset, RunConfig
 from .numstats import (
     as_matrix,
     center_columns,
-    column_stds,
-    constant_columns,
+    column_stats,
     distinct,
     negligible,
     ols_fit,
     standardize_columns,
 )
-
-
-# Cells of X gathered, or of deviations held by the std, at once while a fit's
-# buffer is filled (256 KiB of float64): blocks of max(1, _BLOCK_CELLS // d)
-# rows, then of max(1, _BLOCK_CELLS // n) columns.
-_BLOCK_CELLS = 2**15
 
 
 def unit_vector(angle_deg: float) -> tuple[float, float]:
@@ -116,45 +109,72 @@ class Clock:
     group: str | None = None
 
 
-def fit_design(x, rows, targets, names, where: str, *, scale: bool = True):
-    """``(kept, xy)``: one F-ordered buffer [X | targets] over the given rows of ``x``.
+@dataclass(frozen=True)
+class Design:
+    """[X | targets] over the given rows of ``x``, written a block of rows at a time.
 
-    The rows are gathered, and each column's std taken once for the constant
-    test and the scaling, a block at a time, so no temporary grows past
-    ``_BLOCK_CELLS`` cells. Constant columns are dropped with a warning that
-    names them, prefixed by ``where``; the kept ones move left in place and
-    are standardized there (only centered without ``scale``), and ``kept``
-    maps each to its feature index. The k columns of ``targets`` (k may be 0)
-    follow as given. Raises GroupTooSmallError when every feature is
-    constant.
+    X is the ``kept`` columns of ``x[rows]``, each centered by its two means
+    ``m1`` and ``m2`` and divided by its std (only centered when ``stds`` is
+    None), all taken over every row by :func:`fit_design`. ``shape``,
+    ``write`` and ``targets`` are what ``numstats.ols_fit``,
+    ``numstats.r_factor`` and ``numstats.to_array`` read, so an axis fit
+    never holds the whole design.
     """
-    d, k = x.shape[1], targets.shape[1]
-    xy = np.empty((len(rows), d + k), order="F")
-    # F-ordered: numpy sums each contiguous column pairwise, whatever else is kept
-    step = max(1, _BLOCK_CELLS // d)
-    for lo in range(0, len(rows), step):
-        xy[lo : lo + step, :d] = x[rows[lo : lo + step]]
-    stds = column_stds(xy[:, :d], _BLOCK_CELLS)
-    constant = constant_columns(xy[:, :d], stds)
+
+    x: np.ndarray
+    rows: np.ndarray
+    kept: list[int]
+    m1: np.ndarray
+    m2: np.ndarray
+    stds: np.ndarray | None
+    targets: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.kept) + self.targets.shape[1]
+
+    def write(self, lo: int, hi: int, out) -> None:
+        """Fill ``out`` with rows ``lo:hi`` of the design."""
+        d = len(self.kept)
+        block = self.x[self.rows[lo:hi]]
+        if d < self.x.shape[1]:
+            block = block[:, self.kept]
+        # standardized while C-ordered: the three passes run twice as fast
+        # there as on out's F-ordered rows
+        standardize_columns(block, self.m1, self.m2, self.stds)
+        out[:, :d] = block
+        out[:, d:] = self.targets[lo:hi]
+
+
+def fit_design(x, rows, targets, names, where: str, *, scale: bool = True) -> Design:
+    """The :class:`Design` [X | targets] of a fit over the given rows of ``x``.
+
+    One pass over blocks of whole columns (:func:`numstats.column_stats`)
+    takes each column's means, std and largest |value|, with no temporary
+    past one block; nothing of the design's size is built. Constant columns
+    are dropped with a warning that names them, prefixed by ``where``; the
+    design's ``kept`` maps each of its columns to its feature index. The
+    kept columns are standardized as they are written (only centered without
+    ``scale``), and the k columns of ``targets`` (k may be 0) follow as
+    given. Raises GroupTooSmallError when every feature is constant.
+    """
+    m1, m2, stds, peaks = column_stats(x, rows)
+    constant = negligible(stds, peaks)
     kept = np.flatnonzero(~constant).tolist()
     if not kept:
         raise GroupTooSmallError(f"{where}: every feature is constant")
     if constant.any():
         dropped = ", ".join(names[j] for j in np.flatnonzero(constant))
         warnings.warn(f"{where}: dropping zero-variance features: {dropped}", ClockWarning, stacklevel=3)
-        for slot, j in enumerate(kept):  # slot <= j, so no column is overwritten before it moves
-            xy[:, slot] = xy[:, j]
-    standardize_columns(xy[:, : len(kept)], stds[kept] if scale else None)
-    xy[:, len(kept) : len(kept) + k] = targets
-    return kept, xy[:, : len(kept) + k]
+    return Design(x, rows, kept, m1[kept], m2[kept], stds[kept] if scale else None, targets)
 
 
 @contextmanager
 def naming_dependent(kept, names, where: str):
     """Re-raise a RankDeficientError with feature names in place of column slots.
 
-    ``kept`` maps each design column to its feature index, as returned by
-    :func:`fit_design`.
+    ``kept`` maps each design column to its feature index, as in the
+    :class:`Design` of :func:`fit_design`.
     """
     try:
         yield
@@ -184,6 +204,23 @@ def select_arrows(arrows, config: RunConfig, where: str) -> tuple[ClockArrow, ..
     return tuple(significant)
 
 
+def _checked_inputs(x, y, feature_names):
+    """``(x, y, names)``: X and the embedding validated as one pair, and the feature names."""
+    x = as_matrix(x, name="X")
+    y = as_matrix(y, name="Y")
+    if y.shape[1] != 2:
+        raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
+    if x.shape[0] != y.shape[0]:
+        raise ComputationError(
+            f"X has {x.shape[0]} rows but the embedding has {y.shape[0]}"
+        )
+    d = x.shape[1]
+    names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(d)]
+    if len(names) != d:
+        raise ComputationError(f"got {len(names)} feature names for {d} features")
+    return x, y, names
+
+
 def build_clock(
     x,
     y,
@@ -202,20 +239,13 @@ def build_clock(
     anchor is the members' embedding centroid unless the config overrides it;
     the scale is half the members' bounding-box diagonal.
     """
-    config = config or RunConfig()
-    x = as_matrix(x, name="X")
-    y = as_matrix(y, name="Y")
-    if y.shape[1] != 2:
-        raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
-    if x.shape[0] != y.shape[0]:
-        raise ComputationError(
-            f"X has {x.shape[0]} rows but the embedding has {y.shape[0]}"
-        )
-    n, d = x.shape
-    names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(d)]
-    if len(names) != d:
-        raise ComputationError(f"got {len(names)} feature names for {d} features")
+    x, y, names = _checked_inputs(x, y, feature_names)
+    return _fit_clock(x, y, member_idx, config or RunConfig(), variant, group, names)
 
+
+def _fit_clock(x, y, member_idx, config: RunConfig, variant: str, group, names) -> Clock:
+    """:func:`build_clock` on inputs that :func:`_checked_inputs` has validated."""
+    n = x.shape[0]
     members = distinct(np.sort(np.asarray(member_idx, dtype=np.intp), axis=None))
     if not members.size:
         raise ComputationError("member set is empty")
@@ -230,7 +260,8 @@ def build_clock(
         )
 
     yc = center_columns(ym) if config.center_y else ym
-    kept, xy = fit_design(x, members, yc, names, f"group {label!r}", scale=config.standardize_x)
+    design = fit_design(x, members, yc, names, f"group {label!r}", scale=config.standardize_x)
+    kept = design.kept
     if members.size < len(kept) + 2:
         raise GroupTooSmallError(
             f"group {label!r} too small for clock: {members.size} points for "
@@ -238,7 +269,7 @@ def build_clock(
         )
 
     with naming_dependent(kept, names, f"group {label!r}"):
-        fit0, fit90 = ols_fit(xy, 2)
+        fit0, fit90 = ols_fit(design, 2)
     b0, b90 = fit0.coefficients, fit90.coefficients
     if config.standardize_betas:
         both = np.concatenate([b0, b90])
@@ -299,20 +330,11 @@ def build_local_clocks(dataset: Dataset, grouping, config: RunConfig | None = No
         )
     if not grouping.groups:
         raise ComputationError("no usable groups")
+    x, y, names = _checked_inputs(dataset.X, dataset.Y, dataset.feature_names)
     clocks = []
     for grp in grouping.groups:
         try:
-            clocks.append(
-                build_clock(
-                    dataset.X,
-                    dataset.Y,
-                    grp.members,
-                    config,
-                    variant="local",
-                    group=grp.name,
-                    feature_names=dataset.feature_names,
-                )
-            )
+            clocks.append(_fit_clock(x, y, grp.members, config, "local", grp.name, names))
         except GroupTooSmallError as exc:
             warnings.warn(f"skipping group {grp.name!r}: {exc}", ClockWarning, stacklevel=2)
     if not clocks:

@@ -118,7 +118,9 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     with suppress(ValueError), open(p, encoding="utf-8-sig", newline="") as handle:
         next(csv.reader(handle))  # the header record, which may span lines
         values = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        if values.shape[1] == len(header) and np.isfinite(values).all():
+        # NaN propagates through min and max and an infinity is one of them,
+        # so two reductions decide finiteness without a full-size mask
+        if values.shape[1] == len(header) and math.isfinite(values.min()) and math.isfinite(values.max()):
             return header, values
     _first_fault(p, len(header), chain([first], rows))
 

@@ -2,10 +2,10 @@
 
 Each spanning-tree edge between group centers gets a binary logistic
 regression over the two groups' standardized features. The fit reads the
-design's rank from one QR, under the same rule as the axis fit, and takes its
-standard errors from the Fisher information at its final iterate. Significant
-coefficients become arrows along the line joining the centers: a positive
-coefficient points at the group encoded as class 1.
+design's rank from its R factor, under the same rule as the axis fit, and
+takes its standard errors from the Fisher information at its final iterate.
+Significant coefficients become arrows along the line joining the centers: a
+positive coefficient points at the group encoded as class 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .clockcore import (
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import as_matrix, check_rank, normal_two_sided_p, qr_r_in_place
+from .numstats import ArrayRows, as_matrix, check_rank, normal_two_sided_p, r_factor, to_array
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -62,8 +62,9 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 def logistic_fit(x, labels) -> LogisticFit:
     """Fit class probabilities by iteratively reweighted least squares.
 
-    Raises RankDeficientError when one QR of ``x`` shows a dependent column,
-    under the rule of the axis fit. Maximizes the log-likelihood minus
+    Raises RankDeficientError when the R factor of ``x``, accumulated over
+    its row blocks as for the axis fit, shows a dependent column under the
+    axis fit's rule. Maximizes the log-likelihood minus
     (L2_PENALTY/2)*||coefficients||^2; the intercept is unpenalized.
     Iterations stop when the largest parameter update falls below 1e-10 or
     after 100 rounds, in which case the result is returned with
@@ -83,7 +84,7 @@ def logistic_fit(x, labels) -> LogisticFit:
         raise ComputationError(
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
-    check_rank(qr_r_in_place(xm.copy(order="F")))  # the IRLS below still reads xm
+    check_rank(r_factor(ArrayRows(xm)))  # row blocks: the IRLS below still reads xm
 
     design = np.column_stack([np.ones(n), xm])
     ridge = np.full(d + 1, L2_PENALTY)
@@ -171,12 +172,13 @@ def build_intergroup_clocks(
         labels = np.concatenate([np.zeros(ga.members.size), np.ones(gb.members.size)])
         rows = np.concatenate([ga.members, gb.members])
         try:
-            kept, xs = fit_design(x, rows, np.empty((rows.size, 0)), names, where)
+            design = fit_design(x, rows, np.empty((rows.size, 0)), names, where)
         except GroupTooSmallError as exc:
             warnings.warn(f"skipping {exc}", ClockWarning, stacklevel=2)
             continue
+        kept = design.kept
         with naming_dependent(kept, names, where):
-            fit = logistic_fit(xs, labels)
+            fit = logistic_fit(to_array(design), labels)  # IRLS reads the whole design
 
         _, axis = max_contribution(gb.center[0] - ga.center[0], gb.center[1] - ga.center[1])
         ux, uy = unit_vector(axis)

@@ -1,12 +1,12 @@
 """Self-contained numerical kernel used by the clock builders.
 
-Ordinary least squares with classical t-tests on one [X | Y] buffer, the
-column tests and standardization that fill it, and Student-t tail
-probabilities. No routine caches or shares state. Three routines write to
-their argument, so that a fit runs inside its caller's buffer with no copy:
-standardize_columns (in place), qr_r_in_place (the factorization) and
-ols_fit (a writable F-ordered float64 buffer is factored as given; any other
-input is copied once first).
+Ordinary least squares with classical t-tests on an [X | Y] matrix read one
+block of rows at a time, the column statistics and standardization that
+build such a matrix, and Student-t tail probabilities. No routine caches or
+shares state. Two routines write to their argument: standardize_columns (in
+place, one block of rows at a time) and qr_r_in_place (the factorization,
+in a scratch buffer that r_factor owns). ols_fit leaves its argument as it
+was.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ NOISE_RATIO = 64.0 * float(np.finfo(float).eps)
 
 # Relative tolerance for the numerical rank of a design matrix.
 RANK_TOL = 1e-10
+
+# Cells held at once while a matrix is read in blocks (512 KiB of float64):
+# column_stats gathers blocks of max(1, _BLOCK_CELLS // n) whole columns of
+# n rows, and r_factor and to_array write blocks of _block_rows(m) rows of
+# an m-column matrix.
+_BLOCK_CELLS = 2**16
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -65,11 +71,6 @@ def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int 
     return arr
 
 
-def constant_columns(x, stds) -> np.ndarray:
-    """Mask of the columns of ``x`` whose sample std is rounding noise next to their largest |value|."""
-    return negligible(stds, np.maximum(x.max(axis=0), -x.min(axis=0)))
-
-
 def center_columns(m) -> np.ndarray:
     """Subtract each column's mean. Two passes keep residual means near machine zero."""
     x = as_matrix(m)
@@ -78,29 +79,50 @@ def center_columns(m) -> np.ndarray:
     return centered
 
 
-def column_stds(x, cells: int) -> np.ndarray:
-    """``x.std(axis=0, ddof=1)``, taken over blocks of whole columns of at most ``cells`` cells.
+def column_stats(x, rows) -> np.ndarray:
+    """Statistics of each column of ``x[rows]``, taken without gathering all of it.
 
-    The deviations held at once fill one block (at least one column). On an
-    F-ordered ``x`` numpy sums each contiguous column on its own, so the
-    result equals the one-call std bit for bit.
+    Returns a (4, d) array whose rows are each column's mean m1, the mean m2
+    of its deviations x - m1, its sample std (ddof=1) and its largest |value|.
+    The columns are gathered over ``rows`` into one F-ordered block of at
+    most ``_BLOCK_CELLS`` cells (at least one column) at a time. numpy sums
+    each contiguous column of such a block pairwise, as it sums the columns
+    of the whole gather in F order, and the std's deviations are those of
+    ``np.std``, so m1 and the std equal ``x[rows].mean(axis=0)`` and
+    ``x[rows].std(axis=0, ddof=1)`` of an F-ordered gather bit for bit.
+    Raises IndexError for a row out of range.
     """
-    n, d = x.shape
-    step = max(1, cells // n)
-    stds = np.empty(d)
+    n, d = len(rows), x.shape[1]
+    step = max(1, _BLOCK_CELLS // n)
+    block = np.empty((n, min(step, d)), order="F")
+    stats = np.empty((4, d))
     for j in range(0, d, step):
-        stds[j : j + step] = x[:, j : j + step].std(axis=0, ddof=1)
-    return stds
+        cols = block[:, : min(step, d - j)]
+        # a column at a time: a 2-D gather pays per row, and np.take copies x[:, c] first
+        for c in range(cols.shape[1]):
+            cols[:, c] = x[rows, j + c]
+        m1, m2, std, peak = stats[:, j : j + step]
+        cols.mean(axis=0, out=m1)
+        np.maximum(cols.max(axis=0), -cols.min(axis=0), out=peak)
+        cols -= m1
+        cols.mean(axis=0, out=m2)
+        np.square(cols, out=cols)
+        cols.sum(axis=0, out=std)
+        std /= n - 1
+        np.sqrt(std, out=std)
+    return stats
 
 
-def standardize_columns(x, stds=None) -> None:
-    """Center the columns of ``x`` in place, then divide them by ``stds`` when given.
+def standardize_columns(x, m1, m2, stds=None) -> None:
+    """Subtract ``m1``, then ``m2``, from the columns of ``x`` in place; then divide by ``stds`` if given.
 
-    Two centering passes keep residual means near machine zero. Working in
-    place lets a design be standardized inside its fit buffer, with no copy.
+    With m1 a column's mean and m2 the mean of its deviations (both from
+    :func:`column_stats`), the two subtractions are the two centering passes
+    that keep residual means near machine zero. The means come from all the
+    rows, so any block of rows is standardized on its own, with no copy.
     """
-    x -= x.mean(axis=0)
-    x -= x.mean(axis=0)
+    x -= m1
+    x -= m2
     if stds is not None:
         x /= stds
 
@@ -150,6 +172,72 @@ def qr_r_in_place(a) -> np.ndarray:
     return np.triu(a[: min(n, m), :])
 
 
+class ArrayRows:
+    """The rows of an array, written into a caller's buffer a block at a time.
+
+    :func:`r_factor`, :func:`to_array` and :func:`ols_fit` read a matrix
+    through ``shape``, ``write(lo, hi, out)``, which fills ``out`` with rows
+    ``lo:hi``, and ``targets``, its last ``k`` columns. ``clockcore.Design``
+    offers the same three members, but gathers and standardizes the rows it
+    writes.
+    """
+
+    def __init__(self, a, k: int = 0):
+        self.shape = a.shape
+        self.targets = a[:, a.shape[1] - k :]
+        self._a = a
+
+    def write(self, lo: int, hi: int, out) -> None:
+        out[...] = self._a[lo:hi]
+
+
+def _block_rows(m: int) -> int:
+    """Rows in a block of an m-column matrix: ``_BLOCK_CELLS`` cells, but at least 3m rows.
+
+    The floor bounds what r_factor's R, stacked on each block, adds to the
+    rows its QR factors to a third. At 10k x 202 with single-threaded BLAS,
+    blocks of 1.6m rows (64k cells) took 1.1x the CPU time of one QR of the
+    whole matrix, and blocks of 3m to 6m rows no more than it.
+    """
+    return max(3 * m, _BLOCK_CELLS // m)
+
+
+def r_factor(rows) -> np.ndarray:
+    """R of the QR factorization of the (n, m) matrix that ``rows`` writes, one row block at a time.
+
+    Blocks of b = :func:`_block_rows` (m) rows are written, one after the
+    other, under the R of the rows before them, in one F-ordered scratch
+    buffer of at most (m + b) x m cells, and :func:`qr_r_in_place` factors
+    the stack: its R is an R of every row so far (a tall-skinny QR, as in
+    Demmel, Grigori, Hoemmen and Langou 2012), as backward stable as one
+    Householder QR. When n <= b the loop makes one QR of the whole matrix,
+    so R is np.linalg.qr's bit for bit; otherwise the two agree up to the
+    signs of R's rows, to rounding. Returns R as a new min(n, m) x m array.
+    """
+    n, m = rows.shape
+    b = _block_rows(m)
+    scratch = np.empty((min(n, b) + (m if n > b else 0)) * m)
+    r = np.empty((0, m))
+    for lo in range(0, n, b):
+        hi = min(n, lo + b)
+        top = r.shape[0]
+        a = scratch[: (top + hi - lo) * m].reshape((top + hi - lo, m), order="F")
+        a[:top] = r
+        rows.write(lo, hi, a[top:])
+        r = qr_r_in_place(a)
+    return r
+
+
+def to_array(rows) -> np.ndarray:
+    """The whole matrix that ``rows`` writes, as one new F-ordered array filled a row block at a time."""
+    n, m = rows.shape
+    out = np.empty((n, m), order="F")
+    b = _block_rows(m)
+    for lo in range(0, n, b):
+        rows.write(lo, min(n, lo + b), out[lo : lo + b])
+    return out
+
+
 @dataclass(frozen=True)
 class RegressionFit:
     """Per-feature least-squares results on centered data (intercept absorbed)."""
@@ -166,11 +254,12 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     """Least squares of each of the last ``k`` columns of ``xy`` on the columns before them.
 
     ``xy`` is [X | Y]: a centered or standardized design X of d columns
-    followed by k centered targets, as built by ``clockcore.fit_design``.
-    Returns a tuple of k fits, all from one LAPACK QR of ``xy`` as given.
-    The QR runs in ``xy``'s memory: a writable F-ordered float64 ``xy`` is
-    overwritten, and any other input is first copied once into such a buffer
-    (so a C-ordered argument is left as it was).
+    followed by k centered targets. It is an array, left as it was, or a
+    matrix written a block of rows at a time, such as the
+    ``clockcore.Design`` of a clock (see :class:`ArrayRows`). Returns a
+    tuple of k fits, all from the one R factor that :func:`r_factor`
+    accumulates over ``xy``'s row blocks; the target norms of the exact-fit
+    test come from the targets themselves.
     With R11 the leading d x d block of R, R12 the block beside it and R22
     the block below, beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and
     diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
@@ -179,15 +268,17 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     degree lost to the centering that absorbed the intercept). p-values are
     two-sided Student-t tails.
     """
-    xy = as_matrix(np.require(xy, np.float64, ["F", "W"]), name="design matrix", min_cols=k + 1)
+    if not hasattr(xy, "write"):
+        xy = ArrayRows(as_matrix(xy, name="design matrix", min_cols=k + 1), k)
     n, d = xy.shape[0], xy.shape[1] - k
     if n < d + 2:
         raise ComputationError(
             f"insufficient observations: n={n} but need at least d+2={d + 2}"
         )
 
-    target_norms = np.sqrt((xy[:, d:] ** 2).sum(axis=0))  # before the QR overwrites them
-    r = qr_r_in_place(xy)
+    # a column at a time: numpy sums a contiguous column pairwise, whatever the targets' layout
+    target_norms = np.sqrt([np.square(xy.targets[:, j]).sum() for j in range(k)])
+    r = r_factor(xy)
     r11 = r[:d, :d]
     check_rank(r11)
 

@@ -32,7 +32,6 @@ from featureclock.numstats import (
     as_matrix,
     center_columns,
     check_rank,
-    constant_columns,
     negligible,
     normal_two_sided_p,
     student_t_two_sided_p,
@@ -329,6 +328,11 @@ def read_table_reference(path):
                 return f"{path}: non-finite value {text!r} {where}"
         values.append([float(cell) for cell in row])
     return np.array(values)
+
+
+def constant_columns(x, stds):
+    """Mask of the columns of ``x`` whose sample std is rounding noise next to their largest |value|."""
+    return negligible(stds, np.maximum(x.max(axis=0), -x.min(axis=0)))
 
 
 def standardize_reference(m):

@@ -15,6 +15,7 @@ import pytest
 
 import featureclock
 import featureclock.cli as cli_module
+import featureclock.clockcore as clockcore_module
 import featureclock.render as render_module
 from featureclock import from_labels
 from featureclock.cli import demo_paths, main
@@ -685,6 +686,23 @@ def test_cli_writes_the_svg_in_one_to_svg_call(iris_paths, tmp_path, monkeypatch
     assert run(["local", "--x", x, "--y", y, "--labels", labels, "--out-dir", tmp_path]) == 0
     assert len(calls) == 1
     assert (tmp_path / "clock.svg").read_text(encoding="utf-8").endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("view", ["global", "local"])
+def test_cli_fits_each_clock_with_one_ols_fit_call(view, iris_paths, tmp_path, monkeypatch):
+    """The benchmark's numstats.ols_fit_s and ols_fit_calls_per_clock trace the name clockcore imported."""
+    calls = []
+    original = clockcore_module.ols_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clockcore_module, "ols_fit", counted)
+    x, y, labels = iris_paths
+    assert run([view, "--x", x, "--y", y, "--labels", labels, "--out-dir", tmp_path]) == 0
+    report = json.loads((tmp_path / "clock.json").read_text(encoding="utf-8"))
+    assert len(calls) == len(report["clocks"]) == (1 if view == "global" else 3)
 
 
 def test_benchmark_traced_names_exist():

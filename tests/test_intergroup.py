@@ -18,6 +18,8 @@ from featureclock import (
     mst_over_centers,
 )
 from featureclock import intergroup as intergroup_module
+from featureclock import numstats
+from featureclock.numstats import check_rank
 from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
@@ -180,14 +182,51 @@ class TestLogisticFit:
         assert info.value.columns == (3,)
 
     def test_design_left_untouched(self):
-        # the rank check factors a copy; an edge's F-ordered design is what
-        # the IRLS reads after it
+        # the rank check factors row blocks in its own scratch; an edge's
+        # F-ordered design is what the IRLS reads after it
         rng = np.random.default_rng(13)
         x = np.asfortranarray(rng.normal(size=(80, 3)))
         x[40:, 0] += 1.5
         before = x.copy(order="F")
         logistic_fit(x, np.repeat([0.0, 1.0], 40))
         assert np.array_equal(x, before)
+
+    @given(
+        n=st.integers(min_value=12, max_value=90),
+        d=st.integers(min_value=2, max_value=6),
+        noise=st.sampled_from([0.0, 1e-15, 1e-13, 1e-6, 1.0]),
+        log_scale=st.floats(min_value=-6.0, max_value=6.0),
+        cells=st.sampled_from([1, 60, numstats._BLOCK_CELLS]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rank_decision_matches_one_qr(self, n, d, noise, log_scale, cells, seed):
+        # a column that is a combination of others plus relative noise far
+        # below (0, 1e-15, 1e-13) or far above (1e-6, 1) the rank tolerance
+        # 1e-10 * sqrt(d); budgets of 1 and 60 cells accumulate R over many
+        # row blocks, the default over one
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        j = int(rng.integers(1, d))
+        combination = x[:, :j] @ rng.normal(size=j)
+        x[:, j] = combination + noise * np.linalg.norm(combination) / math.sqrt(n) * rng.normal(size=n)
+        x[:, j] *= 10.0**log_scale
+        labels = np.resize([0.0, 1.0], n)
+        try:
+            check_rank(np.linalg.qr(x, mode="r"))
+            expected = None
+        except RankDeficientError as exc:
+            expected = exc.columns
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore", ClockWarning)
+            patch.setattr(numstats, "_BLOCK_CELLS", cells)
+            try:
+                logistic_fit(x, labels)
+                got = None
+            except RankDeficientError as exc:
+                got = exc.columns
+        assert got == expected
+        assert (expected is not None) == (noise < 1e-10)
 
     def test_standardization_keeps_significance_decision(self):
         dataset = shifted_fixture()

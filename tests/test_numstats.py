@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,17 +19,34 @@ from featureclock import (
     ols_fit,
     student_t_two_sided_p,
 )
+from featureclock import numstats
 from featureclock.clockcore import fit_design
-from featureclock.numstats import as_matrix, column_stds, distinct, qr_r_in_place
+from featureclock.numstats import (
+    ArrayRows,
+    as_matrix,
+    column_stats,
+    distinct,
+    qr_r_in_place,
+    r_factor,
+    to_array,
+)
 
-from oracles import normal_equations_fit, pca_2d, simpson_t_two_sided, standardize_reference
+from oracles import (
+    fit_design_reference,
+    normal_equations_fit,
+    ols_fit_reference,
+    pca_2d,
+    simpson_t_two_sided,
+    standardize_reference,
+)
 
 
 def design_of(x, names=None):
-    """``fit_design`` over every row of ``x``, with no targets."""
+    """``(kept, design)`` of ``fit_design`` over every row of ``x``, with no targets, as one array."""
     x = np.asarray(x, dtype=float)
     names = names or [f"f{j}" for j in range(x.shape[1])]
-    return fit_design(x, np.arange(len(x)), np.empty((len(x), 0)), names, "test")
+    design = fit_design(x, np.arange(len(x)), np.empty((len(x), 0)), names, "test")
+    return design.kept, to_array(design)
 
 
 class TestStandardize:
@@ -250,7 +268,7 @@ class TestOlsFit:
 
 
 class TestInPlace:
-    """The fit's std and QR run in the caller's buffer and equal numpy's own bit for bit."""
+    """The QR runs in its caller's buffer, and it and the column statistics equal numpy's own bit for bit."""
 
     @given(
         d=st.integers(min_value=1, max_value=12),
@@ -266,8 +284,8 @@ class TestInPlace:
     def test_r_equals_numpy_qr(self, d, k, n_extra, dropped, seed):
         # n_extra = 0 is n = d + 2, the smallest n a fit accepts (k = 3 makes
         # the matrix wider than tall); the factored columns are the leading
-        # slice of a wider F-ordered buffer, as fit_design leaves them after
-        # dropping constant columns. Past 128 columns LAPACK factors in
+        # slice of a wider F-ordered buffer, whose other columns must stay
+        # as they were. Past 128 columns LAPACK factors in
         # blocks whose width follows the workspace size, so only the
         # workspace LAPACK asks for gives np.linalg.qr's rounding.
         rng = np.random.default_rng(seed)
@@ -288,7 +306,7 @@ class TestInPlace:
     @given(
         n=st.integers(min_value=2, max_value=300),
         d=st.integers(min_value=1, max_value=9),
-        cells=st.sampled_from([1, 7, 300, 2**15]),
+        cells=st.sampled_from([1, 7, 300, numstats._BLOCK_CELLS]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
@@ -297,12 +315,19 @@ class TestInPlace:
         buffer = np.empty((n, d + 2), order="F")
         buffer[:, :d] = rng.normal(loc=rng.uniform(-5.0, 5.0, size=d), size=(n, d))
         buffer[:, :d] *= 10.0 ** rng.uniform(-100.0, 100.0, size=d)
-        x = buffer[:, :d]
-        assert np.array_equal(column_stds(x, cells), x.std(axis=0, ddof=1))
+        rows = rng.permutation(n)  # gathered in any order, as on an edge
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numstats, "_BLOCK_CELLS", cells)
+            m1, m2, std, peak = column_stats(buffer[:, :d], rows)
+        x = np.asfortranarray(buffer[rows, :d])
+        assert np.array_equal(std, x.std(axis=0, ddof=1))
+        assert np.array_equal(m1, x.mean(axis=0))
+        assert np.array_equal(m2, (x - m1).mean(axis=0))
+        assert np.array_equal(peak, np.abs(x).max(axis=0))
 
-    def test_ols_fit_overwrites_a_writable_f_buffer_only(self):
-        # a C-ordered or read-only argument is copied once and left as it was;
-        # a writable F-ordered float64 buffer is factored as given, R in its top
+    def test_ols_fit_leaves_its_argument_untouched(self):
+        # C-ordered, F-ordered and read-only arguments are read a row block
+        # at a time, left as they were, and give the same fits
         rng = np.random.default_rng(12)
         xy = rng.normal(size=(30, 5))
         c_ordered = xy.copy()
@@ -310,13 +335,78 @@ class TestInPlace:
         read_only.flags.writeable = False
         buffer = np.asfortranarray(xy)
         runs = [ols_fit(arg, 2) for arg in (c_ordered, read_only, buffer)]
-        assert np.array_equal(c_ordered, xy)
-        assert np.array_equal(read_only, xy)
-        assert np.array_equal(np.triu(buffer[:5]), np.linalg.qr(xy, mode="r"))
+        for arg in (c_ordered, read_only, buffer):
+            assert np.array_equal(arg, xy)
         for fits in runs[1:]:
             for fit, expected in zip(fits, runs[0]):
                 for field in dataclasses.fields(fit):
                     assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name))
+
+
+class TestRowBlocks:
+    """R accumulated over row blocks (a tall-skinny QR) agrees with one QR of the whole matrix."""
+
+    @given(
+        n=st.integers(min_value=12, max_value=150),
+        d=st.integers(min_value=1, max_value=8),
+        k=st.integers(min_value=1, max_value=2),
+        constant=st.booleans(),
+        cells=st.sampled_from([1, 400, numstats._BLOCK_CELLS]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_match_one_qr_and_the_reference_fits(self, n, d, k, constant, cells, seed):
+        # A budget of 1 cell makes blocks of the fewest rows (3m), 400 cells
+        # blocks of up to 400 // m rows, and the default one block. Features carry offsets of 1e6
+        # and scales from 1e-6 to 1e6, and one may be constant; the fit
+        # factors their standardized design, whatever the budget.
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, d))
+        x = z * 10.0 ** rng.uniform(-6.0, 6.0, size=d) + np.where(rng.random(d) < 0.5, 1e6, 0.0)
+        if constant:
+            x = np.insert(x, int(rng.integers(0, d + 1)), 1e6, axis=1)
+        rows = np.arange(n)
+        targets = center_columns(z @ rng.normal(size=(d, k)) + rng.normal(size=(n, k)))
+        names = [f"f{j}" for j in range(x.shape[1])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClockWarning)
+            design = fit_design(x, rows, targets, names, "test")
+        kept, whole = fit_design_reference(x, rows, targets)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numstats, "_BLOCK_CELLS", cells)
+            r = r_factor(design)
+            fits = ols_fit(design, k)
+
+        expected_r = np.linalg.qr(whole, mode="r")
+        signs = np.sign(np.diagonal(r)) * np.sign(np.diagonal(expected_r))
+        # up to 7.5 eps * ||A|| measured over 6000 such matrices in blocks of m and of 60 // m rows
+        eps = np.finfo(float).eps
+        assert np.abs(r * signs[:, None] - expected_r).max() <= 32 * eps * np.linalg.norm(whole)
+
+        m = len(kept)
+        for fit, expected in zip(fits, ols_fit_reference(whole[:, :m], whole[:, m:]), strict=True):
+            scale = 1.0 + np.max(np.abs(expected.coefficients))
+            assert np.max(np.abs(fit.coefficients - expected.coefficients)) < 1e-9 * scale
+            assert np.allclose(fit.std_errors, expected.std_errors, rtol=1e-9, atol=0)
+            assert np.allclose(fit.p_values, expected.p_values, rtol=1e-7, atol=1e-12)
+            assert fit.dof == expected.dof == n - m - 1
+            assert fit.residual_variance == pytest.approx(expected.residual_variance, rel=1e-9)
+
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        m=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_block_is_the_qr_of_the_whole_buffer(self, n, m, seed):
+        # at the default budget these shapes are one block: the same dgeqrf
+        # on the same F-ordered buffer, so R is equal bit for bit
+        assert n <= numstats._block_rows(m)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-100.0, 100.0, size=m)
+        expected = qr_r_in_place(a.copy(order="F"))
+        assert np.array_equal(r_factor(ArrayRows(a)), expected)
+        assert np.array_equal(expected, np.linalg.qr(a, mode="r"))
 
 
 class TestStudentT:
