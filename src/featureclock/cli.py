@@ -81,7 +81,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cluster", default=None,
                         help="kmeans:<k> or dbscan:<eps>,<min_pts> (local and intergroup only)")
     parser.add_argument("--cluster-on", dest="cluster_on", choices=("x", "y"), default=None,
-                        help="space to cluster in (default: x)")
+                        help="space to cluster in, with --cluster (default: x)")
     parser.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
     parser.add_argument("--top-k", dest="top_k", type=int, default=None, help="keep only the k strongest arrows")
     parser.add_argument("--theta-step", dest="theta_step_deg", type=float, default=None,
@@ -98,7 +98,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="draw the full coefficient sweep instead of single arrows")
     parser.add_argument("--scale", dest="clock_scale", type=float, default=None,
                         help="clock radius multiplier (default 1)")
-    parser.add_argument("--seed", type=int, default=None, help="clustering seed (default 0)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="k-means seed, with --cluster kmeans (default 0)")
     parser.add_argument("--canvas", default=None, help="canvas size as WIDTHxHEIGHT (default 900x600)")
     parser.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
 
@@ -155,6 +156,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise InputDataError(message)
     if args.cluster is not None:
         raw.update(_parse_cluster(args.cluster))
+    if args.cluster_on is not None and args.cluster is None:
+        raise InputDataError("--cluster-on applies with --cluster only")
+    if args.seed is not None and raw["cluster_method"] != "kmeans":
+        raise InputDataError("--seed applies with --cluster kmeans:<k> only")
     return validate_config(raw)
 
 

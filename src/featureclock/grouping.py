@@ -20,10 +20,12 @@ from .numstats import as_matrix, distinct
 # labels file maps here; noise points never join a group or shift a center.
 NOISE = -1
 
-# Squared distances held at once by DBSCAN's neighbor pass (1 MiB of
-# float64): a block of rows times the columns within eps of them on the first
-# coordinate, at least one row, so a block of n columns has
-# max(1, _BLOCK_CELLS // n) rows. K-means takes blocks of
+# Squared distances held at once by DBSCAN's passes (1 MiB of float64): a
+# block of rows times the columns within eps of them on the first coordinate,
+# at least one row, so a block of n columns has max(1, _BLOCK_CELLS // n)
+# rows. A second buffer of that size holds one coordinate's squares, then the
+# block's neighbor and union masks; the union lists at most
+# _BLOCK_CELLS // 64 pairs at once. K-means takes blocks of
 # max(1, _BLOCK_CELLS // max(d, k)) rows against all k centers.
 _BLOCK_CELLS = 2**17
 
@@ -193,18 +195,43 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
-def _neighbor_graph(arr: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed eps-ball neighbors of every point as ``(starts, stops, indices)``.
+def _find(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The roots of ``x`` in the forest ``parent``, with x's links pointed at them.
 
-    Point i's neighbors are ``indices[starts[i]:stops[i]]``: original row ids,
-    i among them, in no particular order. The points are sorted by their first
-    coordinate, and each block of sorted rows is compared only with the
-    columns whose first coordinate lies within reach of the block's own, one
-    coordinate after another, so no temporary grows past one block.
+    Every step links each of x to its grandparent, so the part of a path
+    that lies in x halves with each step.
+    """
+    links = parent[x]
+    while True:
+        up = parent[links]
+        if np.array_equal(up, links):
+            return links
+        parent[x] = up
+        links = up
+
+
+def _unite(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the trees of each pair of roots ``(a[t], b[t])``, the higher root under the lower.
+
+    When one root is hooked by several pairs at once the last write wins;
+    the pairs whose roots then still differ are hooked again.
+    """
+    while a.size:
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        parent[high] = low
+        a, b = _find(parent, low), _find(parent, high)
+        apart = a != b
+        a, b = a[apart], b[apart]
+
+
+def _dbscan_labels(arr: np.ndarray, eps2: float, min_pts: int) -> tuple[np.ndarray, int]:
+    """DBSCAN labels of the rows of ``arr`` (NOISE or a cluster id) and the number of clusters.
+
+    Both passes of ``dbscan`` run here, so their block buffers are freed on return.
     """
     n = arr.shape[0]
-    order = np.argsort(arr[:, 0], kind="stable")
-    first, *rest = [arr[order, k] for k in range(arr.shape[1])]
+    ids = np.argsort(arr[:, 0], kind="stable")  # input row of each sorted point
+    first, *rest = [arr[ids, k] for k in range(arr.shape[1])]
     # No neighbor lies outside its row's window. Rounding to nearest is
     # monotone and adding a non-negative square never lowers a sum, so a
     # neighbor's computed d2 is at least fl(D * D), D = fl(first[j] - first[i]).
@@ -218,39 +245,94 @@ def _neighbor_graph(arr: np.ndarray, eps2: float) -> tuple[np.ndarray, np.ndarra
     reach = math.sqrt(eps2) * (1 + 2**-40) + 2**-500
     left = np.searchsorted(first, first - reach, side="left")
     right = np.searchsorted(first, first + reach, side="right")
-    ids = order.astype(np.int32)
     cells = max(_BLOCK_CELLS, n)
-    d2 = np.empty(cells)
-    diff = np.empty(cells)
+    d2, scratch = np.empty(cells), np.empty(cells)
+    # once a block's sums are in d2, the bytes of scratch hold its two masks
+    near_cells, apart_cells = scratch.view(bool)[:cells], scratch.view(bool)[cells : 2 * cells]
+
+    def windows(rows):
+        """``(i, j, base, near)`` for blocks ``rows[i:j]`` of the ascending sorted points ``rows``.
+
+        ``near[a, c]`` tells whether sorted point ``base + c`` is a neighbor of
+        sorted point ``rows[i + a]``, and the columns hold every neighbor of
+        the block's rows. ``d2`` is free while a block is yielded.
+        """
+        i = 0
+        while i < rows.size:
+            # k rows span widths[k - 1] columns, and k * widths[k - 1] grows
+            # with k, so one search finds the most rows whose cells fit the budget
+            base = left[rows[i]]
+            widths = right[rows[i : i + max(1, _BLOCK_CELLS // (right[rows[i]] - base))]] - base
+            area = widths * np.arange(1, widths.size + 1)
+            j = i + max(1, int(np.searchsorted(area, _BLOCK_CELLS, side="right")))
+            block_rows, width = rows[i:j, None], int(widths[j - i - 1])
+            block = d2[: (j - i) * width].reshape(j - i, width)
+            part = scratch[: block.size].reshape(block.shape)
+            np.subtract(first[None, base : base + width], first[block_rows], out=block)
+            block *= block
+            for c in rest:
+                np.subtract(c[None, base : base + width], c[block_rows], out=part)
+                part *= part
+                block += part
+            near = near_cells[: block.size].reshape(block.shape)
+            yield i, j, base, np.less_equal(block, eps2, out=near)
+            i = j
+
+    # Every pair of sorted points a < b is met in b's block, and from the end
+    # of that block on both counts are final (near is symmetric: the squares
+    # of fl(x - y) and fl(y - x) are equal). So each block joins the core
+    # pairs whose column lies before its end, each onto its lower root keyed
+    # by input row: a tree's root is then its lowest core input row.
     counts = np.empty(n, dtype=np.int64)
-    pieces = []
-    lo = 0
-    while lo < n:
-        # k rows span widths[k - 1] columns, and k * widths[k - 1] grows with
-        # k, so one search finds the most rows whose cells fit the budget
-        base = left[lo]
-        widths = right[lo : lo + max(1, _BLOCK_CELLS // (right[lo] - base))] - base
-        area = widths * np.arange(1, widths.size + 1)
-        rows = max(1, int(np.searchsorted(area, _BLOCK_CELLS, side="right")))
-        hi, width = lo + rows, int(widths[rows - 1])
-        block = d2[: rows * width].reshape(rows, width)
-        scratch = diff[: rows * width].reshape(rows, width)
-        np.subtract(first[None, base : base + width], first[lo:hi, None], out=block)
-        block *= block
-        for c in rest:
-            np.subtract(c[None, base : base + width], c[lo:hi, None], out=scratch)
-            scratch *= scratch
-            block += scratch
-        near = block <= eps2
-        counts[lo:hi] = np.count_nonzero(near, axis=1)
-        pieces.append(np.broadcast_to(ids[base : base + width], near.shape)[near])
-        lo = hi
-    del d2, diff, block, scratch  # free the block buffers before the pieces are joined
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return indptr[rank], indptr[rank + 1], np.concatenate(pieces)
+    core = np.empty(n, dtype=bool)
+    parent = np.arange(n)
+    pair_cap = _BLOCK_CELLS // 64  # pairs listed at once; a pair takes about 50 bytes of indices
+    for i, j, base, near in windows(np.arange(n)):
+        counts[i:j] = np.count_nonzero(near, axis=1)
+        np.greater_equal(counts[i:j], min_pts, out=core[i:j])
+        if not core[i:j].any():
+            continue
+        joined = near[:, : j - base]
+        joined &= core[None, base:j]
+        joined[~core[i:j]] = False  # faster than broadcasting a column
+        members = ids[base:j]  # the block's rows are the last j - i of them
+        apart = joined  # the block's rows are still alone in their trees: most pairs are apart
+        while True:
+            # join every row with its first column still apart: this removes
+            # at least one pair per such row, and mostly all but a few
+            cols = apart.argmax(axis=1)
+            rows = np.flatnonzero(apart[np.arange(j - i), cols])
+            _unite(parent, _find(parent, members[i - base + rows]),
+                   _find(parent, members[cols[rows]]))
+            roots = _find(parent, members)
+            apart = np.not_equal(
+                roots[i - base :, None], roots[None, :],
+                out=apart_cells[: joined.size].reshape(joined.shape),
+            )
+            apart &= joined
+            if np.count_nonzero(apart) <= pair_cap:
+                break
+        # a flat search: np.nonzero of a 2-D mask is ten times slower
+        rows, cols = np.divmod(np.flatnonzero(apart), apart.shape[1])
+        _unite(parent, roots[i - base + rows], roots[cols])
+
+    # cluster ids in the order of the roots, the lowest core input rows
+    labels = np.full(n, NOISE, dtype=int)
+    core_rows = np.flatnonzero(core)
+    roots = _find(parent, ids[core_rows])
+    heads = distinct(np.sort(roots))
+    cluster = np.full(n, np.inf)  # by sorted point; inf off the core
+    cluster[core_rows] = labels[ids[core_rows]] = np.searchsorted(heads, roots)
+    border = np.flatnonzero(~core & (counts >= 2))
+    for i, j, base, near in windows(border):
+        lowest = d2[: near.size].reshape(near.shape)
+        lowest.fill(np.inf)
+        np.copyto(lowest, cluster[None, base : base + near.shape[1]], where=near)
+        best = lowest.min(axis=1)
+        reached = np.isfinite(best)
+        labels[ids[border[i:j][reached]]] = best[reached]
+
+    return labels, heads.size
 
 
 def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
@@ -264,14 +346,22 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     point (a non-core neighbor of core points) joins the lowest cluster id
     that reaches it, so results are deterministic.
 
-    Time is O(n log n) to sort the points by their first coordinate, plus d
-    times the cells of the row blocks' column windows, which hold the pairs
-    whose first coordinates lie within eps: still O(n^2 d) when every point is
-    that close to every other on the first coordinate. Memory is one block of
-    about ``_BLOCK_CELLS`` squared distances plus 4 bytes per neighbor pair.
-    Up to 7 coordinates the sums equal numpy's row sum
-    ``((data - data[i]) ** 2).sum(axis=1)`` bit for bit; from 8 on numpy adds
-    in pairs, so a distance may differ from it by 1 ulp.
+    The points are sorted by their first coordinate, and each block of sorted
+    rows is compared only with the columns whose first coordinate lies within
+    reach of the block's own. One pass over all rows counts each row's
+    neighbors and, in the same block, joins its core pairs in a union-find;
+    a second pass over the border rows alone (non-core, with another
+    neighbor) gives each the lowest cluster among its core neighbors. No
+    neighbor pair is stored.
+
+    Time is O(n log n) to sort, plus d times the cells of the row blocks'
+    column windows, which hold the pairs whose first coordinates lie within
+    eps: still O(n^2 d) when every point is that close to every other.
+    Memory is O(n) beyond a sorted copy of ``data``: the counts, the
+    union-find forest and the labels, plus two buffers of ``_BLOCK_CELLS``
+    float64 (or n, if larger). Up to 7 coordinates the sums equal numpy's
+    row sum ``((data - data[i]) ** 2).sum(axis=1)`` bit for bit; from 8 on
+    numpy adds in pairs, so a distance may differ from it by 1 ulp.
     """
     arr = as_matrix(data, name="data")
     n = arr.shape[0]
@@ -281,28 +371,8 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     if min_pts < 1:
         raise InputDataError(f"min_pts must be at least 1, got {min_pts}")
 
-    starts, stops, indices = _neighbor_graph(arr, eps * eps)
-    core = stops - starts >= min_pts
-    labels = np.full(n, NOISE, dtype=int)
-    cid = 0
-    for i in np.flatnonzero(core):
-        if labels[i] != NOISE:
-            continue
-        labels[i] = cid
-        frontier = np.array([i])
-        while frontier.size:
-            # the frontier's neighbor lists end to end, in one gather: slot t,
-            # inside list s, reads indices[starts[s] + t - (slots before list s)]
-            begin, sizes = starts[frontier], stops[frontier] - starts[frontier]
-            slots = np.repeat(begin - (np.cumsum(sizes) - sizes), sizes)
-            slots += np.arange(slots.size)
-            reached = indices[slots]
-            reached = distinct(np.sort(reached[labels[reached] == NOISE]))
-            labels[reached] = cid
-            frontier = reached[core[reached]]
-        cid += 1
-
-    names = {g: str(g) for g in range(cid)}
+    labels, clusters = _dbscan_labels(arr, eps * eps, min_pts)
+    names = {g: str(g) for g in range(clusters)}
     return GroupingResult(labels, _make_groups(labels, names, emb))
 
 

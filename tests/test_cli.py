@@ -171,26 +171,48 @@ class TestGlobalCommand:
     @pytest.mark.parametrize(
         "cluster, expected",
         [
-            ("kmeans:4", {"cluster_method": "kmeans", "cluster_k": 4}),
-            ("dbscan:0.5,3", {"cluster_method": "dbscan", "cluster_eps": 0.5, "cluster_min_pts": 3}),
+            ("kmeans:4", {"cluster_method": "kmeans", "cluster_k": 4, "seed": 3}),
+            # DBSCAN reads no seed, so --seed is not passed and the default is echoed
+            ("dbscan:0.5,3", {"cluster_method": "dbscan", "cluster_eps": 0.5, "cluster_min_pts": 3,
+                              "seed": 0}),
         ],
     )
     def test_every_flag_reaches_config(self, iris_paths, tmp_path, cluster, expected):
         x, y, _ = iris_paths
         out = tmp_path / "out"
+        seed = ["--seed", "3"] if cluster.startswith("kmeans") else []
         flags = ["--alpha", "0.01", "--top-k", "2", "--theta-step", "6", "--no-standardize-x",
                  "--no-center-y", "--standardize-betas", "--significance-rule", "and", "--circles",
-                 "--scale", "2", "--seed", "3", "--canvas", "800x500", "--cluster-on", "y",
+                 "--scale", "2", *seed, "--canvas", "800x500", "--cluster-on", "y",
                  "--cluster", cluster]
         assert run(["local", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
         config = json.loads((out / "clock.json").read_text())["config"]
         expected = {
             "alpha": 0.01, "top_k": 2, "theta_step_deg": 6.0, "standardize_x": False,
             "center_y": False, "standardize_betas": True, "significance_rule": "and",
-            "circles": True, "clock_scale": 2.0, "seed": 3, "canvas": [800, 500],
+            "circles": True, "clock_scale": 2.0, "canvas": [800, 500],
             "cluster_on": "y", **expected,
         }
         assert {key: config[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("view", ["local", "intergroup"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cluster", "dbscan:0.5,5", "--seed", "3"], "--seed applies with --cluster kmeans:<k> only"),
+            (["--labels", "--seed", "7"], "--seed applies with --cluster kmeans:<k> only"),
+            (["--labels", "--cluster-on", "y"], "--cluster-on applies with --cluster only"),
+            (["--labels", "--seed", "7", "--cluster-on", "y"], "--cluster-on applies with --cluster only"),
+        ],
+    )
+    def test_unread_seed_or_cluster_on_exit_2(self, iris_paths, tmp_path, capsys, view, flags, message):
+        # a flag the run would never read exits 2 instead of being echoed in config
+        x, y, labels = iris_paths
+        out = tmp_path / "out"
+        argv = [part for arg in flags for part in ((arg, labels) if arg == "--labels" else (arg,))]
+        assert run([view, "--x", x, "--y", y, *argv, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("cluster", ["kmeans:5", "dbscan:0.5,3"])
     def test_global_with_cluster_exit_2(self, iris_paths, tmp_path, capsys, cluster):

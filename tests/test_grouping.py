@@ -332,30 +332,88 @@ class TestDbscan:
         n=st.integers(min_value=1, max_value=300),
         d=st.sampled_from([8, 12, 30]),
         min_pts=st.integers(min_value=1, max_value=8),
+        block_cells=st.sampled_from([1, 1000, grouping_module._BLOCK_CELLS]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_continuous_points_match_reference(self, seed, n, d, min_pts):
+    def test_continuous_points_match_reference(self, seed, n, d, min_pts, block_cells):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n, d)) + rng.integers(0, 3, size=(n, 1)) * 4.0
         eps = math.sqrt(d) * 0.9
-        grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, :2])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, :2])
         assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("block_cells", [1, 1000, grouping_module._BLOCK_CELLS])
+    def test_chains_joined_in_a_late_block(self, seed, block_cells):
+        # chains A (y = 0) and B (y = 1) of core points 0.5 apart meet only
+        # through a bridge point past their right ends, so the pair that joins
+        # them lies in the last block by first coordinate; chain C (y = 5)
+        # stays a second cluster, whose id depends on the lowest core row
+        rng = np.random.default_rng(seed)
+        steps = np.arange(60) * 0.5
+        chains = [np.column_stack([steps, level + rng.uniform(-0.02, 0.02, steps.size)])
+                  for level in (0.0, 1.0, 5.0)]
+        bridge = [[steps[-1] + 0.25, 0.5]]
+        data = np.vstack([*chains, bridge])
+        data = data[rng.permutation(len(data))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            grouping = dbscan(data, eps=0.6, min_pts=3, embedding=data)
+        assert sorted(len(g.members) for g in grouping.groups) == [60, 121]
+        assert np.array_equal(grouping.labels, dbscan_reference(data, 0.6, 3))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        block_cells=st.sampled_from([1, 1000, grouping_module._BLOCK_CELLS]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_one_cluster_holding_nearly_every_point(self, seed, block_cells):
+        # the shape of a DBSCAN on 30 features: nearly every point is within
+        # eps of most others on the first coordinate and in one cluster, with
+        # a few widened points left as border or noise
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(300, 30))
+        data[:6] *= 1.6
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
+            grouping = dbscan(data, eps=6.5, min_pts=10, embedding=data[:, :2])
+        assert np.array_equal(grouping.labels, dbscan_reference(data, 6.5, 10))
+        assert max(len(g.members) for g in grouping.groups) > 250
+
+    @staticmethod
+    def dbscan_peak(data, eps, min_pts):
+        tracemalloc.start()
+        try:
+            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return grouping, peak
 
     def test_memory_stays_bounded(self):
         # 20 000 points on a jittered grid of spacing 1; eps 1.5 gives each
         # point about 9 neighbors. An n x n distance matrix would be 3.2 GB.
+        # Peak 4.0 MiB: two 1 MiB block buffers and a few arrays of n.
         rng = np.random.default_rng(13)
         side = 200
         grid = np.indices((side, side // 2)).reshape(2, -1).T.astype(float)
         data = grid + rng.uniform(-0.05, 0.05, size=grid.shape)
-        tracemalloc.start()
-        try:
-            grouping = dbscan(data, eps=1.5, min_pts=5, embedding=data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        grouping, peak = self.dbscan_peak(data, eps=1.5, min_pts=5)
         assert len(grouping.groups) == 1
-        assert peak < 16 * 2**20
+        assert peak < 4.5 * 2**20
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # 20 000 uniform points at about 130 neighbors each, the density of
+        # the benchmark's DBSCAN on the embedding: 2.6M pairs. Kept as 4-byte
+        # neighbor lists and then joined into one array, they peaked at
+        # 20.9 MiB; counted and joined block by block, 4.0 MiB.
+        rng = np.random.default_rng(14)
+        data = rng.uniform(0.0, 100.0, size=(20_000, 2))
+        grouping, peak = self.dbscan_peak(data, eps=4.55, min_pts=10)
+        assert len(grouping.groups) == 1
+        assert peak < 4.5 * 2**20
 
     def test_permutation_only_relabels(self):
         # holds when no border point is reachable from two clusters;
