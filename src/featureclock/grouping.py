@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ComputationError, InputDataError
 from .numstats import as_matrix, distinct
+from .seeding import Stream
 
 # Label value for points no cluster claims. The token "noise" (any case) in a
 # labels file maps here; noise points never join a group or shift a center.
@@ -28,6 +29,8 @@ NOISE = -1
 # _BLOCK_CELLS // 64 pairs at once. K-means takes blocks of
 # max(1, _BLOCK_CELLS // max(d, k)) rows against all k centers.
 _BLOCK_CELLS = 2**17
+
+_OVERFLOW = "k-means: squared distances between points overflow; rescale the features"
 
 
 @dataclass(frozen=True)
@@ -115,11 +118,14 @@ def _mean_row(arr: np.ndarray, members: np.ndarray, scratch: np.ndarray) -> np.n
 def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
+    The start draws what ``numpy.random.default_rng(seed)`` would, from the
+    copy of its stream in ``seeding``, so no run imports ``numpy.random``.
     Empty clusters are repaired by reseeding them with the point farthest
     from its current center among clusters of two or more points, so every
     cluster keeps a member. Identical data, k, and seed give identical
     labels. ``data`` may be the high-dimensional matrix or the embedding;
-    centers are always computed from ``embedding``.
+    centers are always computed from ``embedding``. Squared distances (or
+    their k-means++ total) that overflow raise ComputationError.
 
     Memory beyond ``data`` is one block of rows, about ``_BLOCK_CELLS``
     differences and as many squared distances, plus O(n): the labels, each
@@ -157,15 +163,17 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     # each row's squared distance to its nearest center: the centers chosen so
     # far while seeding, then its assigned center in Lloyd's rounds
     nearest = np.full(n, np.inf)
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     centers = np.empty((k, arr.shape[1]))
     for c in range(k):
         # uniform for the first center, and once every row sits on a center
         total = float(nearest.sum()) if c else 0.0
+        if not math.isfinite(total):
+            raise ComputationError(_OVERFLOW)
         if total <= 0.0:
-            idx = int(rng.integers(n))
+            idx = rng.integers(n)
         else:
-            idx = int(rng.choice(n, p=nearest / total))
+            idx = rng.choice(nearest / total)
         centers[c] = arr[idx]
         for lo in starts:
             part = nearest[lo : lo + rows]
@@ -178,6 +186,8 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
             block = squared_distances(lo, centers)
             block.argmin(axis=1, out=assignment[lo : lo + rows])
             block.min(axis=1, out=nearest[lo : lo + rows])
+        if not math.isfinite(nearest.max()):  # NaN propagates through max
+            raise ComputationError(_OVERFLOW)
         for cid in range(k):
             if not np.any(assignment == cid):
                 assigned = nearest.copy()

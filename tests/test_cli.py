@@ -157,6 +157,19 @@ class TestGlobalCommand:
         assert "clock radius must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["local", "intergroup"])
+    def test_kmeans_distance_overflow_exit_3(self, tmp_path, capsys, command):
+        # squares of 1e200-sized differences are inf, and the k-means++
+        # weights inf / inf were NaN
+        rng = np.random.default_rng(0)
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1", "f2"], rng.normal(size=(40, 3)) * 1e200)
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(40, 2)))
+        out = tmp_path / "out"
+        assert run([command, "--x", x, "--y", y, "--cluster", "kmeans:2", "--out-dir", out]) == 3
+        message = "error: k-means: squared distances between points overflow; rescale the features\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_defaults_echoed(self, iris_paths, tmp_path):
         x, y, _ = iris_paths
         out = tmp_path / "out"
@@ -675,6 +688,28 @@ class TestDemo:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False"] * 4
+
+    def test_numpy_random_never_imported(self, iris_paths, tmp_path):
+        # numpy.random brings hashlib, secrets and the Cython runtime, about
+        # 6 MB; k-means draws its start from featureclock.seeding instead
+        x, y, _ = iris_paths
+        runs = [
+            ["local", "--x", str(x), "--y", str(y), "--cluster", "kmeans:3", "--out-dir", str(tmp_path / "local")],
+            ["intergroup", "--x", str(x), "--y", str(y), "--cluster", "kmeans:4",
+             "--out-dir", str(tmp_path / "intergroup")],
+        ]
+        script = (
+            "import sys\n"
+            "from featureclock.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0\n"
+            "print(*(name in sys.modules for name in ('numpy.random', 'hashlib', 'secrets')))\n"
+        )
+        src = str(Path(featureclock.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"] * 3
 
     def test_bundled_embedding_is_own_pca_output(self, iris_dataset):
         z = standardize_reference(iris_dataset.X)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from featureclock import (
     NOISE,
+    ComputationError,
     InputDataError,
     dbscan,
     from_labels,
@@ -121,6 +122,16 @@ class TestKmeans:
         data = blob_fixture()
         with pytest.raises(InputDataError, match="seed must be non-negative, got -1"):
             kmeans(data, 2, seed=-1, embedding=data)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_distances_raise(self, k):
+        # with k = 2 the k-means++ weights overflow; k = 1 draws no weighted
+        # center, so the first Lloyd round finds the infinite distances
+        data = blob_fixture() * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+            with pytest.raises(ComputationError, match="squared distances between points overflow"):
+                kmeans(data, k, seed=0, embedding=data / 1e200)
 
     def test_repair_keeps_every_cluster(self):
         # three distinct values for k=4: a repair that took a cluster's only
