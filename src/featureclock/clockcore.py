@@ -116,9 +116,9 @@ class Design:
     X is the ``kept`` columns of ``x[rows]``, each centered by its two means
     ``m1`` and ``m2`` and divided by its std (only centered when ``stds`` is
     None), all taken over every row by :func:`fit_design`. ``shape``,
-    ``write`` and ``targets`` are what ``numstats.ols_fit``,
-    ``numstats.r_factor`` and ``numstats.to_array`` read, so an axis fit
-    never holds the whole design.
+    ``write`` and ``targets`` are what ``numstats.ols_fit``, ``r_factor``
+    and ``intergroup.logistic_fit`` read: an axis fit never holds the whole
+    design, and an edge's fit writes it once, into its [1 | X] matrix.
     """
 
     x: np.ndarray
@@ -156,9 +156,14 @@ def fit_design(x, rows, targets, names, where: str, *, scale: bool = True) -> De
     design's ``kept`` maps each of its columns to its feature index. The
     kept columns are standardized as they are written (only centered without
     ``scale``), and the k columns of ``targets`` (k may be 0) follow as
-    given. Raises GroupTooSmallError when every feature is constant.
+    given. Raises GroupTooSmallError when every feature is constant, and
+    ComputationError when a feature's mean or std overflows.
     """
     m1, m2, stds, peaks = column_stats(x, rows)
+    overflow = ~(np.isfinite(m1) & np.isfinite(stds))
+    if overflow.any():
+        features = ", ".join(names[j] for j in np.flatnonzero(overflow))
+        raise ComputationError(f"{where}: means or stds of features overflow: {features}; rescale the features")
     constant = negligible(stds, peaks)
     kept = np.flatnonzero(~constant).tolist()
     if not kept:

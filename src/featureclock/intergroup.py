@@ -26,7 +26,7 @@ from .clockcore import (
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import ArrayRows, as_matrix, check_rank, normal_two_sided_p, r_factor, to_array
+from .numstats import ArrayRows, as_matrix, check_rank, design_rows, fill, normal_two_sided_p, r_factor
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -62,40 +62,40 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 def logistic_fit(x, labels) -> LogisticFit:
     """Fit class probabilities by iteratively reweighted least squares.
 
-    Raises RankDeficientError when the R factor of ``x``, accumulated over
-    its row blocks as for the axis fit, shows a dependent column under the
-    axis fit's rule. Maximizes the log-likelihood minus
+    ``x`` is an array or a row writer such as an edge's ``clockcore.Design``,
+    written once into one column-major [1 | x] matrix. Raises
+    RankDeficientError when the R factor of ``x``, accumulated over its row
+    blocks as for the axis fit, shows a dependent column under the axis fit's
+    rule. Maximizes the log-likelihood minus
     (L2_PENALTY/2)*||coefficients||^2; the intercept is unpenalized.
     Iterations stop when the largest parameter update falls below 1e-10 or
     after 100 rounds, in which case the result is returned with
     ``converged=False`` and a warning. Standard errors come from the inverse
     penalized Fisher information at the final iterate.
     """
-    xm = as_matrix(x, name="design matrix")
+    rows, n, d = design_rows(x)
     yv = np.asarray(labels, dtype=float).ravel()
-    n, d = xm.shape
     if yv.shape[0] != n:
         raise ComputationError(f"got {yv.shape[0]} labels for {n} rows")
     if not np.all((yv == 0.0) | (yv == 1.0)):
         raise ComputationError("labels must be coded 0/1")
     if yv.min() == yv.max():
         raise ComputationError("logistic regression needs both classes present")
-    if n < d + 2:
-        raise ComputationError(
-            f"insufficient observations: n={n} but need at least d+2={d + 2}"
-        )
-    check_rank(r_factor(ArrayRows(xm)))  # row blocks: the IRLS below still reads xm
+    design = np.empty((n, d + 1), order="F")  # a row-major one moves 12th-digit p-values
+    design[:, 0] = 1.0
+    fill(rows, design[:, 1:])
+    check_rank(r_factor(ArrayRows(design[:, 1:])))
 
-    design = np.column_stack([np.ones(n), xm])
     ridge = np.full(d + 1, L2_PENALTY)
     ridge[0] = 0.0
     beta = np.zeros(d + 1)
+    weighted = np.empty_like(design)  # design * weight, rewritten each round
     converged = False
     iterations = 0
     while True:  # each iterate is evaluated once: for its step, or for the standard errors
         prob = _sigmoid(design @ beta)
         weight = np.clip(prob * (1.0 - prob), 1e-12, None)
-        fisher = design.T @ (design * weight[:, None]) + np.diag(ridge)
+        fisher = design.T @ np.multiply(design, weight[:, None], out=weighted) + np.diag(ridge)
         if converged or iterations == _MAX_ITER:
             break
         iterations += 1
@@ -178,7 +178,7 @@ def build_intergroup_clocks(
             continue
         kept = design.kept
         with naming_dependent(kept, names, where):
-            fit = logistic_fit(to_array(design), labels)  # IRLS reads the whole design
+            fit = logistic_fit(design, labels)
 
         _, axis = max_contribution(gb.center[0] - ga.center[0], gb.center[1] - ga.center[1])
         ux, uy = unit_vector(axis)

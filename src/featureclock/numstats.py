@@ -3,10 +3,10 @@
 Ordinary least squares with classical t-tests on an [X | Y] matrix read one
 block of rows at a time, the column statistics and standardization that
 build such a matrix, and Student-t tail probabilities. No routine caches or
-shares state. Two routines write to their argument: standardize_columns (in
-place, one block of rows at a time) and qr_r_in_place (the factorization,
-in a scratch buffer that r_factor owns). ols_fit leaves its argument as it
-was.
+shares state. Three routines write to an argument: standardize_columns (in
+place, one block of rows at a time), qr_r_in_place (the factorization, in a
+scratch buffer that r_factor owns) and fill (a row writer's rows, into a
+buffer its caller owns). ols_fit leaves its argument as it was.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ RANK_TOL = 1e-10
 
 # Cells held at once while a matrix is read in blocks (512 KiB of float64):
 # column_stats gathers blocks of max(1, _BLOCK_CELLS // n) whole columns of
-# n rows, and r_factor and to_array write blocks of _block_rows(m) rows of
-# an m-column matrix.
+# n rows, and r_factor and fill write blocks of _block_rows(m) rows of an
+# m-column matrix.
 _BLOCK_CELLS = 2**16
 
 _BETA_TOL = 1e-12
@@ -175,11 +175,10 @@ def qr_r_in_place(a) -> np.ndarray:
 class ArrayRows:
     """The rows of an array, written into a caller's buffer a block at a time.
 
-    :func:`r_factor`, :func:`to_array` and :func:`ols_fit` read a matrix
-    through ``shape``, ``write(lo, hi, out)``, which fills ``out`` with rows
-    ``lo:hi``, and ``targets``, its last ``k`` columns. ``clockcore.Design``
-    offers the same three members, but gathers and standardizes the rows it
-    writes.
+    A row writer offers ``shape``, ``write(lo, hi, out)``, which fills ``out``
+    with rows ``lo:hi``, and ``targets``, its last ``k`` columns. :func:`r_factor`,
+    :func:`fill` and both fits (through :func:`design_rows`) read matrices so.
+    ``clockcore.Design`` is the other writer: it gathers and standardizes rows.
     """
 
     def __init__(self, a, k: int = 0):
@@ -228,14 +227,22 @@ def r_factor(rows) -> np.ndarray:
     return r
 
 
-def to_array(rows) -> np.ndarray:
-    """The whole matrix that ``rows`` writes, as one new F-ordered array filled a row block at a time."""
+def fill(rows, out) -> None:
+    """Write the whole matrix that ``rows`` writes into the caller's ``out``, a row block at a time."""
     n, m = rows.shape
-    out = np.empty((n, m), order="F")
     b = _block_rows(m)
     for lo in range(0, n, b):
         rows.write(lo, min(n, lo + b), out[lo : lo + b])
-    return out
+
+
+def design_rows(xy, k: int = 0):
+    """``(rows, n, d)``: a fit's [X | k targets] as a row writer (an array validated into :class:`ArrayRows`), n >= d + 2."""
+    if not hasattr(xy, "write"):
+        xy = ArrayRows(as_matrix(xy, name="design matrix", min_cols=k + 1), k)
+    n, d = xy.shape[0], xy.shape[1] - k
+    if n < d + 2:
+        raise ComputationError(f"insufficient observations: n={n} but need at least d+2={d + 2}")
+    return xy, n, d
 
 
 @dataclass(frozen=True)
@@ -254,10 +261,9 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     """Least squares of each of the last ``k`` columns of ``xy`` on the columns before them.
 
     ``xy`` is [X | Y]: a centered or standardized design X of d columns
-    followed by k centered targets. It is an array, left as it was, or a
-    matrix written a block of rows at a time, such as the
-    ``clockcore.Design`` of a clock (see :class:`ArrayRows`). Returns a
-    tuple of k fits, all from the one R factor that :func:`r_factor`
+    followed by k centered targets, as an array, left as it was, or a row
+    writer such as a clock's ``clockcore.Design`` (see :func:`design_rows`).
+    Returns a tuple of k fits, all from the one R factor that :func:`r_factor`
     accumulates over ``xy``'s row blocks; the target norms of the exact-fit
     test come from the targets themselves.
     With R11 the leading d x d block of R, R12 the block beside it and R22
@@ -268,13 +274,7 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     degree lost to the centering that absorbed the intercept). p-values are
     two-sided Student-t tails.
     """
-    if not hasattr(xy, "write"):
-        xy = ArrayRows(as_matrix(xy, name="design matrix", min_cols=k + 1), k)
-    n, d = xy.shape[0], xy.shape[1] - k
-    if n < d + 2:
-        raise ComputationError(
-            f"insufficient observations: n={n} but need at least d+2={d + 2}"
-        )
+    xy, n, d = design_rows(xy, k)
 
     # a column at a time: numpy sums a contiguous column pairwise, whatever the targets' layout
     target_norms = np.sqrt([np.square(xy.targets[:, j]).sum() for j in range(k)])

@@ -34,6 +34,7 @@ PALETTE = (
 )
 DASHES = ("", "6,3", "2,2", "8,3,2,3")
 NOISE_COLOR = "#999999"
+_POINT_COLORS = (*PALETTE, NOISE_COLOR)  # indexed by Scene.point_slots
 
 _MARGIN = 50.0
 _ANNOTATION_STEP = 12.0  # degrees to nudge overlapping rim labels
@@ -98,7 +99,7 @@ class Scene:
     height: int = 600
     feature_styles: dict[str, tuple[str, str]] = field(default_factory=dict)
     points: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))  # embedding rows
-    point_colors: list[str] = field(default_factory=list)
+    point_slots: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))  # in _POINT_COLORS
     clocks: list[ClockGlyph] = field(default_factory=list)
     segments: list[SegmentGlyph] = field(default_factory=list)
     circles: list[CirclesGlyph] = field(default_factory=list)
@@ -133,17 +134,17 @@ def render_scatter(dataset: Dataset, grouping: GroupingResult | None = None, *, 
     scene = Scene(width=int(canvas[0]), height=int(canvas[1]), points=dataset.Y)
     for name in dataset.feature_names:
         _style_for(scene, name)
+    scene.point_slots = np.zeros(len(scene.points), np.uint8)
     if grouping is None:
-        scene.point_colors = [PALETTE[0]] * len(scene.points)
         return scene
     for g in grouping.groups:
         _add_legend(scene, g.name, PALETTE[g.id % len(PALETTE)])
+    # the remainder is cast into the slots as it is taken: no n-long int64 temporary
+    np.remainder(grouping.labels, len(PALETTE), out=scene.point_slots, casting="unsafe")
     noise = grouping.labels == NOISE
     if noise.any():
         _add_legend(scene, "noise", NOISE_COLOR)
-    slots = np.where(noise, len(PALETTE), grouping.labels % len(PALETTE))
-    # an object array hands out the palette's own strings, not one copy per point
-    scene.point_colors = np.array([*PALETTE, NOISE_COLOR], dtype=object)[slots].tolist()
+        scene.point_slots[noise] = len(PALETTE)
     return scene
 
 
@@ -265,20 +266,20 @@ def _nudged_angles(arrows: list[ArrowSpec]) -> list[float]:
     return out
 
 
-def _markers(points: np.ndarray, colors: list[str], tx, ty) -> Iterator[str]:
+def _markers(points: np.ndarray, slots: np.ndarray, tx, ty) -> Iterator[str]:
     """The scatter markers' lines, ``_MARKER_CHUNK`` markers per piece.
 
     ``tx`` and ``ty`` map a whole column at once in the order they map one
     float, so every coordinate is the float ``_fmt`` would be given; "-0.00"
     becomes "0.00" as in ``_fmt``.
     """
-    points = points[: len(colors)]
+    points = points[: len(slots)]
     for lo in range(0, len(points), _MARKER_CHUNK):
         chunk = points[lo : lo + _MARKER_CHUNK]
         values = [None] * (3 * len(chunk))
         values[0::3] = tx(chunk[:, 0]).tolist()
         values[1::3] = ty(chunk[:, 1]).tolist()
-        values[2::3] = colors[lo : lo + len(chunk)]
+        values[2::3] = [_POINT_COLORS[slot] for slot in slots[lo : lo + len(chunk)].tolist()]
         yield (_MARKER * len(chunk) % tuple(values)).replace('"-0.00"', '"0.00"')
 
 
@@ -306,7 +307,7 @@ def _svg_pieces(scene: Scene) -> Iterator[str]:
         f'height="{scene.height}" viewBox="0 0 {scene.width} {scene.height}">\n'
         f'<rect x="0" y="0" width="{scene.width}" height="{scene.height}" fill="#ffffff"/>\n'
     )
-    yield from _markers(points, scene.point_colors, tx, ty)
+    yield from _markers(points, scene.point_slots, tx, ty)
 
     parts = []
     for seg in scene.segments:

@@ -407,12 +407,14 @@ def logistic_fit_reference(x, labels, max_iter=100):
     checked first; each round evaluates the probabilities, gradient and Fisher
     information at the top; the standard errors come from one more
     evaluation at the final coefficients. ``max_iter`` is the library's cap.
+    The [1 | x] stack is column-major, the library's one layout, because
+    BLAS sums a row-major one in another order and its bits differ.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=float)
     check_rank(np.linalg.qr(x, mode="r"))
     n, d = x.shape
-    design = np.column_stack([np.ones(n), x])
+    design = np.asfortranarray(np.column_stack([np.ones(n), x]))
     ridge = np.full(d + 1, L2_PENALTY)
     ridge[0] = 0.0
     beta = np.zeros(d + 1)

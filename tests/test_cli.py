@@ -170,6 +170,24 @@ class TestGlobalCommand:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, where", [
+        ("global", "group 'global'"),
+        ("local", "group 'a'"),
+        ("intergroup", "edge 'a'-'b'"),
+    ], ids=["global", "local", "intergroup"])
+    def test_feature_stats_overflow_exit_3(self, tmp_path, capsys, command, where):
+        # squared deviations of 1e200-sized features are inf; the std was
+        # inf and the standardized columns read as linearly dependent
+        rng = np.random.default_rng(0)
+        x = write_matrix(tmp_path / "x.csv", ["a", "b", "c"], rng.normal(size=(40, 3)) * 1e200)
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(40, 2)))
+        labels = [] if command == "global" else ["--labels", write_labels(tmp_path / "l.csv", ["a"] * 20 + ["b"] * 20)]
+        out = tmp_path / "out"
+        assert run([command, "--x", x, "--y", y, *labels, "--out-dir", out]) == 3
+        message = f"error: {where}: means or stds of features overflow: a, b, c; rescale the features\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_defaults_echoed(self, iris_paths, tmp_path):
         x, y, _ = iris_paths
         out = tmp_path / "out"

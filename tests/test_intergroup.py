@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from featureclock import (
 )
 from featureclock import intergroup as intergroup_module
 from featureclock import numstats
-from featureclock.numstats import check_rank
+from featureclock.clockcore import fit_design
+from featureclock.numstats import check_rank, fill
 from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
@@ -172,6 +174,45 @@ class TestLogisticFit:
         for field in dataclasses.fields(fit):
             assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name)), field.name
 
+    @given(
+        n_rows=st.integers(min_value=12, max_value=70),
+        d=st.integers(min_value=1, max_value=5),
+        constants=st.lists(st.booleans(), max_size=2),
+        shift=st.floats(min_value=0.0, max_value=6.0),
+        block_cells=st.sampled_from([1, 40, numstats._BLOCK_CELLS]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_design_rows_match_the_materialized_reference(self, n_rows, d, constants, shift,
+                                                          block_cells, seed):
+        """A Design, written once into the fit's buffer, fits as its column-major materialization."""
+        rng = np.random.default_rng(seed)
+        n = n_rows + int(rng.integers(0, 20))
+        rows = rng.choice(n, size=n_rows, replace=False)  # unsorted, as on an edge
+        x = rng.normal(loc=rng.uniform(-5.0, 5.0, size=d), size=(n, d))
+        x[rows[n_rows // 2 :]] += shift * rng.normal(size=d)
+        x *= 10.0 ** rng.uniform(-50.0, 50.0, size=d)
+        # constant columns; a False one is constant only on the chosen rows
+        for everywhere in constants:
+            column = rng.normal(size=n) * 10.0 ** rng.uniform(-50.0, 50.0)
+            if everywhere:
+                column[:] = column[0]
+            else:
+                column[rows] = column[rows[0]]
+            x = np.insert(x, int(rng.integers(0, x.shape[1] + 1)), column, axis=1)
+        labels = np.repeat([0.0, 1.0], [n_rows // 2, n_rows - n_rows // 2])
+        names = [f"f{j}" for j in range(x.shape[1])]
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore", ClockWarning)
+            patch.setattr(numstats, "_BLOCK_CELLS", block_cells)
+            design = fit_design(x, rows, np.empty((n_rows, 0)), names, "test")
+            fit = logistic_fit(design, labels)
+            xs = np.empty(design.shape, order="F")
+            fill(design, xs)
+            expected = logistic_fit_reference(xs, labels)
+        for field in dataclasses.fields(fit):
+            assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name)), field.name
+
     def test_dependent_column_raises_with_its_slot(self):
         rng = np.random.default_rng(12)
         a, b, e = rng.normal(size=(3, 120))
@@ -182,8 +223,8 @@ class TestLogisticFit:
         assert info.value.columns == (3,)
 
     def test_design_left_untouched(self):
-        # the rank check factors row blocks in its own scratch; an edge's
-        # F-ordered design is what the IRLS reads after it
+        # the rows are copied into the fit's own [1 | X] matrix, which the
+        # rank check and the IRLS read; the caller's array stays as it was
         rng = np.random.default_rng(13)
         x = np.asfortranarray(rng.normal(size=(80, 3)))
         x[40:, 0] += 1.5
@@ -401,6 +442,28 @@ class TestIntergroupClocks:
         with pytest.warns(ClockWarning):
             with pytest.raises(ComputationError, match="every MST edge was skipped"):
                 build_intergroup_clocks(dataset, grouping, mst)
+
+    def test_memory_stays_near_one_design(self):
+        # one [1 | X] buffer and one design * weight buffer, each n x (d + 1),
+        # plus a block of rows; the design's copy and the ones column stack
+        # that came before them made it 3.1x
+        rng = np.random.default_rng(14)
+        n, d = 20_000, 30
+        x = rng.normal(size=(n, d))
+        x[n // 2 :, :3] += 0.5
+        y = rng.normal(scale=0.5, size=(n, 2))
+        y[n // 2 :, 0] += 10.0
+        labels = ["a"] * (n // 2) + ["b"] * (n // 2)
+        dataset = make_dataset(x, y, labels)
+        grouping = from_labels(labels, y)
+        mst = mst_over_centers(grouping)
+        tracemalloc.start()
+        try:
+            build_intergroup_clocks(dataset, grouping, mst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * (d + 1) * 8
 
     def test_top_k_limits_arrows(self):
         rng = np.random.default_rng(9)

@@ -26,9 +26,9 @@ from featureclock.numstats import (
     as_matrix,
     column_stats,
     distinct,
+    fill,
     qr_r_in_place,
     r_factor,
-    to_array,
 )
 
 from oracles import (
@@ -46,7 +46,9 @@ def design_of(x, names=None):
     x = np.asarray(x, dtype=float)
     names = names or [f"f{j}" for j in range(x.shape[1])]
     design = fit_design(x, np.arange(len(x)), np.empty((len(x), 0)), names, "test")
-    return design.kept, to_array(design)
+    out = np.empty(design.shape, order="F")
+    fill(design, out)
+    return design.kept, out
 
 
 class TestStandardize:

@@ -129,6 +129,7 @@ class TestStreaming:
 
             def ty(v):
                 return 600 - (origin + scale * (v - low))
+        slots = (np.arange(len(points)) % 11).astype(np.uint8)
         colors = [(*PALETTE, NOISE_COLOR)[i % 11] for i in range(len(points))]
         expected = "".join(
             f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="3" fill="{color}" '
@@ -138,7 +139,7 @@ class TestStreaming:
         array = np.array(points, dtype=float).reshape(-1, 2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(render_module, "_MARKER_CHUNK", chunk)
-            assert "".join(_markers(array, colors, tx, ty)) == expected
+            assert "".join(_markers(array, slots, tx, ty)) == expected
 
     @pytest.mark.parametrize("chunk", [1, 3, render_module._MARKER_CHUNK])
     def test_written_bytes_equal_to_svg(self, iris_dataset, tmp_path, chunk):
@@ -171,7 +172,24 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert marker_count((tmp_path / "scatter.svg").read_text()) == 40_000
-        assert peak < 1.8 * y.nbytes  # 1.56 measured
+        assert peak < 1.8 * y.nbytes  # 0.47 measured
+
+    def test_scatter_keeps_one_byte_per_point(self):
+        # a color string per point, through an int64 and an object array, took 1.56 Y.nbytes
+        rng = np.random.default_rng(1)
+        y = rng.normal(size=(40_000, 2))
+        dataset = make_dataset(rng.normal(size=(40_000, 3)), y)
+        tokens = [f"g{i}" for i in rng.integers(12, size=40_000)]
+        tokens[::7] = ["noise"] * len(tokens[::7])
+        grouping = from_labels(tokens, y)
+        tracemalloc.start()
+        try:
+            scene = render_scatter(dataset, grouping)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * y.nbytes
+        assert scene.point_slots.dtype == np.uint8
 
 
 def line_length_px(svg, color):
