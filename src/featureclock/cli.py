@@ -29,7 +29,7 @@ from .ingest import Dataset, RunConfig, load_dataset, validate_config
 from .intergroup import IntergroupClock, build_intergroup_clocks
 from .render import render_circles, render_clock, render_intergroup, render_scatter
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @contextmanager
@@ -85,11 +85,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
     parser.add_argument("--top-k", dest="top_k", type=int, default=None, help="keep only the k strongest arrows")
     parser.add_argument("--theta-step", dest="theta_step_deg", type=float, default=None,
-                        help="sweep step in degrees (default 5)")
+                        help="sweep step in degrees, with --circles (default 5)")
     parser.add_argument("--no-standardize-x", dest="standardize_x", action="store_const",
                         const=False, default=None, help="skip feature standardization")
-    parser.add_argument("--no-center-y", dest="center_y", action="store_const",
-                        const=False, default=None, help="skip embedding centering")
     parser.add_argument("--standardize-betas", dest="standardize_betas", action="store_const",
                         const=True, default=None, help="rescale coefficients by their pooled std")
     parser.add_argument("--significance-rule", dest="significance_rule", choices=("or", "and"),
@@ -136,7 +134,7 @@ _UNREAD = {
                "cluster_on": "--cluster-on applies to local and intergroup only"},
     "intergroup": {
         dest: f"{flag} applies to global and local only"
-        for dest, flag in (("standardize_x", "--no-standardize-x"), ("center_y", "--no-center-y"),
+        for dest, flag in (("standardize_x", "--no-standardize-x"),
                            ("standardize_betas", "--standardize-betas"),
                            ("significance_rule", "--significance-rule"), ("circles", "--circles"),
                            ("theta_step_deg", "--theta-step"), ("clock_scale", "--scale"))
@@ -160,6 +158,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InputDataError("--cluster-on applies with --cluster only")
     if args.seed is not None and raw["cluster_method"] != "kmeans":
         raise InputDataError("--seed applies with --cluster kmeans:<k> only")
+    if args.theta_step_deg is not None and args.circles is None:
+        raise InputDataError("--theta-step applies with --circles only")
     return validate_config(raw)
 
 

@@ -241,8 +241,8 @@ def build_clock(
     Standardizes the members' features (constant features are dropped with a
     warning), centers their embedding coordinates, fits the two axis
     regressions, and keeps the significant arrows sorted by magnitude. The
-    anchor is the members' embedding centroid unless the config overrides it;
-    the scale is half the members' bounding-box diagonal.
+    anchor is the members' embedding centroid; the scale is half the
+    members' bounding-box diagonal.
     """
     x, y, names = _checked_inputs(x, y, feature_names)
     return _fit_clock(x, y, member_idx, config or RunConfig(), variant, group, names)
@@ -264,8 +264,8 @@ def _fit_clock(x, y, member_idx, config: RunConfig, variant: str, group, names) 
             f"group {label!r} too small for clock: {members.size} points"
         )
 
-    yc = center_columns(ym) if config.center_y else ym
-    design = fit_design(x, members, yc, names, f"group {label!r}", scale=config.standardize_x)
+    design = fit_design(x, members, center_columns(ym), names, f"group {label!r}",
+                        scale=config.standardize_x)
     kept = design.kept
     if members.size < len(kept) + 2:
         raise GroupTooSmallError(
@@ -292,10 +292,7 @@ def _fit_clock(x, y, member_idx, config: RunConfig, variant: str, group, names) 
                                      p0, p90, combine(p0, p90) < config.alpha))
     arrows = select_arrows(arrows_all, config, f"clock for group {label!r}")
 
-    anchor = config.anchor if config.anchor is not None else (
-        float(ym[:, 0].mean()),
-        float(ym[:, 1].mean()),
-    )
+    anchor = (float(ym[:, 0].mean()), float(ym[:, 1].mean()))
     span_x = float(ym[:, 0].max() - ym[:, 0].min())
     span_y = float(ym[:, 1].max() - ym[:, 1].min())
     scale = 0.5 * math.hypot(span_x, span_y)

@@ -9,13 +9,13 @@ measured.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ComputationError, InputDataError
 from .numstats import as_matrix, distinct
-from .seeding import Stream
 
 # Label value for points no cluster claims. The token "noise" (any case) in a
 # labels file maps here; noise points never join a group or shift a center.
@@ -118,8 +118,10 @@ def _mean_row(arr: np.ndarray, members: np.ndarray, scratch: np.ndarray) -> np.n
 def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
-    The start draws what ``numpy.random.default_rng(seed)`` would, from the
-    copy of its stream in ``seeding``, so no run imports ``numpy.random``.
+    The start takes one ``random.Random(seed).random()`` draw u per center:
+    the first center is row ``int(u * n)``, and each later one is the first
+    row whose share of the cumulative squared distances to the centers so
+    far exceeds u (uniform again once every row sits on a center).
     Empty clusters are repaired by reseeding them with the point farthest
     from its current center among clusters of two or more points, so every
     cluster keeps a member. Identical data, k, and seed give identical
@@ -163,17 +165,19 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     # each row's squared distance to its nearest center: the centers chosen so
     # far while seeding, then its assigned center in Lloyd's rounds
     nearest = np.full(n, np.inf)
-    rng = Stream(seed)
+    rng = random.Random(seed)
     centers = np.empty((k, arr.shape[1]))
     for c in range(k):
-        # uniform for the first center, and once every row sits on a center
         total = float(nearest.sum()) if c else 0.0
         if not math.isfinite(total):
             raise ComputationError(_OVERFLOW)
+        u = rng.random()
         if total <= 0.0:
-            idx = rng.integers(n)
+            idx = int(u * n)
         else:
-            idx = rng.choice(nearest / total)
+            cdf = nearest.cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(u, side="right"))
         centers[c] = arr[idx]
         for lo in starts:
             part = nearest[lo : lo + rows]

@@ -53,7 +53,6 @@ class RunConfig:
     top_k: int | None = None
     theta_step_deg: float = 5.0
     standardize_x: bool = True
-    center_y: bool = True
     standardize_betas: bool = False
     clock_scale: float = 1.0
     significance_rule: str = "or"
@@ -65,7 +64,6 @@ class RunConfig:
     cluster_min_pts: int = 5
     cluster_on: str = "x"
     canvas: tuple[int, int] = (900, 600)
-    anchor: tuple[float, float] | None = None
 
 
 def _rows(p: Path):
@@ -260,8 +258,11 @@ def validate_config(options=None, /) -> RunConfig:
     canvas = merged["canvas"]
     try:
         width, height = (int(canvas[0]), int(canvas[1]))
+        float(width), float(height)  # the renderer draws in floats
     except (TypeError, ValueError, IndexError):
         raise InputDataError(f"canvas must be a (width, height) pair, got {canvas!r}") from None
+    except OverflowError:
+        raise InputDataError(f"canvas sides must be finite numbers, got {canvas[0]}x{canvas[1]}") from None
     if width < 100 or height < 100:
         raise InputDataError(f"canvas must be at least 100x100, got {width}x{height}")
     merged["canvas"] = (width, height)
@@ -271,8 +272,5 @@ def validate_config(options=None, /) -> RunConfig:
         raise InputDataError(f"seed must be non-negative, got {merged['seed']}")
     merged["cluster_k"] = int(merged["cluster_k"])
     merged["cluster_min_pts"] = int(merged["cluster_min_pts"])
-    if merged["anchor"] is not None:
-        ax, ay = merged["anchor"]
-        merged["anchor"] = (_finite("anchor x", ax), _finite("anchor y", ay))
 
     return RunConfig(**merged)

@@ -21,6 +21,7 @@ the earlier IRLS loop of the logistic fit.
 import csv
 import itertools
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -226,18 +227,24 @@ def dbscan_reference(data, eps: float, min_pts: int) -> np.ndarray:
 def kmeans_reference(data, k: int, seed: int) -> np.ndarray:
     """K-means labels from one full (n, k) distance matrix per Lloyd round.
 
-    The k-means++ start draws from ``default_rng(seed)`` exactly as the
-    library does. An empty cluster takes the point farthest from its center
+    The k-means++ start takes one ``random.Random(seed).random()`` draw u per
+    center, as the library does: row ``int(u * n)`` while no distance is
+    positive, else the first row whose cumulative share of the distances
+    exceeds u. An empty cluster takes the point farthest from its center
     among clusters of two or more points, read from the distance matrix.
     """
     arr = np.asarray(data, dtype=float)
     n = arr.shape[0]
-    rng = np.random.default_rng(seed)
-    centers = [arr[int(rng.integers(n))]]
+    rng = random.Random(seed)
+    centers = [arr[int(rng.random() * n)]]
     closest = ((arr - centers[0]) ** 2).sum(axis=1)
     for _ in range(1, k):
-        total = float(closest.sum())
-        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        u = rng.random()
+        if float(closest.sum()) <= 0.0:
+            idx = int(u * n)
+        else:
+            cdf = np.cumsum(closest)
+            idx = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
         centers.append(arr[idx])
         closest = np.minimum(closest, ((arr - arr[idx]) ** 2).sum(axis=1))
 

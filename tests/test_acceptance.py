@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from featureclock import (
+    Dataset,
     RunConfig,
     build_clock,
     build_global_clock,
     build_intergroup_clocks,
+    build_local_clocks,
     center_columns,
     from_labels,
     logistic_fit,
@@ -28,6 +30,7 @@ from featureclock import (
     student_t_two_sided_p,
 )
 from featureclock.cli import main
+from featureclock.ingest import Provenance
 
 from oracles import (
     logistic_penalized_gradient,
@@ -259,4 +262,24 @@ def test_criterion_9_defaults_conformance(tmp_path, iris_dataset):
     assert config["alpha"] == 0.05
     assert config["theta_step_deg"] == 5.0
     assert config["standardize_x"] is True
-    assert config["center_y"] is True
+
+    # Y is centered: an offset added to every embedding row moves each anchor
+    # by that offset and leaves every coefficient and p-value. On a 1/1024
+    # grid with power-of-two group sizes, every sum and mean here is exact.
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(128, 4))
+    y = np.round((x[:, :2] @ [[1.0, 0.5], [-0.5, 1.0]] + rng.normal(size=(128, 2))) * 1024) / 1024
+    labels = ("a",) * 64 + ("b",) * 64
+
+    def views(embedding):
+        dataset = Dataset(("f0", "f1", "f2", "f3"), x, embedding, labels, Provenance("x", "y", "l"))
+        config = RunConfig(alpha=1.0)
+        grouping = from_labels(labels, embedding)
+        return [build_global_clock(dataset, config), *build_local_clocks(dataset, grouping, config)]
+
+    for base, moved in zip(views(y), views(y + [5.0, -3.0]), strict=True):
+        assert moved.anchor == (base.anchor[0] + 5.0, base.anchor[1] - 3.0)
+        assert [a.feature for a in moved.arrows] == [a.feature for a in base.arrows]
+        for a, b in zip(base.arrows, moved.arrows):
+            for field in ("beta0", "beta90", "p0", "p90"):
+                assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-9, abs=0)

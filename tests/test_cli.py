@@ -125,8 +125,8 @@ class TestGlobalCommand:
         "command, flags, name",
         [
             ("global", ["--alpha", "nan"], "alpha"),
-            ("global", ["--theta-step", "nan"], "theta_step"),
-            ("global", ["--theta-step", "inf"], "theta_step"),
+            ("global", ["--theta-step", "nan", "--circles"], "theta_step"),
+            ("global", ["--theta-step", "inf", "--circles"], "theta_step"),
             ("global", ["--scale", "nan"], "scale"),
             ("global", ["--scale", "inf"], "scale"),
             ("local", ["--cluster", "dbscan:nan,5"], "eps"),
@@ -196,8 +196,8 @@ class TestGlobalCommand:
         assert config["alpha"] == 0.05
         assert config["theta_step_deg"] == 5.0
         assert config["standardize_x"] is True
-        assert config["center_y"] is True
         assert config["significance_rule"] == "or"
+        assert "center_y" not in config and "anchor" not in config
 
     @pytest.mark.parametrize(
         "cluster, expected",
@@ -213,14 +213,14 @@ class TestGlobalCommand:
         out = tmp_path / "out"
         seed = ["--seed", "3"] if cluster.startswith("kmeans") else []
         flags = ["--alpha", "0.01", "--top-k", "2", "--theta-step", "6", "--no-standardize-x",
-                 "--no-center-y", "--standardize-betas", "--significance-rule", "and", "--circles",
+                 "--standardize-betas", "--significance-rule", "and", "--circles",
                  "--scale", "2", *seed, "--canvas", "800x500", "--cluster-on", "y",
                  "--cluster", cluster]
         assert run(["local", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
         config = json.loads((out / "clock.json").read_text())["config"]
         expected = {
             "alpha": 0.01, "top_k": 2, "theta_step_deg": 6.0, "standardize_x": False,
-            "center_y": False, "standardize_betas": True, "significance_rule": "and",
+            "standardize_betas": True, "significance_rule": "and",
             "circles": True, "clock_scale": 2.0, "canvas": [800, 500],
             "cluster_on": "y", **expected,
         }
@@ -273,6 +273,31 @@ class TestGlobalCommand:
         assert "theta_step must be at least 0.1 degrees, got 1e-308" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("view", ["global", "local"])
+    def test_theta_step_without_circles_exit_2(self, iris_paths, tmp_path, capsys, view):
+        # only the coefficient sweep of --circles reads the step
+        x, y, labels = iris_paths
+        out = tmp_path / "out"
+        args = [view, "--x", x, "--y", y, "--labels", labels, "--theta-step", "6"]
+        assert run([*args, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: --theta-step applies with --circles only\n"
+        assert not out.exists()
+
+    def test_canvas_beyond_float_exit_2(self, iris_paths, tmp_path, capsys):
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        side = "1" + "0" * 400
+        assert run(["global", "--x", x, "--y", y, "--canvas", f"{side}x600", "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: canvas sides must be finite numbers, got {side}x600\n"
+        assert not out.exists()
+
+    def test_no_center_y_is_unrecognized(self, iris_paths, tmp_path, capsys):
+        x, y, _ = iris_paths
+        with pytest.raises(SystemExit) as exit_info:
+            run(["global", "--x", x, "--y", y, "--no-center-y", "--out-dir", tmp_path / "out"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-center-y" in capsys.readouterr().err
+
     def test_foreign_warning_reaches_the_caller(self, iris_paths, tmp_path, capsys, monkeypatch):
         build = cli_module.build_global_clock
 
@@ -291,7 +316,8 @@ class TestGlobalCommand:
     def test_theta_adjustment_warned_and_recorded(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         out = tmp_path / "out"
-        assert run(["global", "--x", x, "--y", y, "--theta-step", "7", "--out-dir", out]) == 0
+        args = ["global", "--x", x, "--y", y, "--theta-step", "7", "--circles"]
+        assert run([*args, "--out-dir", out]) == 0
         assert "7.2" in capsys.readouterr().err
         report = json.loads((out / "clock.json").read_text())
         assert report["config"]["theta_step_deg"] == 7.2
@@ -314,7 +340,7 @@ class TestGlobalCommand:
         x, y, _ = iris_paths
         out = tmp_path / "out"
         args = ["global", "--x", x, "--y", y, "--alpha", "0.01", "--top-k", "2", "--theta-step", "6",
-                "--no-standardize-x", "--no-center-y", "--significance-rule", "and", "--circles",
+                "--no-standardize-x", "--significance-rule", "and", "--circles",
                 "--scale", "2", "--canvas", "800x500", "--out-dir", out, *flags]
         assert run(args) == 0
         clock = json.loads((out / "clock.json").read_text())["clocks"][0]
@@ -463,7 +489,8 @@ class TestIntergroupCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--no-standardize-x"], ["--no-center-y"], ["--standardize-betas"],
+        # given --circles and --theta-step, the message names --circles
+        [["--no-standardize-x"], ["--circles", "--theta-step", "7"], ["--standardize-betas"],
          ["--significance-rule", "and"], ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
     )
     def test_unread_flag_exit_2(self, iris_paths, tmp_path, capsys, flags):
@@ -554,18 +581,18 @@ def hash_tree(directory):
 # sha256 of every demo output; regenerate with `featureclock demo` if the
 # rendering or report format changes on purpose.
 DEMO_GOLDEN = {
-    "global_clock.json": "c627a6762ea854964292f7438b0097485656287a4722f58540f910e4d8f5113f",
+    "global_clock.json": "b6256e1a3ab3537288fcca2338c06466dd5c7968c11acd9a536755792c179f49",
     "global_clock.svg": "fb9b7986b4c9e1fca592f9fe9a2164aa9277b09558ccebae0e2280045421a618",
-    "intergroup_clocks.json": "2725f911ae7bd6e8aad1e9ca5315e7a9d29b596b76b7dfdbefcb51c60d439c12",
+    "intergroup_clocks.json": "4025172e275d71dc00a12b9a4b31cb2e513bc331b5ea92c758a72b8b3e215be1",
     "intergroup_clocks.svg": "4f5c0e7cf29aaa81bf1c17001a0a7e680dc2f1ab1c423d2950d74868e43ebf55",
-    "local_clocks.json": "2e2775d542465fa20c4aba3aa3c666cd5a27ca0462981ef621d47a385164a973",
+    "local_clocks.json": "47953bbf094d57bb7a2a1160a9bbc46bb2af2ce800ed662c32678569ce0ccde9",
     "local_clocks.svg": "412971e8936b20367f9a331b97368d609b231345e9afdc2e76bc902531827cc2",
 }
 
 
 # Flags read by both the global and the local view.
 _EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-standardize-x",
-               "--no-center-y", "--standardize-betas", "--significance-rule", "and", "--circles",
+               "--standardize-betas", "--significance-rule", "and", "--circles",
                "--scale", "1.5", "--canvas", "800x500"]
 
 # sha256 of clock.json and clock.svg for iris runs that, between them, pass
@@ -574,54 +601,54 @@ _EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-sta
 FLAG_GOLDEN = {
     "global-circles": (
         ["global", "--circles"],
-        "1dc1687a904f6a2c6edc68efc2d9c8d1b0c9c4795abe32645f1458ac91733b51",
+        "0e58fa6ac2667f3a4efe0a2c7d5d653c735929eefe9acde99b0e7d050e830fab",
         "558454657f875cd739ee606968f88c94dbe72680be5dd57a631e90c51532ff3f",
     ),
     "global-labels-raw-x": (
         ["global", "--labels", "--no-standardize-x"],
-        "ef9c46af2ffcac303bf586fe5602875f9c93ff89cf82f4e20a7e5c8b5d03de60",
+        "f11605b3b29d0d94f70a3048e1fc918c5f407b22ca4bcaf7b39ccffff85c776c",
         "1f8d031da61381e0c7e9d9eba2c1014d883492216d0295cd1429fc482e49e314",
     ),
     "global-every-flag": (
         ["global", "--labels", *_EVERY_FLAG],
-        "a77c8e86ccbf216713eb96f772a7f771d095d3c6950daed8b4a86f8ae6cdb3a8",
+        "c99a3e44d20bcb75ba7b63a9b6fda1f1748190f3ab06269b8a39e6f30c971843",
         "438289ba5eb215bffd4686d410dfb6c548df5b7727d2a5864d0f278a10f1e335",
     ),
     "local-kmeans": (
         ["local", "--cluster", "kmeans:3"],
-        "92a66f3822e18130f2863032710ed56906f8fca2c576e6180ed009ea8145720b",
-        "2a54a3a9dedfedba43826b824188ac2cfc1dff6b3dccafc5d3b3181112c234f2",
+        "ac4b705bcf7ce7339eb46a1b993129eb5f51b481b88a8e77e0f1b5655a2c6f7d",
+        "8b81e2cdec3846bee6d442ebda122143ae4dc34757c2c40fe95855ab773c0c9f",
     ),
     "local-circles-labels": (
         ["local", "--circles", "--labels"],
-        "575d47f67b4b7317d0e00cb805ba49b7ff9459f7429fdecc177791c17edaf58a",
+        "18133399f8c9078f61c659a647b3d2fc56a9b0d4f9aaaac41e11dda04a84cad2",
         "6c067ad9307fc3b29b5401d362bf0fc4694f1a51f1bb55052d8d74916dc36c5c",
     ),
     "local-dbscan": (
         ["local", "--cluster", "dbscan:0.4,4"],
-        "70778642a45813f6a18f0f283f61b55f625943f56cd053c657833f30ee2b4142",
+        "ee8f9e8ccd432a34ff7d4121935035c0274b0db7f53b6ed2198410ca3af8c48a",
         "099e370f47cdc14bc6245a7dac7e548331edb58754976eb0ab14cf0ba53ff0ca",
     ),
     "local-every-flag": (
         ["local", "--cluster", "kmeans:3", "--cluster-on", "y", "--seed", "5", *_EVERY_FLAG],
-        "7d58b156e57de04bf36287b9ca5eee9d851056e2ea0cf2484edfbed5c43c24f7",
-        "8c8a011a61ca3603224d67057e03092ccb8f90ae1d54364f2453934ae6b3e465",
+        "b3d65ba9832c98c577906dc685690d8094d7a6782c9cdd36bb8b349fefbaf4bd",
+        "f52b1f9a1b4e6f65b0839ad116c92b17eaaa62b94f6a84f750a1405bf3a7996c",
     ),
     "intergroup-kmeans": (
         ["intergroup", "--cluster", "kmeans:4"],
-        "e101c7564b9a644e7c48bdd581f7d093be1b512317a22597bd79b4708daa56d9",
-        "31ffe2a3fda4eba516a1f31547a657905005fca4c09dbe3f9149b2347e6c4491",
+        "247ce9712fc9846f6edcb03b4dc0a9b6b9a4504e986c13c0e0a86284ab73ce9e",
+        "82fd0efb712b460e5b6b0494bc14f204b95c3565117200b535b65c562f6627b4",
     ),
     "intergroup-dbscan": (
         ["intergroup", "--cluster", "dbscan:0.5,5"],
-        "939ededa69098a25b71e0c4ae762f71b66663a8d12507cd22d2d201771ca4c22",
+        "c0ba4b426100d578229c5facd2b56bfbf9420cf9f43c9591ca248ff517db40a8",
         "628b7bb84fdec9c264c51ce7fe2c18e1d3fa1e9097b63e53b74fcb3cb94b9d2d",
     ),
     "intergroup-every-flag": (
         ["intergroup", "--cluster", "kmeans:4", "--cluster-on", "y", "--seed", "2",
                               "--alpha", "0.1", "--top-k", "2", "--canvas", "800x500"],
-        "839d84590e82a87ca2a6205c2b04ebe9e13cf0bcd7debcf87ce2d54f4767d2e5",
-        "13cbe68debe089b04a61ac975345497db32048ac12979ae262828950d06226c2",
+        "ab95bb74479611699e854d1b809f06d7538fbf63e9c18bce3169caea7f0e72e1",
+        "e1aa1b222788a92633c00394c9fcab7355b496eb25755193821c07b3333db481",
     ),
 }
 
@@ -709,7 +736,7 @@ class TestDemo:
 
     def test_numpy_random_never_imported(self, iris_paths, tmp_path):
         # numpy.random brings hashlib, secrets and the Cython runtime, about
-        # 6 MB; k-means draws its start from featureclock.seeding instead
+        # 6 MB; k-means draws its start from the standard library's random
         x, y, _ = iris_paths
         runs = [
             ["local", "--x", str(x), "--y", str(y), "--cluster", "kmeans:3", "--out-dir", str(tmp_path / "local")],
@@ -738,7 +765,7 @@ class TestDemo:
         out = tmp_path / "demo"
         assert run(["demo", "--out-dir", out]) == 0
         report = json.loads((out / "global_clock.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["tool"] == "featureclock"
         assert report["inputs"]["x"] == "iris_features.csv"
         assert report["inputs"]["rows"] == 150

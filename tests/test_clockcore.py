@@ -333,11 +333,6 @@ class TestBuildClock:
         dy = y[:, 1].max() - y[:, 1].min()
         assert clock.scale == pytest.approx(0.5 * math.hypot(dx, dy))
 
-    def test_anchor_override(self):
-        x, y = identity_fixture()
-        clock = build_clock(x, y, range(len(x)), RunConfig(anchor=(3.0, -1.0)))
-        assert clock.anchor == (3.0, -1.0)
-
     def test_zero_variance_feature_dropped_with_warning(self):
         # The dropped column leaves the fit bit-identical to one on X without it:
         # standardizing a C-ordered kept block would sum its columns in another order.
@@ -418,18 +413,6 @@ class TestBuildClock:
         # standardized: the scale cancels, y0 = z0; raw: y0 = 0.5 * x0
         assert std_on.arrows[0].magnitude == pytest.approx(1.0, abs=1e-9)
         assert std_off.arrows[0].magnitude == pytest.approx(0.5, abs=1e-9)
-
-    def test_no_center_y_inflates_residuals_not_coefficients(self):
-        rng = np.random.default_rng(19)
-        x = rng.normal(size=(60, 3))
-        y = rng.normal(size=(60, 2)) + x[:, :2] + 50.0  # large offset
-        centered = build_clock(x, y, range(60), RunConfig(alpha=1.0))
-        raw = build_clock(x, y, range(60), RunConfig(alpha=1.0, center_y=False))
-        for a, b in zip(centered.arrows, raw.arrows):
-            assert a.feature == b.feature
-            assert a.magnitude == pytest.approx(b.magnitude, abs=1e-9)
-            # the unmodeled mean stays in the residuals and weakens the tests
-            assert b.p0 >= a.p0 - 1e-12
 
     def test_circles_flag_attaches_sweep(self):
         x, y = identity_fixture()

@@ -302,7 +302,6 @@ class TestValidateConfig:
         assert config.alpha == 0.05
         assert config.theta_step_deg == 5.0
         assert config.standardize_x is True
-        assert config.center_y is True
         assert config.standardize_betas is False
         assert config.significance_rule == "or"
         assert config.top_k is None
@@ -371,9 +370,20 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("anchor", [(0.0, float("inf")), (float("nan"), 0.0)])
     def test_non_finite_anchor_rejected(self, anchor):
-        # the CLI tests cover the other numeric options; anchor has no flag
-        with pytest.raises(InputDataError, match="anchor . must be a finite number"):
+        # a clock sits at its members' centroid; no option moves it
+        with pytest.raises(InputDataError, match="^unknown options: anchor$"):
             validate_config({"anchor": anchor})
+
+    @pytest.mark.parametrize("options", [{"center_y": False}, {"anchor": (0.0, 0.0)}])
+    def test_removed_options_are_unknown(self, options):
+        # Y is always centered, and every clock sits at its members' centroid
+        with pytest.raises(InputDataError, match=f"^unknown options: {next(iter(options))}$"):
+            validate_config(options)
+
+    def test_infinite_canvas_side_rejected(self):
+        # the CLI test covers an integer side too large for a float
+        with pytest.raises(InputDataError, match="^canvas sides must be finite numbers, got 900xinf$"):
+            validate_config({"canvas": (900, float("inf"))})
 
     def test_run_config_direct_construction_allows_alpha_zero(self):
         assert RunConfig(alpha=0.0).alpha == 0.0
