@@ -209,7 +209,7 @@ def select_arrows(arrows, config: RunConfig, where: str) -> tuple[ClockArrow, ..
     return tuple(significant)
 
 
-def _checked_inputs(x, y, feature_names):
+def checked_inputs(x, y, feature_names):
     """``(x, y, names)``: X and the embedding validated as one pair, and the feature names."""
     x = as_matrix(x, name="X")
     y = as_matrix(y, name="Y")
@@ -226,6 +226,15 @@ def _checked_inputs(x, y, feature_names):
     return x, y, names
 
 
+def check_coverage(dataset: Dataset, grouping) -> None:
+    """Raise ComputationError unless ``grouping`` labels every row of ``dataset``."""
+    if grouping.labels.shape[0] != dataset.X.shape[0]:
+        raise ComputationError(
+            f"grouping covers {grouping.labels.shape[0]} points "
+            f"but the dataset has {dataset.X.shape[0]}"
+        )
+
+
 def build_clock(
     x,
     y,
@@ -238,22 +247,22 @@ def build_clock(
 ) -> Clock:
     """Assemble a clock over the given member rows.
 
-    Standardizes the members' features (constant features are dropped with a
-    warning), centers their embedding coordinates, fits the two axis
-    regressions, and keeps the significant arrows sorted by magnitude. The
-    anchor is the members' embedding centroid; the scale is half the
-    members' bounding-box diagonal.
+    ``member_idx`` is any sequence or array of integer row indices; it is
+    sorted and deduplicated. Standardizes the members' features (constant
+    features are dropped with a warning), centers their embedding
+    coordinates, fits the two axis regressions, and keeps the significant
+    arrows sorted by magnitude. The anchor is the members' embedding
+    centroid; the scale is half the members' bounding-box diagonal.
     """
-    x, y, names = _checked_inputs(x, y, feature_names)
-    return _fit_clock(x, y, member_idx, config or RunConfig(), variant, group, names)
-
-
-def _fit_clock(x, y, member_idx, config: RunConfig, variant: str, group, names) -> Clock:
-    """:func:`build_clock` on inputs that :func:`_checked_inputs` has validated."""
+    x, y, names = checked_inputs(x, y, feature_names)
+    config = config or RunConfig()
     n = x.shape[0]
-    members = distinct(np.sort(np.asarray(member_idx, dtype=np.intp), axis=None))
-    if not members.size:
+    idx = np.asarray(member_idx)
+    if not idx.size:
         raise ComputationError("member set is empty")
+    if not np.issubdtype(idx.dtype, np.integer):  # np.intp would read a mask or floats as rows
+        raise ComputationError(f"member indices must be integers, got dtype {idx.dtype}")
+    members = distinct(np.sort(idx.astype(np.intp, copy=False), axis=None))
     if members[0] < 0 or members[-1] >= n:
         raise ComputationError(f"member indices must be in [0, {n}), got {members[0]}..{members[-1]}")
     label = group if group is not None else variant
@@ -323,20 +332,15 @@ def build_global_clock(dataset: Dataset, config: RunConfig | None = None) -> Clo
 
 
 def build_local_clocks(dataset: Dataset, grouping, config: RunConfig | None = None) -> list[Clock]:
-    """One clock per non-noise group; groups that cannot be fitted are skipped with a warning."""
-    config = config or RunConfig()
-    if grouping.labels.shape[0] != dataset.X.shape[0]:
-        raise ComputationError(
-            f"grouping covers {grouping.labels.shape[0]} points "
-            f"but the dataset has {dataset.X.shape[0]}"
-        )
+    """One :func:`build_clock` per non-noise group; groups too small to fit are skipped with a warning."""
+    check_coverage(dataset, grouping)
     if not grouping.groups:
         raise ComputationError("no usable groups")
-    x, y, names = _checked_inputs(dataset.X, dataset.Y, dataset.feature_names)
     clocks = []
     for grp in grouping.groups:
         try:
-            clocks.append(_fit_clock(x, y, grp.members, config, "local", grp.name, names))
+            clocks.append(build_clock(dataset.X, dataset.Y, grp.members, config, variant="local",
+                                      group=grp.name, feature_names=dataset.feature_names))
         except GroupTooSmallError as exc:
             warnings.warn(f"skipping group {grp.name!r}: {exc}", ClockWarning, stacklevel=2)
     if not clocks:

@@ -176,10 +176,29 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
 
 
 def _finite(name: str, value) -> float:
-    number = float(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputDataError(f"{name} must be a finite number, got {value!r}") from None
     if not math.isfinite(number):
         raise InputDataError(f"{name} must be a finite number, got {number}")
     return number
+
+
+def _whole(value, number: int) -> bool:
+    """Whether ``int(value)`` gave ``number`` without dropping a fraction."""
+    # int() of a string succeeds only on a whole number; of anything else it truncates
+    return isinstance(value, (str, bytes)) or number == value
+
+
+def _integer(name: str, value) -> int:
+    try:
+        number = int(value)
+        if _whole(value, number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputDataError(f"{name} must be an integer, got {value!r}")
 
 
 def validate_config(options=None, /) -> RunConfig:
@@ -204,8 +223,11 @@ def validate_config(options=None, /) -> RunConfig:
         raise InputDataError(f"alpha must be in (0, 1], got {alpha}")
     merged["alpha"] = alpha
 
+    for key in ("seed", "cluster_k", "cluster_min_pts"):
+        merged[key] = _integer(key, merged[key])
+
     if merged["top_k"] is not None:
-        top_k = int(merged["top_k"])
+        top_k = _integer("top_k", merged["top_k"])
         if top_k < 1:
             raise InputDataError(f"top_k must be at least 1, got {top_k}")
         merged["top_k"] = top_k
@@ -247,12 +269,12 @@ def validate_config(options=None, /) -> RunConfig:
         if method not in ("kmeans", "dbscan"):
             raise InputDataError(f"cluster method must be 'kmeans' or 'dbscan', got {method!r}")
         merged["cluster_method"] = method
-        if method == "kmeans" and int(merged["cluster_k"]) < 1:
+        if method == "kmeans" and merged["cluster_k"] < 1:
             raise InputDataError("kmeans needs k >= 1")
         if method == "dbscan":
             if merged["cluster_eps"] is None or merged["cluster_eps"] <= 0:
                 raise InputDataError("dbscan needs eps > 0")
-            if int(merged["cluster_min_pts"]) < 1:
+            if merged["cluster_min_pts"] < 1:
                 raise InputDataError("dbscan needs min_pts >= 1")
 
     canvas = merged["canvas"]
@@ -263,14 +285,13 @@ def validate_config(options=None, /) -> RunConfig:
         raise InputDataError(f"canvas must be a (width, height) pair, got {canvas!r}") from None
     except OverflowError:
         raise InputDataError(f"canvas sides must be finite numbers, got {canvas[0]}x{canvas[1]}") from None
+    if not (_whole(canvas[0], width) and _whole(canvas[1], height)):
+        raise InputDataError(f"canvas sides must be integers, got {canvas[0]}x{canvas[1]}")
     if width < 100 or height < 100:
         raise InputDataError(f"canvas must be at least 100x100, got {width}x{height}")
     merged["canvas"] = (width, height)
 
-    merged["seed"] = int(merged["seed"])
     if merged["seed"] < 0:
         raise InputDataError(f"seed must be non-negative, got {merged['seed']}")
-    merged["cluster_k"] = int(merged["cluster_k"])
-    merged["cluster_min_pts"] = int(merged["cluster_min_pts"])
 
     return RunConfig(**merged)

@@ -17,6 +17,8 @@ import numpy as np
 
 from .clockcore import (
     ClockArrow,
+    check_coverage,
+    checked_inputs,
     fit_design,
     max_contribution,
     naming_dependent,
@@ -26,7 +28,7 @@ from .clockcore import (
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import ArrayRows, as_matrix, check_rank, design_rows, fill, normal_two_sided_p, r_factor
+from .numstats import ArrayRows, check_rank, design_rows, fill, normal_two_sided_p, r_factor
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -146,13 +148,13 @@ def build_intergroup_clocks(
     of the edge. Edges whose groups are too small are skipped with a warning.
     """
     config = config or RunConfig()
+    check_coverage(dataset, grouping)
     if len(grouping.groups) < 2:
         raise ComputationError(
             f"inter-group clocks need at least 2 groups, found {len(grouping.groups)}"
         )
-    x = as_matrix(dataset.X, name="X")
+    x, _, names = checked_inputs(dataset.X, dataset.Y, dataset.feature_names)
     d = x.shape[1]
-    names = dataset.feature_names
     by_id = {g.id: g for g in grouping.groups}
     need = max(d + 2, 5)
 

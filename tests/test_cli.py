@@ -792,19 +792,27 @@ def test_cli_writes_the_svg_in_one_to_svg_call(iris_paths, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("view", ["global", "local"])
 def test_cli_fits_each_clock_with_one_ols_fit_call(view, iris_paths, tmp_path, monkeypatch):
-    """The benchmark's numstats.ols_fit_s and ols_fit_calls_per_clock trace the name clockcore imported."""
-    calls = []
-    original = clockcore_module.ols_fit
+    """The benchmark's clockcore.build_clock_s and numstats.ols_fit_calls_per_clock trace
+    the names clockcore calls: one build_clock and one ols_fit per clock, on either view."""
+    calls = {"build_clock": 0, "ols_fit": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def count(name):
+        original = getattr(clockcore_module, name)
 
-    monkeypatch.setattr(clockcore_module, "ols_fit", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(clockcore_module, name, counted)
+
+    count("build_clock")
+    count("ols_fit")
     x, y, labels = iris_paths
     assert run([view, "--x", x, "--y", y, "--labels", labels, "--out-dir", tmp_path]) == 0
     report = json.loads((tmp_path / "clock.json").read_text(encoding="utf-8"))
-    assert len(calls) == len(report["clocks"]) == (1 if view == "global" else 3)
+    clocks = len(report["clocks"])
+    assert clocks == (1 if view == "global" else 3)
+    assert calls == {"build_clock": clocks, "ols_fit": clocks}
 
 
 def test_benchmark_traced_names_exist():

@@ -319,6 +319,29 @@ class TestBuildClock:
         with pytest.raises(ComputationError, match=message):
             build_clock(x, y, members)
 
+    @pytest.mark.parametrize(
+        "members, dtype",
+        [
+            (np.ones(60, dtype=bool), "bool"),  # a mask, once read as the rows {0, 1}
+            ([0.9, 1.2, 2.7, 3.1, 4.5, 5.0], "float64"),  # once truncated to rows 0..5
+        ],
+    )
+    def test_non_integer_members_rejected(self, members, dtype):
+        x, y = identity_fixture()
+        with pytest.raises(ComputationError, match=f"^member indices must be integers, got dtype {dtype}$"):
+            build_clock(x, y, members)
+
+    @pytest.mark.parametrize("members", [np.array([]), np.array([], dtype=bool)])
+    def test_empty_selection_of_any_dtype_is_empty(self, members):
+        x, y = identity_fixture()
+        with pytest.raises(ComputationError, match="^member set is empty$"):
+            build_clock(x, y, members)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+    def test_integer_arrays_of_any_width_accepted(self, dtype):
+        x, y = identity_fixture()
+        assert build_clock(x, y, np.arange(12, dtype=dtype)) == build_clock(x, y, range(12))
+
     def test_anchor_is_member_centroid(self):
         x, y = identity_fixture()
         members = list(range(10, 30))

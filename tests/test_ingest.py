@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -384,6 +385,43 @@ class TestValidateConfig:
         # the CLI test covers an integer side too large for a float
         with pytest.raises(InputDataError, match="^canvas sides must be finite numbers, got 900xinf$"):
             validate_config({"canvas": (900, float("inf"))})
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"top_k": 2.7}, "top_k"),  # once truncated to 2
+            ({"top_k": "2.7"}, "top_k"),  # once a bare ValueError
+            ({"seed": 1.5}, "seed"),
+            ({"cluster_k": 2.5}, "cluster_k"),
+            ({"cluster_method": "dbscan", "cluster_eps": 0.5, "cluster_min_pts": 0.5}, "cluster_min_pts"),
+            ({"top_k": float("inf")}, "top_k"),
+            ({"seed": float("nan")}, "seed"),
+        ],
+    )
+    def test_non_integral_integer_option_rejected(self, options, name):
+        value = options[name]
+        with pytest.raises(InputDataError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            validate_config(options)
+
+    def test_fractional_canvas_side_rejected(self):
+        with pytest.raises(InputDataError, match="^canvas sides must be integers, got 900.5x600$"):
+            validate_config({"canvas": (900.5, 600)})
+
+    @pytest.mark.parametrize(
+        "key, name",
+        [("alpha", "alpha"), ("theta_step_deg", "theta_step"), ("clock_scale", "scale"), ("cluster_eps", "eps")],
+    )
+    def test_non_numeric_number_option_rejected(self, key, name):
+        with pytest.raises(InputDataError, match=f"^{name} must be a finite number, got 'abc'$"):
+            validate_config({key: "abc"})
+
+    def test_whole_values_accepted_as_before(self):
+        config = validate_config({"top_k": 2.0, "seed": "3", "cluster_k": np.int64(4),
+                                  "cluster_min_pts": 7.0, "canvas": (900.0, "600"), "alpha": "0.1"})
+        assert (config.top_k, config.seed, config.cluster_k, config.cluster_min_pts) == (2, 3, 4, 7)
+        assert config.canvas == (900, 600)
+        assert config.alpha == 0.1
+        assert all(type(v) is int for v in (config.top_k, config.seed, config.cluster_k, *config.canvas))
 
     def test_run_config_direct_construction_allows_alpha_zero(self):
         assert RunConfig(alpha=0.0).alpha == 0.0

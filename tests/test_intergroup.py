@@ -14,6 +14,7 @@ from featureclock import (
     RankDeficientError,
     RunConfig,
     build_intergroup_clocks,
+    build_local_clocks,
     from_labels,
     logistic_fit,
     mst_over_centers,
@@ -368,6 +369,32 @@ class TestIntergroupClocks:
         grouping = from_labels(["all"] * len(dataset.labels), dataset.Y)
         with pytest.raises(ComputationError, match="need at least 2 groups, found 1"):
             build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
+
+    def test_feature_names_must_match_x(self):
+        # the edge builder shares the local builder's entry checks and messages
+        dataset = dataclasses.replace(shifted_fixture(), feature_names=("f0", "f1"))
+        grouping = from_labels(dataset.labels, dataset.Y)
+        for build in (build_local_clocks, build_intergroup_clocks):
+            args = (mst_over_centers(grouping),) if build is build_intergroup_clocks else ()
+            with pytest.raises(ComputationError, match="^got 2 feature names for 3 features$"):
+                build(dataset, grouping, *args)
+
+    @pytest.mark.parametrize("rows", [490, 510])
+    def test_grouping_must_cover_the_rows(self, rows):
+        full = shifted_fixture()
+        grouping = from_labels(full.labels, full.Y)  # 500 points
+        pad = max(0, rows - 500)
+        dataset = dataclasses.replace(
+            full,
+            X=np.vstack([full.X, full.X[:pad]])[:rows],
+            Y=np.vstack([full.Y, full.Y[:pad]])[:rows],
+            labels=None,
+        )
+        message = f"^grouping covers 500 points but the dataset has {rows}$"
+        for build in (build_local_clocks, build_intergroup_clocks):
+            args = (mst_over_centers(grouping),) if build is build_intergroup_clocks else ()
+            with pytest.raises(ComputationError, match=message):
+                build(dataset, grouping, *args)
 
     def test_alpha_zero_empty_arrows(self):
         dataset = shifted_fixture()
