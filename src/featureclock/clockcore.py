@@ -6,7 +6,9 @@ the x and y coordinates of the centered embedding) give the coefficient pair
 (beta0, beta90) per feature; the strongest contribution has magnitude
 sqrt(beta0^2 + beta90^2) at the full-quadrant angle of that pair, so no sweep
 over angles is needed. A sweep is still available, derived analytically from
-the axis pair.
+the axis pair. :func:`fit_design` builds the ``numstats.Design`` that both
+fits read, and they read nothing else: a clock's pair of axis regressions
+here, and an edge's logistic fit in ``intergroup``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import ClockWarning, ComputationError, GroupTooSmallError, RankDeficientError
 from .ingest import Dataset, RunConfig
 from .numstats import (
+    Design,
     as_matrix,
     center_columns,
     column_stats,
@@ -109,45 +112,8 @@ class Clock:
     group: str | None = None
 
 
-@dataclass(frozen=True)
-class Design:
-    """[X | targets] over the given rows of ``x``, written a block of rows at a time.
-
-    X is the ``kept`` columns of ``x[rows]``, each centered by its two means
-    ``m1`` and ``m2`` and divided by its std (only centered when ``stds`` is
-    None), all taken over every row by :func:`fit_design`. ``shape``,
-    ``write`` and ``targets`` are what ``numstats.ols_fit``, ``r_factor``
-    and ``intergroup.logistic_fit`` read: an axis fit never holds the whole
-    design, and an edge's fit writes it once, into its [1 | X] matrix.
-    """
-
-    x: np.ndarray
-    rows: np.ndarray
-    kept: list[int]
-    m1: np.ndarray
-    m2: np.ndarray
-    stds: np.ndarray | None
-    targets: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.kept) + self.targets.shape[1]
-
-    def write(self, lo: int, hi: int, out) -> None:
-        """Fill ``out`` with rows ``lo:hi`` of the design."""
-        d = len(self.kept)
-        block = self.x[self.rows[lo:hi]]
-        if d < self.x.shape[1]:
-            block = block[:, self.kept]
-        # standardized while C-ordered: the three passes run twice as fast
-        # there as on out's F-ordered rows
-        standardize_columns(block, self.m1, self.m2, self.stds)
-        out[:, :d] = block
-        out[:, d:] = self.targets[lo:hi]
-
-
 def fit_design(x, rows, targets, names, where: str, *, scale: bool = True) -> Design:
-    """The :class:`Design` [X | targets] of a fit over the given rows of ``x``.
+    """The ``numstats.Design`` [X | targets] of a fit over the given rows of ``x``: the one input of both fits.
 
     One pass over blocks of whole columns (:func:`numstats.column_stats`)
     takes each column's means, std and largest |value|, with no temporary
@@ -179,7 +145,7 @@ def naming_dependent(kept, names, where: str):
     """Re-raise a RankDeficientError with feature names in place of column slots.
 
     ``kept`` maps each design column to its feature index, as in the
-    :class:`Design` of :func:`fit_design`.
+    ``numstats.Design`` of :func:`fit_design`.
     """
     try:
         yield
@@ -283,7 +249,7 @@ def build_clock(
         )
 
     with naming_dependent(kept, names, f"group {label!r}"):
-        fit0, fit90 = ols_fit(design, 2)
+        fit0, fit90 = ols_fit(design)
     b0, b90 = fit0.coefficients, fit90.coefficients
     if config.standardize_betas:
         both = np.concatenate([b0, b90])

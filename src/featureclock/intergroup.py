@@ -2,8 +2,9 @@
 
 Each spanning-tree edge between group centers gets a binary logistic
 regression over the two groups' standardized features. The fit reads the
-design's rank from its R factor, under the same rule as the axis fit, and
-takes its standard errors from the Fisher information at its final iterate.
+edge's ``numstats.Design`` alone, takes its rank from the axis fit's own
+``r_factor`` call and rule, and its standard errors from the Fisher
+information at its final iterate.
 Significant coefficients become arrows along the line joining the centers: a
 positive coefficient points at the group encoded as class 1.
 """
@@ -28,7 +29,7 @@ from .clockcore import (
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import ArrayRows, check_rank, design_rows, fill, normal_two_sided_p, r_factor
+from .numstats import Design, check_rank, fill, fit_size, normal_two_sided_p, r_factor
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -61,21 +62,21 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_fit(x, labels) -> LogisticFit:
+def logistic_fit(rows: Design, labels) -> LogisticFit:
     """Fit class probabilities by iteratively reweighted least squares.
 
-    ``x`` is an array or a row writer such as an edge's ``clockcore.Design``,
-    written once into one column-major [1 | x] matrix. Raises
-    RankDeficientError when the R factor of ``x``, accumulated over its row
-    blocks as for the axis fit, shows a dependent column under the axis fit's
-    rule. Maximizes the log-likelihood minus
-    (L2_PENALTY/2)*||coefficients||^2; the intercept is unpenalized.
-    Iterations stop when the largest parameter update falls below 1e-10 or
-    after 100 rounds, in which case the result is returned with
-    ``converged=False`` and a warning. Standard errors come from the inverse
-    penalized Fisher information at the final iterate.
+    ``rows`` is an edge's ``numstats.Design`` with no targets, built by
+    ``clockcore.fit_design``: the fit reads nothing else. Raises
+    RankDeficientError when the axis fit's own ``numstats.r_factor`` call
+    over it shows a dependent column under the axis fit's rule; only then
+    is the design written, once, into one column-major [1 | X] matrix.
+    Maximizes the log-likelihood minus (L2_PENALTY/2)*||coefficients||^2;
+    the intercept is unpenalized. Iterations stop when the largest parameter
+    update falls below 1e-10 or after 100 rounds, in which case the result
+    is returned with ``converged=False`` and a warning. Standard errors come
+    from the inverse penalized Fisher information at the final iterate.
     """
-    rows, n, d = design_rows(x)
+    n, d = fit_size(rows)
     yv = np.asarray(labels, dtype=float).ravel()
     if yv.shape[0] != n:
         raise ComputationError(f"got {yv.shape[0]} labels for {n} rows")
@@ -83,10 +84,10 @@ def logistic_fit(x, labels) -> LogisticFit:
         raise ComputationError("labels must be coded 0/1")
     if yv.min() == yv.max():
         raise ComputationError("logistic regression needs both classes present")
+    check_rank(r_factor(rows))
     design = np.empty((n, d + 1), order="F")  # a row-major one moves 12th-digit p-values
     design[:, 0] = 1.0
     fill(rows, design[:, 1:])
-    check_rank(r_factor(ArrayRows(design[:, 1:])))
 
     ridge = np.full(d + 1, L2_PENALTY)
     ridge[0] = 0.0
@@ -146,6 +147,8 @@ def build_intergroup_clocks(
     Arrows keep features with Wald p below alpha, resolved along the
     center-to-center axis; positive coefficients point at the second group
     of the edge. Edges whose groups are too small are skipped with a warning.
+    Before anything is fitted, an edge that names a group id the grouping
+    lacks, joins a group to itself or repeats a pair raises ComputationError.
     """
     config = config or RunConfig()
     check_coverage(dataset, grouping)
@@ -157,6 +160,14 @@ def build_intergroup_clocks(
     d = x.shape[1]
     by_id = {g.id: g for g in grouping.groups}
     need = max(d + 2, 5)
+    pairs = set()
+    for a, b, _length in mst:
+        fault = ("names a group id the grouping does not have" if a not in by_id or b not in by_id
+                 else "joins a group to itself" if a == b
+                 else "repeats a pair already in the tree" if frozenset((a, b)) in pairs else "")
+        if fault:
+            raise ComputationError(f"spanning-tree edge ({a}, {b}) {fault}")
+        pairs.add(frozenset((a, b)))
 
     clocks: list[IntergroupClock] = []
     for a, b, _length in mst:

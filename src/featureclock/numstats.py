@@ -1,12 +1,13 @@
 """Self-contained numerical kernel used by the clock builders.
 
-Ordinary least squares with classical t-tests on an [X | Y] matrix read one
-block of rows at a time, the column statistics and standardization that
-build such a matrix, and Student-t tail probabilities. No routine caches or
+Ordinary least squares with classical t-tests, the column statistics and
+standardization that build a fit's design, and Student-t tail probabilities.
+Both fits (ols_fit and ``intergroup.logistic_fit``) read a :class:`Design`,
+built by ``clockcore.fit_design``, and nothing else. No routine caches or
 shares state. Three routines write to an argument: standardize_columns (in
 place, one block of rows at a time), qr_r_in_place (the factorization, in a
-scratch buffer that r_factor owns) and fill (a row writer's rows, into a
-buffer its caller owns). ols_fit leaves its argument as it was.
+scratch buffer that r_factor owns) and fill (a design's rows, into a buffer
+its caller owns). ols_fit leaves its design's arrays as they were.
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ def distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[keep]
 
 
-def as_matrix(values, *, name: str = "matrix", min_rows: int = 1, min_cols: int = 1) -> np.ndarray:
-    """Validate a 2-D array of finite floats and return it as float64."""
+def as_matrix(values, *, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
+    """Validate a 2-D array of finite floats, with a column at least, and return it as float64."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ComputationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < min_rows or arr.shape[1] < min_cols:
+    if arr.shape[0] < min_rows or arr.shape[1] < 1:
         raise ComputationError(
-            f"{name} must be at least {min_rows}x{min_cols}, got {arr.shape[0]}x{arr.shape[1]}"
+            f"{name} must be at least {min_rows}x1, got {arr.shape[0]}x{arr.shape[1]}"
         )
     # NaN propagates through min and max and an infinity is one of them, so
     # two reductions decide finiteness without a full-size mask
@@ -172,22 +173,41 @@ def qr_r_in_place(a) -> np.ndarray:
     return np.triu(a[: min(n, m), :])
 
 
-class ArrayRows:
-    """The rows of an array, written into a caller's buffer a block at a time.
+@dataclass(frozen=True)
+class Design:
+    """[X | targets] over the given rows of ``x``, written a block of rows at a time.
 
-    A row writer offers ``shape``, ``write(lo, hi, out)``, which fills ``out``
-    with rows ``lo:hi``, and ``targets``, its last ``k`` columns. :func:`r_factor`,
-    :func:`fill` and both fits (through :func:`design_rows`) read matrices so.
-    ``clockcore.Design`` is the other writer: it gathers and standardizes rows.
+    X is the ``kept`` columns of ``x[rows]``, each centered by its two means
+    ``m1`` and ``m2`` and divided by its std (only centered when ``stds`` is
+    None), all taken over every row by ``clockcore.fit_design``. ``shape``,
+    ``write(lo, hi, out)`` and ``targets`` are what :func:`r_factor`,
+    :func:`fill` and both fits read: an axis fit never holds the whole
+    design, and an edge's fit writes it once, into its [1 | X] matrix.
     """
 
-    def __init__(self, a, k: int = 0):
-        self.shape = a.shape
-        self.targets = a[:, a.shape[1] - k :]
-        self._a = a
+    x: np.ndarray
+    rows: np.ndarray
+    kept: list[int]
+    m1: np.ndarray
+    m2: np.ndarray
+    stds: np.ndarray | None
+    targets: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.kept) + self.targets.shape[1]
 
     def write(self, lo: int, hi: int, out) -> None:
-        out[...] = self._a[lo:hi]
+        """Fill ``out`` with rows ``lo:hi`` of the design."""
+        d = len(self.kept)
+        block = self.x[self.rows[lo:hi]]
+        if d < self.x.shape[1]:
+            block = block[:, self.kept]
+        # standardized while C-ordered: the three passes run twice as fast
+        # there as on out's F-ordered rows
+        standardize_columns(block, self.m1, self.m2, self.stds)
+        out[:, :d] = block
+        out[:, d:] = self.targets[lo:hi]
 
 
 def _block_rows(m: int) -> int:
@@ -235,14 +255,12 @@ def fill(rows, out) -> None:
         rows.write(lo, min(n, lo + b), out[lo : lo + b])
 
 
-def design_rows(xy, k: int = 0):
-    """``(rows, n, d)``: a fit's [X | k targets] as a row writer (an array validated into :class:`ArrayRows`), n >= d + 2."""
-    if not hasattr(xy, "write"):
-        xy = ArrayRows(as_matrix(xy, name="design matrix", min_cols=k + 1), k)
-    n, d = xy.shape[0], xy.shape[1] - k
+def fit_size(design: Design) -> tuple[int, int]:
+    """``(n, d)``: the rows of a fit's design and its columns before the targets; n >= d + 2."""
+    n, d = len(design.rows), len(design.kept)
     if n < d + 2:
         raise ComputationError(f"insufficient observations: n={n} but need at least d+2={d + 2}")
-    return xy, n, d
+    return n, d
 
 
 @dataclass(frozen=True)
@@ -257,15 +275,15 @@ class RegressionFit:
     residual_variance: float
 
 
-def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
-    """Least squares of each of the last ``k`` columns of ``xy`` on the columns before them.
+def ols_fit(design: Design) -> tuple[RegressionFit, ...]:
+    """Least squares of each of the design's k targets on its d feature columns.
 
-    ``xy`` is [X | Y]: a centered or standardized design X of d columns
-    followed by k centered targets, as an array, left as it was, or a row
-    writer such as a clock's ``clockcore.Design`` (see :func:`design_rows`).
-    Returns a tuple of k fits, all from the one R factor that :func:`r_factor`
-    accumulates over ``xy``'s row blocks; the target norms of the exact-fit
-    test come from the targets themselves.
+    ``design`` is the [X | Y] that ``clockcore.fit_design`` builds: a
+    centered or standardized X followed by k centered targets. Returns a
+    tuple of k fits, all from the one R factor that :func:`r_factor`
+    accumulates over the design's row blocks; the target norms of the
+    exact-fit test come from the targets themselves. Raises
+    ComputationError when n < d + 2.
     With R11 the leading d x d block of R, R12 the block beside it and R22
     the block below, beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and
     diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
@@ -274,11 +292,12 @@ def ols_fit(xy, k: int) -> tuple[RegressionFit, ...]:
     degree lost to the centering that absorbed the intercept). p-values are
     two-sided Student-t tails.
     """
-    xy, n, d = design_rows(xy, k)
+    n, d = fit_size(design)
+    k = design.targets.shape[1]
 
     # a column at a time: numpy sums a contiguous column pairwise, whatever the targets' layout
-    target_norms = np.sqrt([np.square(xy.targets[:, j]).sum() for j in range(k)])
-    r = r_factor(xy)
+    target_norms = np.sqrt([np.square(design.targets[:, j]).sum() for j in range(k)])
+    r = r_factor(design)
     r11 = r[:d, :d]
     check_rank(r11)
 

@@ -16,6 +16,9 @@ where the library takes a block of rows at a time, with the same random
 draws. Three of the last four keep the earlier design path (separate copies,
 then a column stack) that the one-buffer path must match; the fourth keeps
 the earlier IRLS loop of the logistic fit.
+
+``array_design`` is no oracle: it is the one way the tests hand arrays to
+the fits, which read only a ``numstats.Design``.
 """
 
 import csv
@@ -29,6 +32,7 @@ import numpy as np
 
 from featureclock.intergroup import L2_PENALTY, LogisticFit
 from featureclock.numstats import (
+    Design,
     RegressionFit,
     as_matrix,
     center_columns,
@@ -37,6 +41,20 @@ from featureclock.numstats import (
     normal_two_sided_p,
     student_t_two_sided_p,
 )
+
+
+def array_design(x, targets=None) -> Design:
+    """A Design over every row of ``x`` that writes [x | targets] as given.
+
+    Its means are zeros and it has no stds, and subtracting zero changes no
+    value, so the rows it writes are the arrays' own bit for bit. ``targets``
+    is None (no targets, as an edge's design), one column or a 2-D array.
+    """
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    targets = np.empty((n, 0)) if targets is None else np.asarray(targets, dtype=float).reshape(n, -1)
+    zeros = np.zeros(d)
+    return Design(x, np.arange(n), list(range(d)), zeros, zeros, None, targets)
 
 
 def simpson_t_two_sided(t: float, dof: int, panels: int = 20000) -> float:

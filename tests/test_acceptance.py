@@ -33,6 +33,7 @@ from featureclock.cli import main
 from featureclock.ingest import Provenance
 
 from oracles import (
+    array_design,
     logistic_penalized_gradient,
     min_spanning_weight,
     normal_equations_fit,
@@ -71,7 +72,7 @@ def random_problem(seed, n=60, d=5):
 def test_criterion_1_closed_form_maximum():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
@@ -90,7 +91,7 @@ def test_criterion_1_closed_form_maximum():
 def test_criterion_2_circle_theorem():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         angles, grid = refit_sweep(x, y, 1800)
         rad = np.radians(angles)
         cos, sin = np.cos(rad), np.sin(rad)
@@ -135,7 +136,7 @@ def test_criterion_4_ols_oracle():
         n, d = 30, 4
         x = rng.normal(size=(n, d))
         y = x @ rng.normal(size=d) + rng.normal(size=n)
-        (fit,) = ols_fit(np.column_stack([x, y]), 1)
+        (fit,) = ols_fit(array_design(x, y))
         beta, se, p = normal_equations_fit(x, y)
         assert float(np.max(np.abs(fit.coefficients - beta))) < 1e-8
         assert float(np.max(np.abs(fit.std_errors - se))) < 1e-8
@@ -182,7 +183,7 @@ def test_criterion_7_logistic():
         x = rng.normal(size=(120, 3))
         eta = x @ np.array([0.8, -0.5, 0.3])
         labels = (rng.uniform(size=120) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        fit = logistic_fit(x, labels)
+        fit = logistic_fit(array_design(x), labels)
         assert fit.converged
         grad = logistic_penalized_gradient(x, labels, fit.intercept, fit.coefficients, 1e-6)
         assert float(np.linalg.norm(grad)) < 1e-8
@@ -192,8 +193,8 @@ def test_criterion_7_logistic():
     x = rng.normal(size=(100, 2))
     x[:50, 0] += 1.0
     labels = np.concatenate([np.zeros(50), np.ones(50)])
-    fit = logistic_fit(x, labels)
-    swapped = logistic_fit(x, 1.0 - labels)
+    fit = logistic_fit(array_design(x), labels)
+    swapped = logistic_fit(array_design(x), 1.0 - labels)
     assert float(np.max(np.abs(fit.coefficients + swapped.coefficients))) < 1e-9
     assert float(np.max(np.abs(fit.p_values - swapped.p_values))) < 1e-9
 

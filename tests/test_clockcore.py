@@ -29,6 +29,7 @@ from featureclock.numstats import fill
 from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
+    array_design,
     fit_design_reference,
     ols_fit_reference,
     pca_2d,
@@ -91,7 +92,7 @@ class TestProjection:
 class TestAxisRegressions:
     def test_identity_embedding(self):
         x, y = identity_fixture(d=3)
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         assert np.allclose(fit0.coefficients, [1.0, 0.0, 0.0], atol=1e-10)
         assert np.allclose(fit90.coefficients, [0.0, 1.0, 0.0], atol=1e-10)
         assert fit0.p_values[0] == 0.0  # exact fit
@@ -101,8 +102,8 @@ class TestAxisRegressions:
         rng = np.random.default_rng(2)
         x = standardize_reference(rng.normal(size=(40, 4)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
-        swapped0, swapped90 = ols_fit(np.column_stack([x, y[:, ::-1]]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
+        swapped0, swapped90 = ols_fit(array_design(x, y[:, ::-1]))
         assert np.allclose(fit0.coefficients, swapped90.coefficients)
         assert np.allclose(fit90.coefficients, swapped0.coefficients)
 
@@ -110,7 +111,7 @@ class TestAxisRegressions:
         rng = np.random.default_rng(3)
         x = standardize_reference(rng.normal(size=(40, 5)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         beta0, *_ = np.linalg.lstsq(x, y[:, 0], rcond=None)
         beta90, *_ = np.linalg.lstsq(x, y[:, 1], rcond=None)
         assert np.max(np.abs(fit0.coefficients - beta0)) < 1e-8
@@ -164,7 +165,7 @@ class TestFitDesign:
             # factors exactly the reference's matrix
             m = len(design.kept)
             ref_fits = ols_fit_reference(ref[:, :m], ref[:, m:])
-            for fits in (ols_fit(design, k), ols_fit(xy, k)):
+            for fits in (ols_fit(design), ols_fit(array_design(xy[:, :m], xy[:, m:]))):
                 assert len(fits) == k
                 for fit, expected in zip(fits, ref_fits):
                     for field in dataclasses.fields(fit):
@@ -205,7 +206,7 @@ class TestMaxContribution:
         rng = np.random.default_rng(4)
         x = standardize_reference(rng.normal(size=(60, 5)))
         y = center_columns(rng.normal(size=(60, 2)))
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
@@ -222,7 +223,7 @@ class TestMaxContribution:
 class TestCircleSweep:
     def test_cosine_response(self):
         x, y = identity_fixture()
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 3)  # angles 0, 60, 120
         angle, coef = sweep[0][1]
         assert angle == pytest.approx(60.0)
@@ -232,7 +233,7 @@ class TestCircleSweep:
         rng = np.random.default_rng(5)
         x = standardize_reference(rng.normal(size=(30, 3)))
         y = center_columns(rng.normal(size=(30, 2)))
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 2)
         for j in range(3):
             assert sweep[j][0] == (0.0, pytest.approx(fit0.coefficients[j]))
@@ -242,7 +243,7 @@ class TestCircleSweep:
         rng = np.random.default_rng(6)
         x = standardize_reference(rng.normal(size=(50, 4)))
         y = center_columns(rng.normal(size=(50, 2)))
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 36)
         for j in range(4):
             b0 = float(fit0.coefficients[j])
@@ -258,7 +259,7 @@ class TestCircleSweep:
         rng = np.random.default_rng(7)
         x = standardize_reference(rng.normal(size=(40, 3)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(np.column_stack([x, y]), 2)
+        fit0, fit90 = ols_fit(array_design(x, y))
         fast = circle_sweep(fit0.coefficients, fit90.coefficients, 12)
         angles, slow = refit_sweep(x, y, 12)
         for j in range(3):

@@ -22,10 +22,11 @@ from featureclock import (
 from featureclock import intergroup as intergroup_module
 from featureclock import numstats
 from featureclock.clockcore import fit_design
-from featureclock.numstats import check_rank, fill
+from featureclock.numstats import check_rank, fill, r_factor
 from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
+    array_design,
     logistic_fit_reference,
     logistic_mle,
     logistic_penalized_gradient,
@@ -76,7 +77,7 @@ class TestLogisticFit:
         half = rng.normal(size=(60, 2))
         x = np.vstack([half, -half])
         labels = np.concatenate([np.zeros(60), np.ones(60)])
-        fit = logistic_fit(x, labels)
+        fit = logistic_fit(array_design(x), labels)
         assert fit.converged
         assert abs(fit.intercept) < 1e-8
 
@@ -85,7 +86,7 @@ class TestLogisticFit:
         x = rng.normal(size=(200, 1))
         labels = np.concatenate([np.zeros(100), np.ones(100)])
         xs = standardize_reference(x)
-        fit = logistic_fit(xs, labels)
+        fit = logistic_fit(array_design(xs), labels)
         assert abs(fit.coefficients[0]) < 0.1
         assert fit.p_values[0] > 0.5
 
@@ -94,7 +95,7 @@ class TestLogisticFit:
         x = rng.normal(size=(100, 3))
         eta = x @ np.array([1.0, -0.5, 0.2])
         labels = (rng.uniform(size=100) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        fit = logistic_fit(x, labels)
+        fit = logistic_fit(array_design(x), labels)
         assert fit.converged
         grad = logistic_penalized_gradient(x, labels, fit.intercept, fit.coefficients, 1e-6)
         assert np.linalg.norm(grad) < 1e-8
@@ -104,8 +105,8 @@ class TestLogisticFit:
         x = rng.normal(size=(80, 2))
         x[:40, 0] += 1.0
         labels = np.concatenate([np.zeros(40), np.ones(40)])
-        fit = logistic_fit(x, labels)
-        swapped = logistic_fit(x, 1.0 - labels)
+        fit = logistic_fit(array_design(x), labels)
+        swapped = logistic_fit(array_design(x), 1.0 - labels)
         assert np.max(np.abs(fit.coefficients + swapped.coefficients)) < 1e-9
         assert abs(fit.intercept + swapped.intercept) < 1e-9
         assert np.max(np.abs(fit.p_values - swapped.p_values)) < 1e-9
@@ -116,7 +117,7 @@ class TestLogisticFit:
         x = rng.normal(size=(300, 2))
         eta = 0.8 * x[:, 0] - 0.4 * x[:, 1]
         labels = (rng.uniform(size=300) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        fit = logistic_fit(x, labels)
+        fit = logistic_fit(array_design(x), labels)
         intercept, coef = logistic_mle(x, labels)
         assert fit.converged
         rel = np.abs(fit.coefficients - coef) / np.abs(coef)
@@ -125,14 +126,14 @@ class TestLogisticFit:
 
     def test_single_class_rejected(self):
         with pytest.raises(ComputationError, match="both classes"):
-            logistic_fit(np.random.default_rng(6).normal(size=(20, 2)), np.zeros(20))
+            logistic_fit(array_design(np.random.default_rng(6).normal(size=(20, 2))), np.zeros(20))
 
     def test_separable_gives_finite_coefficients(self):
         x = np.linspace(-2, 2, 40).reshape(-1, 1)
         labels = (x[:, 0] > 0).astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ClockWarning)
-            fit = logistic_fit(x, labels)
+            fit = logistic_fit(array_design(x), labels)
         assert fit.converged
         assert np.all(np.isfinite(fit.coefficients))
         assert np.all(np.isfinite(fit.std_errors))
@@ -144,7 +145,7 @@ class TestLogisticFit:
         x = rng.normal(size=(100, 3))
         labels = (x[:, 0] + rng.normal(size=100) > 0).astype(float)
         with pytest.warns(ClockWarning, match="did not converge"):
-            fit = logistic_fit(x, labels)
+            fit = logistic_fit(array_design(x), labels)
         assert not fit.converged
         assert fit.iterations == 2
         assert np.all(np.isfinite(fit.coefficients))
@@ -168,7 +169,7 @@ class TestLogisticFit:
             warnings.simplefilter("ignore", ClockWarning)
             if cap is not None:
                 patch.setattr(intergroup_module, "_MAX_ITER", cap)
-            fit = logistic_fit(x, labels)
+            fit = logistic_fit(array_design(x), labels)
         expected = logistic_fit_reference(x, labels, max_iter=cap or 100)
         if cap is not None:
             assert fit.iterations == cap
@@ -220,18 +221,68 @@ class TestLogisticFit:
         a[60:] += 2.0
         labels = np.repeat([0.0, 1.0], 60)
         with pytest.raises(RankDeficientError) as info:
-            logistic_fit(np.column_stack([a, b, e, a + b]), labels)
+            logistic_fit(array_design(np.column_stack([a, b, e, a + b])), labels)
         assert info.value.columns == (3,)
 
     def test_design_left_untouched(self):
-        # the rows are copied into the fit's own [1 | X] matrix, which the
-        # rank check and the IRLS read; the caller's array stays as it was
+        # the Design's rows are written into the fit's own [1 | X] matrix,
+        # which the IRLS reads; its C-ordered, F-ordered or read-only x and
+        # its targets stay as they were, and every layout gives the same fit
         rng = np.random.default_rng(13)
-        x = np.asfortranarray(rng.normal(size=(80, 3)))
+        x = rng.normal(size=(80, 3))
         x[40:, 0] += 1.5
-        before = x.copy(order="F")
-        logistic_fit(x, np.repeat([0.0, 1.0], 40))
-        assert np.array_equal(x, before)
+        targets = np.empty((80, 0))
+        labels = np.repeat([0.0, 1.0], 40)
+
+        def read_only(a):
+            a = np.array(a, order="F")
+            a.flags.writeable = False
+            return a
+
+        fits = []
+        for layout in (lambda a: np.array(a, order="C"), lambda a: np.array(a, order="F"), read_only):
+            design = fit_design(layout(x), np.arange(80), layout(targets), ["a", "b", "c"], "test")
+            fits.append(logistic_fit(design, labels))
+            assert np.array_equal(design.x, x)
+            assert np.array_equal(design.targets, targets)
+        for fit in fits[1:]:
+            for field in dataclasses.fields(fit):
+                assert np.array_equal(getattr(fit, field.name), getattr(fits[0], field.name))
+
+    @given(
+        n_rows=st.integers(min_value=12, max_value=90),
+        d=st.integers(min_value=1, max_value=6),
+        constants=st.lists(st.booleans(), max_size=2),
+        block_cells=st.sampled_from([1, 40, numstats._BLOCK_CELLS]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_r_of_the_design_is_the_r_of_its_filled_features(self, n_rows, d, constants,
+                                                              block_cells, seed):
+        """r_factor over an edge's Design equals the R of the feature columns of its filled [1 | X] bit for bit."""
+        # the fit reads the rank from the first, before it writes the matrix
+        # that the second is taken over
+        rng = np.random.default_rng(seed)
+        n = n_rows + int(rng.integers(0, 20))
+        rows = rng.choice(n, size=n_rows, replace=False)  # unsorted, as on an edge
+        x = rng.normal(loc=rng.uniform(-5.0, 5.0, size=d), size=(n, d))
+        x *= 10.0 ** rng.uniform(-50.0, 50.0, size=d)
+        for everywhere in constants:
+            column = np.full(n, rng.normal())
+            if not everywhere:
+                column[np.setdiff1d(np.arange(n), rows)] = rng.normal()
+            x = np.insert(x, int(rng.integers(0, x.shape[1] + 1)), column, axis=1)
+        names = [f"f{j}" for j in range(x.shape[1])]
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore", ClockWarning)
+            patch.setattr(numstats, "_BLOCK_CELLS", block_cells)
+            design = fit_design(x, rows, np.empty((n_rows, 0)), names, "test")
+            matrix = np.empty((n_rows, design.shape[1] + 1), order="F")
+            matrix[:, 0] = 1.0
+            fill(design, matrix[:, 1:])
+            expected = r_factor(array_design(matrix[:, 1:]))
+            r = r_factor(design)
+        assert np.array_equal(r, expected)
 
     @given(
         n=st.integers(min_value=12, max_value=90),
@@ -263,7 +314,7 @@ class TestLogisticFit:
             warnings.simplefilter("ignore", ClockWarning)
             patch.setattr(numstats, "_BLOCK_CELLS", cells)
             try:
-                logistic_fit(x, labels)
+                logistic_fit(array_design(x), labels)
                 got = None
             except RankDeficientError as exc:
                 got = exc.columns
@@ -275,11 +326,11 @@ class TestLogisticFit:
         rows = np.arange(dataset.X.shape[0])
         labels = (rows >= 250).astype(float)
         xs = standardize_reference(dataset.X)
-        base = logistic_fit(xs, labels)
+        base = logistic_fit(array_design(xs), labels)
         scaled_x = dataset.X.copy()
         scaled_x[:, 0] *= 250.0
         zs = standardize_reference(scaled_x)
-        scaled = logistic_fit(zs, labels)
+        scaled = logistic_fit(array_design(zs), labels)
         assert (base.p_values < 0.05).tolist() == (scaled.p_values < 0.05).tolist()
 
 
@@ -369,6 +420,27 @@ class TestIntergroupClocks:
         grouping = from_labels(["all"] * len(dataset.labels), dataset.Y)
         with pytest.raises(ComputationError, match="need at least 2 groups, found 1"):
             build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            (((0, 7, 1.0),), r"^spanning-tree edge \(0, 7\) names a group id the grouping does not have$"),
+            (((0, 0, 0.0),), r"^spanning-tree edge \(0, 0\) joins a group to itself$"),
+            (((0, 1, 10.0), (1, 0, 10.0)), r"^spanning-tree edge \(1, 0\) repeats a pair already in the tree$"),
+        ],
+        ids=["missing-id", "self-loop", "repeated-pair"],
+    )
+    def test_faulty_spanning_tree_rejected_before_any_fit(self, tree, message, monkeypatch):
+        dataset = shifted_fixture()
+        grouping = from_labels(dataset.labels, dataset.Y)
+        assert sorted(g.id for g in grouping.groups) == [0, 1]
+
+        def no_fit(*args):
+            raise AssertionError("an edge was fitted before the tree was checked")
+
+        monkeypatch.setattr(intergroup_module, "logistic_fit", no_fit)
+        with pytest.raises(ComputationError, match=message):
+            build_intergroup_clocks(dataset, grouping, tree)
 
     def test_feature_names_must_match_x(self):
         # the edge builder shares the local builder's entry checks and messages

@@ -22,7 +22,6 @@ from featureclock import (
 from featureclock import numstats
 from featureclock.clockcore import fit_design
 from featureclock.numstats import (
-    ArrayRows,
     as_matrix,
     column_stats,
     distinct,
@@ -32,6 +31,7 @@ from featureclock.numstats import (
 )
 
 from oracles import (
+    array_design,
     fit_design_reference,
     normal_equations_fit,
     ols_fit_reference,
@@ -141,14 +141,14 @@ class TestOlsFit:
     def test_exact_fit_single_column(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=12)
-        (fit,) = ols_fit(np.column_stack([y, y]), 1)
+        (fit,) = ols_fit(array_design(y[:, None], y))
         assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.residual_variance == pytest.approx(0.0, abs=1e-20)
         assert fit.p_values[0] == 0.0
 
     def test_zero_target(self):
         rng = np.random.default_rng(4)
-        (fit,) = ols_fit(np.column_stack([rng.normal(size=(15, 3)), np.zeros(15)]), 1)
+        (fit,) = ols_fit(array_design(rng.normal(size=(15, 3)), np.zeros(15)))
         assert np.allclose(fit.coefficients, 0.0)
         assert np.allclose(fit.t_stats, 0.0)
         assert np.allclose(fit.p_values, 1.0)
@@ -157,7 +157,7 @@ class TestOlsFit:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 3))
         y = x @ np.array([0.5, -1.0, 2.0]) + rng.normal(size=20)
-        (fit,) = ols_fit(np.column_stack([x, y]), 1)
+        (fit,) = ols_fit(array_design(x, y))
         beta, se, p = normal_equations_fit(x, y)
         assert np.max(np.abs(fit.coefficients - beta)) < 1e-8
         assert np.max(np.abs(fit.std_errors - se)) < 1e-8
@@ -165,7 +165,7 @@ class TestOlsFit:
 
     def test_insufficient_observations(self):
         with pytest.raises(ComputationError, match="insufficient observations"):
-            ols_fit(np.column_stack([np.eye(4), np.ones(4)]), 1)
+            ols_fit(array_design(np.eye(4), np.ones(4)))
 
     def test_rank_deficient_names_columns(self):
         rng = np.random.default_rng(6)
@@ -173,7 +173,7 @@ class TestOlsFit:
         x = np.column_stack([x, x[:, 0] + x[:, 1]])
         for target in (rng.normal(size=(20, 1)), rng.normal(size=(20, 2))):
             with pytest.raises(RankDeficientError, match="rank deficient") as info:
-                ols_fit(np.column_stack([x, target]), target.shape[1])
+                ols_fit(array_design(x, target))
             assert len(info.value.columns) == 1
 
     def test_rank_deficiency_names_the_later_column(self):
@@ -183,7 +183,7 @@ class TestOlsFit:
         u, v, w = rng.normal(size=(3, 30))
         x = standardize_reference(np.column_stack([u, u + 0.1 * v, v, w]))
         with pytest.raises(RankDeficientError, match=r"rank 3 of 4\); offending columns: \[2\]$") as info:
-            ols_fit(np.column_stack([x, rng.normal(size=30)]), 1)
+            ols_fit(array_design(x, rng.normal(size=30)))
         assert info.value.columns == (2,)
 
     @given(
@@ -207,7 +207,7 @@ class TestOlsFit:
         # same 1e-8 that bounds a named column's distance from the span.
         unit = x / np.linalg.norm(x, axis=0)
         try:
-            ols_fit(np.column_stack([x, rng.normal(size=n)]), 1)
+            ols_fit(array_design(x, rng.normal(size=n)))
             named = []
         except RankDeficientError as exc:
             named = list(exc.columns)
@@ -222,12 +222,12 @@ class TestOlsFit:
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(25, 4)))
         y = rng.normal(size=25)
-        (fit,) = ols_fit(np.column_stack([q, y]), 1)
+        (fit,) = ols_fit(array_design(q, y))
         assert np.max(np.abs(fit.coefficients - q.T @ y)) < 1e-10
 
     def test_dof_is_n_minus_d_minus_1(self):
         rng = np.random.default_rng(9)
-        (fit,) = ols_fit(np.column_stack([rng.normal(size=(20, 3)), rng.normal(size=20)]), 1)
+        (fit,) = ols_fit(array_design(rng.normal(size=(20, 3)), rng.normal(size=20)))
         assert fit.dof == 16
 
     @given(
@@ -241,11 +241,11 @@ class TestOlsFit:
         n = d + 2 + n_extra  # n_extra = 0 is the smallest n the fit accepts
         x = rng.normal(size=(n, d))
         y = x @ rng.normal(size=(d, 2)) + rng.normal(size=(n, 2))
-        pair = ols_fit(np.column_stack([x, y]), 2)
+        pair = ols_fit(array_design(x, y))
         assert len(pair) == 2
         reference, *_ = np.linalg.lstsq(x, y, rcond=None)
         for j, fit in enumerate(pair):
-            (single,) = ols_fit(np.column_stack([x, y[:, j]]), 1)
+            (single,) = ols_fit(array_design(x, y[:, j]))
             scale = 1.0 + np.max(np.abs(reference[:, j]))
             assert np.max(np.abs(fit.coefficients - reference[:, j])) < 1e-9 * scale
             assert np.max(np.abs(fit.coefficients - single.coefficients)) < 1e-12 * scale
@@ -262,7 +262,7 @@ class TestOlsFit:
 
         def coefs(matrix):
             z = standardize_reference(matrix)
-            return ols_fit(np.column_stack([z, yc]), 1)[0].coefficients
+            return ols_fit(array_design(z, yc))[0].coefficients
 
         scaled = x.copy()
         scaled[:, 1] *= 37.5
@@ -328,17 +328,25 @@ class TestInPlace:
         assert np.array_equal(peak, np.abs(x).max(axis=0))
 
     def test_ols_fit_leaves_its_argument_untouched(self):
-        # C-ordered, F-ordered and read-only arguments are read a row block
-        # at a time, left as they were, and give the same fits
+        # a Design over C-ordered, F-ordered and read-only x and targets is
+        # read a row block at a time, leaves both as they were, and gives
+        # the same fits from each layout
         rng = np.random.default_rng(12)
-        xy = rng.normal(size=(30, 5))
-        c_ordered = xy.copy()
-        read_only = np.asfortranarray(xy)
-        read_only.flags.writeable = False
-        buffer = np.asfortranarray(xy)
-        runs = [ols_fit(arg, 2) for arg in (c_ordered, read_only, buffer)]
-        for arg in (c_ordered, read_only, buffer):
-            assert np.array_equal(arg, xy)
+        x = rng.normal(loc=3.0, size=(30, 3))
+        targets = center_columns(rng.normal(size=(30, 2)))
+        rows = rng.permutation(30)
+
+        def read_only(a):
+            a = np.array(a, order="F")
+            a.flags.writeable = False
+            return a
+
+        runs = []
+        for layout in (lambda a: np.array(a, order="C"), lambda a: np.array(a, order="F"), read_only):
+            design = fit_design(layout(x), rows, layout(targets), ["a", "b", "c"], "test")
+            runs.append(ols_fit(design))
+            assert np.array_equal(design.x, x)
+            assert np.array_equal(design.targets, targets)
         for fits in runs[1:]:
             for fit, expected in zip(fits, runs[0]):
                 for field in dataclasses.fields(fit):
@@ -377,7 +385,7 @@ class TestRowBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numstats, "_BLOCK_CELLS", cells)
             r = r_factor(design)
-            fits = ols_fit(design, k)
+            fits = ols_fit(design)
 
         expected_r = np.linalg.qr(whole, mode="r")
         signs = np.sign(np.diagonal(r)) * np.sign(np.diagonal(expected_r))
@@ -407,7 +415,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-100.0, 100.0, size=m)
         expected = qr_r_in_place(a.copy(order="F"))
-        assert np.array_equal(r_factor(ArrayRows(a)), expected)
+        assert np.array_equal(r_factor(array_design(a)), expected)
         assert np.array_equal(expected, np.linalg.qr(a, mode="r"))
 
 
