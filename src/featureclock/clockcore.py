@@ -6,32 +6,23 @@ the x and y coordinates of the centered embedding) give the coefficient pair
 (beta0, beta90) per feature; the strongest contribution has magnitude
 sqrt(beta0^2 + beta90^2) at the full-quadrant angle of that pair, so no sweep
 over angles is needed. A sweep is still available, derived analytically from
-the axis pair. :func:`fit_design` builds the ``numstats.Design`` that both
-fits read, and they read nothing else: a clock's pair of axis regressions
-here, and an edge's logistic fit in ``intergroup``.
+the axis pair. ``numstats.fit_design`` builds, sizes and names the
+``numstats.Design`` that both fits read: a clock's pair of axis regressions
+here, and an edge's logistic fit in ``intergroup``. The fits raise the
+too-small and rank errors, named by the Design.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClockWarning, ComputationError, GroupTooSmallError, RankDeficientError
+from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .ingest import Dataset, RunConfig
-from .numstats import (
-    Design,
-    as_matrix,
-    center_columns,
-    column_stats,
-    distinct,
-    negligible,
-    ols_fit,
-    standardize_columns,
-)
+from .numstats import as_matrix, center_columns, distinct, fit_design, negligible, ols_fit
 
 
 def unit_vector(angle_deg: float) -> tuple[float, float]:
@@ -112,52 +103,6 @@ class Clock:
     group: str | None = None
 
 
-def fit_design(x, rows, targets, names, where: str, *, scale: bool = True) -> Design:
-    """The ``numstats.Design`` [X | targets] of a fit over the given rows of ``x``: the one input of both fits.
-
-    One pass over blocks of whole columns (:func:`numstats.column_stats`)
-    takes each column's means, std and largest |value|, with no temporary
-    past one block; nothing of the design's size is built. Constant columns
-    are dropped with a warning that names them, prefixed by ``where``; the
-    design's ``kept`` maps each of its columns to its feature index. The
-    kept columns are standardized as they are written (only centered without
-    ``scale``), and the k columns of ``targets`` (k may be 0) follow as
-    given. Raises GroupTooSmallError when every feature is constant, and
-    ComputationError when a feature's mean or std overflows.
-    """
-    m1, m2, stds, peaks = column_stats(x, rows)
-    overflow = ~(np.isfinite(m1) & np.isfinite(stds))
-    if overflow.any():
-        features = ", ".join(names[j] for j in np.flatnonzero(overflow))
-        raise ComputationError(f"{where}: means or stds of features overflow: {features}; rescale the features")
-    constant = negligible(stds, peaks)
-    kept = np.flatnonzero(~constant).tolist()
-    if not kept:
-        raise GroupTooSmallError(f"{where}: every feature is constant")
-    if constant.any():
-        dropped = ", ".join(names[j] for j in np.flatnonzero(constant))
-        warnings.warn(f"{where}: dropping zero-variance features: {dropped}", ClockWarning, stacklevel=3)
-    return Design(x, rows, kept, m1[kept], m2[kept], stds[kept] if scale else None, targets)
-
-
-@contextmanager
-def naming_dependent(kept, names, where: str):
-    """Re-raise a RankDeficientError with feature names in place of column slots.
-
-    ``kept`` maps each design column to its feature index, as in the
-    ``numstats.Design`` of :func:`fit_design`.
-    """
-    try:
-        yield
-    except RankDeficientError as exc:
-        dependent = [kept[i] for i in exc.columns]
-        raise RankDeficientError(
-            f"{where}: features are linear combinations of the others: "
-            f"{', '.join(names[j] for j in dependent)}",
-            dependent,
-        ) from exc
-
-
 def select_arrows(arrows, config: RunConfig, where: str) -> tuple[ClockArrow, ...]:
     """The significant arrows, strongest first, cut to ``config.top_k``.
 
@@ -218,7 +163,9 @@ def build_clock(
     features are dropped with a warning), centers their embedding
     coordinates, fits the two axis regressions, and keeps the significant
     arrows sorted by magnitude. The anchor is the members' embedding
-    centroid; the scale is half the members' bounding-box diagonal.
+    centroid; the scale is half the members' bounding-box diagonal. Raises
+    GroupTooSmallError for fewer than 3 members, and, from the fit, for
+    fewer than d + 2 with d the kept features.
     """
     x, y, names = checked_inputs(x, y, feature_names)
     config = config or RunConfig()
@@ -242,14 +189,7 @@ def build_clock(
     design = fit_design(x, members, center_columns(ym), names, f"group {label!r}",
                         scale=config.standardize_x)
     kept = design.kept
-    if members.size < len(kept) + 2:
-        raise GroupTooSmallError(
-            f"group {label!r} too small for clock: {members.size} points for "
-            f"{len(kept)} features (need at least {len(kept) + 2})"
-        )
-
-    with naming_dependent(kept, names, f"group {label!r}"):
-        fit0, fit90 = ols_fit(design)
+    fit0, fit90 = ols_fit(design)
     b0, b90 = fit0.coefficients, fit90.coefficients
     if config.standardize_betas:
         both = np.concatenate([b0, b90])

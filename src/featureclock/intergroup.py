@@ -2,9 +2,11 @@
 
 Each spanning-tree edge between group centers gets a binary logistic
 regression over the two groups' standardized features. The fit reads the
-edge's ``numstats.Design`` alone, takes its rank from the axis fit's own
-``r_factor`` call and rule, and its standard errors from the Fisher
-information at its final iterate.
+edge's ``numstats.Design`` alone, built by ``numstats.fit_design``; it
+takes its size and rank checks, and the errors they raise named by the
+Design, from the axis fit's own ``fit_size``, ``r_factor`` and
+``check_rank``, and its standard errors from the Fisher information at its
+final iterate.
 Significant coefficients become arrows along the line joining the centers: a
 positive coefficient points at the group encoded as class 1.
 """
@@ -20,16 +22,14 @@ from .clockcore import (
     ClockArrow,
     check_coverage,
     checked_inputs,
-    fit_design,
     max_contribution,
-    naming_dependent,
     select_arrows,
     unit_vector,
 )
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .grouping import GroupingResult
 from .ingest import Dataset, RunConfig
-from .numstats import Design, check_rank, fill, fit_size, normal_two_sided_p, r_factor
+from .numstats import Design, check_rank, fill, fit_design, fit_size, normal_two_sided_p, r_factor
 
 # Ridge on the coefficients (never the intercept). Keeps the coefficients
 # finite when the two groups are linearly separable, and every Newton system
@@ -66,10 +66,12 @@ def logistic_fit(rows: Design, labels) -> LogisticFit:
     """Fit class probabilities by iteratively reweighted least squares.
 
     ``rows`` is an edge's ``numstats.Design`` with no targets, built by
-    ``clockcore.fit_design``: the fit reads nothing else. Raises
+    ``numstats.fit_design``: the fit reads nothing else. Raises
+    GroupTooSmallError when it has fewer than d + 2 rows, and
     RankDeficientError when the axis fit's own ``numstats.r_factor`` call
-    over it shows a dependent column under the axis fit's rule; only then
-    is the design written, once, into one column-major [1 | X] matrix.
+    over it shows a dependent column under the axis fit's rule, each named
+    by the Design; only then is the design written, once, into one
+    column-major [1 | X] matrix.
     Maximizes the log-likelihood minus (L2_PENALTY/2)*||coefficients||^2;
     the intercept is unpenalized. Iterations stop when the largest parameter
     update falls below 1e-10 or after 100 rounds, in which case the result
@@ -84,7 +86,7 @@ def logistic_fit(rows: Design, labels) -> LogisticFit:
         raise ComputationError("labels must be coded 0/1")
     if yv.min() == yv.max():
         raise ComputationError("logistic regression needs both classes present")
-    check_rank(r_factor(rows))
+    check_rank(r_factor(rows), rows)
     design = np.empty((n, d + 1), order="F")  # a row-major one moves 12th-digit p-values
     design[:, 0] = 1.0
     fill(rows, design[:, 1:])
@@ -147,8 +149,10 @@ def build_intergroup_clocks(
     Arrows keep features with Wald p below alpha, resolved along the
     center-to-center axis; positive coefficients point at the second group
     of the edge. Edges whose groups are too small are skipped with a warning.
-    Before anything is fitted, an edge that names a group id the grouping
-    lacks, joins a group to itself or repeats a pair raises ComputationError.
+    The tree need not span the groups: each valid, distinct edge is fitted.
+    Before anything is fitted, an empty tree, or an edge that names a group
+    id the grouping lacks, joins a group to itself or repeats a pair, raises
+    ComputationError.
     """
     config = config or RunConfig()
     check_coverage(dataset, grouping)
@@ -156,6 +160,8 @@ def build_intergroup_clocks(
         raise ComputationError(
             f"inter-group clocks need at least 2 groups, found {len(grouping.groups)}"
         )
+    if not mst:
+        raise ComputationError("no inter-group clocks: the spanning tree has no edges")
     x, _, names = checked_inputs(dataset.X, dataset.Y, dataset.feature_names)
     d = x.shape[1]
     by_id = {g.id: g for g in grouping.groups}
@@ -189,9 +195,7 @@ def build_intergroup_clocks(
         except GroupTooSmallError as exc:
             warnings.warn(f"skipping {exc}", ClockWarning, stacklevel=2)
             continue
-        kept = design.kept
-        with naming_dependent(kept, names, where):
-            fit = logistic_fit(design, labels)
+        fit = logistic_fit(design, labels)
 
         _, axis = max_contribution(gb.center[0] - ga.center[0], gb.center[1] - ga.center[1])
         ux, uy = unit_vector(axis)
@@ -201,7 +205,7 @@ def build_intergroup_clocks(
         )
 
         arrows = []
-        for slot, j in enumerate(kept):
+        for slot, j in enumerate(design.kept):
             p = float(fit.p_values[slot])
             coef = float(fit.coefficients[slot])
             angle = axis if coef >= 0 else (axis + 180.0) % 360.0

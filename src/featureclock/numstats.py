@@ -3,16 +3,20 @@
 Ordinary least squares with classical t-tests, the column statistics and
 standardization that build a fit's design, and Student-t tail probabilities.
 Both fits (ols_fit and ``intergroup.logistic_fit``) read a :class:`Design`,
-built by ``clockcore.fit_design``, and nothing else. No routine caches or
-shares state. Three routines write to an argument: standardize_columns (in
-place, one block of rows at a time), qr_r_in_place (the factorization, in a
-scratch buffer that r_factor owns) and fill (a design's rows, into a buffer
-its caller owns). ols_fit leaves its design's arrays as they were.
+built by :func:`fit_design`, and nothing else. The Design carries its
+feature names and a ``where`` label, so :func:`fit_size` and
+:func:`check_rank` raise errors that name the group or edge and its
+features. No routine caches or shares state. Three routines write to an
+argument: standardize_columns (in place, one block of rows at a time),
+qr_r_in_place (the factorization, in a scratch buffer that r_factor owns)
+and fill (a design's rows, into a buffer its caller owns). ols_fit leaves
+its design's arrays as they were.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 # copies np.linalg.qr makes; a test pins its R to np.linalg.qr's bit for bit.
 from numpy.linalg import lapack_lite
 
-from .errors import ComputationError, RankDeficientError
+from .errors import ClockWarning, ComputationError, GroupTooSmallError, RankDeficientError
 
 # Rounding noise relative to the magnitude of the numbers it comes from. Every
 # "is this zero?" decision goes through :func:`negligible` with this ratio, so
@@ -128,24 +132,25 @@ def standardize_columns(x, m1, m2, stds=None) -> None:
         x /= stds
 
 
-def check_rank(r: np.ndarray) -> None:
-    """Raise RankDeficientError unless the square R factor of a design has full rank.
+def check_rank(r: np.ndarray, design: Design) -> None:
+    """Raise RankDeficientError unless the square R factor of ``design``'s features has full rank.
 
     |R[k, k]| over the norm of R's column k is the sine of the angle between
     design column k and the span of the columns before it (R's column norms
     are the design's), so the ratio does not depend on the units of any
     feature. A column whose ratio is at most ``RANK_TOL * sqrt(d)`` is a
-    linear combination of the columns before it and is listed in the error's
-    ``columns``; reordering the columns chooses which one is named.
+    linear combination of the columns before it; the error names its
+    feature, prefixed by the design's ``where``, and lists its feature index
+    in ``columns``. Reordering the columns chooses which one is named.
     """
     d = r.shape[1]
     norms = np.sqrt((r * r).sum(axis=0))
     ratio = np.abs(np.diagonal(r)) / np.where(norms > 0.0, norms, 1.0)
-    dependent = np.flatnonzero(ratio <= RANK_TOL * math.sqrt(d)).tolist()
+    dependent = [design.kept[i] for i in np.flatnonzero(ratio <= RANK_TOL * math.sqrt(d))]
     if dependent:
         raise RankDeficientError(
-            f"design matrix is rank deficient (rank {d - len(dependent)} of {d}); "
-            f"offending columns: {dependent}",
+            f"{design.where}: features are linear combinations of the others: "
+            f"{', '.join(design.names[j] for j in dependent)}",
             dependent,
         )
 
@@ -179,10 +184,13 @@ class Design:
 
     X is the ``kept`` columns of ``x[rows]``, each centered by its two means
     ``m1`` and ``m2`` and divided by its std (only centered when ``stds`` is
-    None), all taken over every row by ``clockcore.fit_design``. ``shape``,
-    ``write(lo, hi, out)`` and ``targets`` are what :func:`r_factor`,
-    :func:`fill` and both fits read: an axis fit never holds the whole
-    design, and an edge's fit writes it once, into its [1 | X] matrix.
+    None), all taken over every row by :func:`fit_design`. ``names`` holds
+    a name for every column of ``x`` and ``where`` labels the fit (say
+    ``group 'a'``) in the errors of :func:`fit_size` and :func:`check_rank`.
+    ``shape``, ``write(lo, hi, out)`` and ``targets`` are what
+    :func:`r_factor`, :func:`fill` and both fits read: an axis fit never
+    holds the whole design, and an edge's fit writes it once, into its
+    [1 | X] matrix.
     """
 
     x: np.ndarray
@@ -192,6 +200,8 @@ class Design:
     m2: np.ndarray
     stds: np.ndarray | None
     targets: np.ndarray
+    names: list[str]
+    where: str
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -208,6 +218,34 @@ class Design:
         standardize_columns(block, self.m1, self.m2, self.stds)
         out[:, :d] = block
         out[:, d:] = self.targets[lo:hi]
+
+
+def fit_design(x, rows, targets, names, where: str, *, scale: bool = True) -> Design:
+    """The :class:`Design` [X | targets] of a fit over the given rows of ``x``: the one input of both fits.
+
+    One pass over blocks of whole columns (:func:`column_stats`) takes each
+    column's means, std and largest |value|, with no temporary past one
+    block; nothing of the design's size is built. Constant columns are
+    dropped with a warning that names them, prefixed by ``where``; the
+    design's ``kept`` maps each of its columns to its feature index. The
+    kept columns are standardized as they are written (only centered without
+    ``scale``), and the k columns of ``targets`` (k may be 0) follow as
+    given. Raises GroupTooSmallError when every feature is constant, and
+    ComputationError when a feature's mean or std overflows.
+    """
+    m1, m2, stds, peaks = column_stats(x, rows)
+    overflow = ~(np.isfinite(m1) & np.isfinite(stds))
+    if overflow.any():
+        features = ", ".join(names[j] for j in np.flatnonzero(overflow))
+        raise ComputationError(f"{where}: means or stds of features overflow: {features}; rescale the features")
+    constant = negligible(stds, peaks)
+    kept = np.flatnonzero(~constant).tolist()
+    if not kept:
+        raise GroupTooSmallError(f"{where}: every feature is constant")
+    if constant.any():
+        dropped = ", ".join(names[j] for j in np.flatnonzero(constant))
+        warnings.warn(f"{where}: dropping zero-variance features: {dropped}", ClockWarning, stacklevel=3)
+    return Design(x, rows, kept, m1[kept], m2[kept], stds[kept] if scale else None, targets, names, where)
 
 
 def _block_rows(m: int) -> int:
@@ -256,10 +294,17 @@ def fill(rows, out) -> None:
 
 
 def fit_size(design: Design) -> tuple[int, int]:
-    """``(n, d)``: the rows of a fit's design and its columns before the targets; n >= d + 2."""
+    """``(n, d)``: the rows of a fit's design and its columns before the targets.
+
+    Raises GroupTooSmallError, named by the design's ``where``, unless
+    n >= d + 2: one degree of freedom goes to the intercept that centering
+    absorbs, and the t-tests need one more.
+    """
     n, d = len(design.rows), len(design.kept)
     if n < d + 2:
-        raise ComputationError(f"insufficient observations: n={n} but need at least d+2={d + 2}")
+        raise GroupTooSmallError(
+            f"{design.where} too small for clock: {n} points for {d} features (need at least {d + 2})"
+        )
     return n, d
 
 
@@ -278,12 +323,12 @@ class RegressionFit:
 def ols_fit(design: Design) -> tuple[RegressionFit, ...]:
     """Least squares of each of the design's k targets on its d feature columns.
 
-    ``design`` is the [X | Y] that ``clockcore.fit_design`` builds: a
-    centered or standardized X followed by k centered targets. Returns a
-    tuple of k fits, all from the one R factor that :func:`r_factor`
-    accumulates over the design's row blocks; the target norms of the
-    exact-fit test come from the targets themselves. Raises
-    ComputationError when n < d + 2.
+    ``design`` is the [X | Y] that :func:`fit_design` builds: a centered
+    or standardized X followed by k centered targets. Returns a tuple of k
+    fits, all from the one R factor that :func:`r_factor` accumulates over
+    the design's row blocks; the target norms of the exact-fit test come
+    from the targets themselves. :func:`fit_size` and :func:`check_rank`
+    raise the errors, named by the design.
     With R11 the leading d x d block of R, R12 the block beside it and R22
     the block below, beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and
     diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
@@ -299,7 +344,7 @@ def ols_fit(design: Design) -> tuple[RegressionFit, ...]:
     target_norms = np.sqrt([np.square(design.targets[:, j]).sum() for j in range(k)])
     r = r_factor(design)
     r11 = r[:d, :d]
-    check_rank(r11)
+    check_rank(r11, design)
 
     # One solve against [R12 | I] gives beta and R11^-1 together.
     solution = np.linalg.solve(r11, np.column_stack([r[:d, d:], np.eye(d)]))

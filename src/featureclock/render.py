@@ -105,12 +105,9 @@ class Scene:
     circles: list[CirclesGlyph] = field(default_factory=list)
     legend: list[tuple[str, str, str]] = field(default_factory=list)
 
-    def to_svg(self, out=None) -> str | None:
-        """The SVG text, or None after writing it piece by piece to the text file ``out``."""
-        if out is None:
-            return "".join(_svg_pieces(self))
+    def to_svg(self, out) -> None:
+        """Write the SVG text piece by piece to the text file ``out``."""
         out.writelines(_svg_pieces(self))
-        return None
 
 
 def _style_for(scene: Scene, feature: str) -> tuple[str, str]:

@@ -18,10 +18,13 @@ then a column stack) that the one-buffer path must match; the fourth keeps
 the earlier IRLS loop of the logistic fit.
 
 ``array_design`` is no oracle: it is the one way the tests hand arrays to
-the fits, which read only a ``numstats.Design``.
+the fits, which read only a ``numstats.Design``. Nor is ``svg_text``: it is
+the one way the tests read a scene's SVG, which ``Scene.to_svg`` only
+streams to a file.
 """
 
 import csv
+import io
 import itertools
 import math
 import random
@@ -43,18 +46,28 @@ from featureclock.numstats import (
 )
 
 
-def array_design(x, targets=None) -> Design:
+def array_design(x, targets=None, names=None, where="design") -> Design:
     """A Design over every row of ``x`` that writes [x | targets] as given.
 
     Its means are zeros and it has no stds, and subtracting zero changes no
     value, so the rows it writes are the arrays' own bit for bit. ``targets``
     is None (no targets, as an edge's design), one column or a 2-D array.
+    The features are named f0, f1, ... unless ``names`` is given, and
+    ``where`` labels the fit's errors.
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     targets = np.empty((n, 0)) if targets is None else np.asarray(targets, dtype=float).reshape(n, -1)
+    names = [f"f{j}" for j in range(d)] if names is None else list(names)
     zeros = np.zeros(d)
-    return Design(x, np.arange(n), list(range(d)), zeros, zeros, None, targets)
+    return Design(x, np.arange(n), list(range(d)), zeros, zeros, None, targets, names, where)
+
+
+def svg_text(scene) -> str:
+    """The SVG text that ``scene.to_svg`` writes to a file."""
+    out = io.StringIO()
+    scene.to_svg(out)
+    return out.getvalue()
 
 
 def simpson_t_two_sided(t: float, dof: int, panels: int = 20000) -> float:
@@ -402,7 +415,7 @@ def ols_fit_reference(x, y):
     n, d = x.shape
     k = y.shape[1]
     r = np.linalg.qr(np.column_stack([x, y]), mode="r")
-    check_rank(r[:d, :d])
+    check_rank(r[:d, :d], array_design(x, y))
     solution = np.linalg.solve(r[:d, :d], np.column_stack([r[:d, d:], np.eye(d)]))
     rinv = solution[:, k:]
     xtx_inv_diag = (rinv * rinv).sum(axis=1)
@@ -437,7 +450,7 @@ def logistic_fit_reference(x, labels, max_iter=100):
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    check_rank(np.linalg.qr(x, mode="r"))
+    check_rank(np.linalg.qr(x, mode="r"), array_design(x))
     n, d = x.shape
     design = np.asfortranarray(np.column_stack([np.ones(n), x]))
     ridge = np.full(d + 1, L2_PENALTY)

@@ -448,6 +448,33 @@ class TestLocalCommand:
         assert [c["group"] for c in report["clocks"]] == ["a", "b"]
         assert message in report["warnings"]
 
+    @pytest.mark.parametrize(
+        "tiny, reason",
+        [(3, "3 points for 3 features (need at least 5)"), (2, "2 points")],
+        ids=["fewer-than-d-plus-2", "fewer-than-3"],
+    )
+    def test_small_group_skipped_with_its_size(self, tmp_path, capsys, tiny, reason):
+        rng = np.random.default_rng(5)
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1", "f2"], rng.normal(size=(40, 3)))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(40, 2)))
+        labels = write_labels(tmp_path / "l.csv", ["big"] * (40 - tiny) + ["tiny"] * tiny)
+        out = tmp_path / "out"
+        assert run(["local", "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 0
+        message = f"skipping group 'tiny': group 'tiny' too small for clock: {reason}"
+        assert f"warning: {message}\n" in capsys.readouterr().err
+        report = json.loads((out / "clock.json").read_text())
+        assert [c["group"] for c in report["clocks"]] == ["big"]
+        assert message in report["warnings"]
+
+    def test_global_too_small_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        x = write_matrix(tmp_path / "x.csv", [f"f{j}" for j in range(5)], rng.normal(size=(6, 5)))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(6, 2)))
+        assert run(["global", "--x", x, "--y", y, "--out-dir", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err == (
+            "error: group 'global' too small for clock: 6 points for 5 features (need at least 7)\n"
+        )
+
     def test_all_constant_global_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         x = write_matrix(tmp_path / "x.csv", ["f0", "f1"], np.tile([1.5, -2.0], (30, 1)))

@@ -24,8 +24,8 @@ from featureclock import (
     ols_fit,
 )
 from featureclock import numstats
-from featureclock.clockcore import fit_design, unit_vector
-from featureclock.numstats import fill
+from featureclock.clockcore import unit_vector
+from featureclock.numstats import fill, fit_design
 from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
@@ -400,8 +400,9 @@ class TestBuildClock:
 
     def test_group_too_small(self):
         x, y = identity_fixture(d=4)
-        with pytest.raises(GroupTooSmallError, match="too small"):
-            build_clock(x, y, range(4))  # 4 points for 4 features
+        with pytest.raises(GroupTooSmallError) as info:
+            build_clock(x, y, range(4))
+        assert str(info.value) == "group 'global' too small for clock: 4 points for 4 features (need at least 6)"
 
     def test_top_k_truncates(self):
         x, y = identity_fixture(d=5, n=80)

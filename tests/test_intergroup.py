@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from featureclock import (
     ClockWarning,
     ComputationError,
+    GroupTooSmallError,
     RankDeficientError,
     RunConfig,
     build_intergroup_clocks,
@@ -21,8 +22,7 @@ from featureclock import (
 )
 from featureclock import intergroup as intergroup_module
 from featureclock import numstats
-from featureclock.clockcore import fit_design
-from featureclock.numstats import check_rank, fill, r_factor
+from featureclock.numstats import check_rank, fill, fit_design, r_factor
 from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
@@ -224,6 +224,22 @@ class TestLogisticFit:
             logistic_fit(array_design(np.column_stack([a, b, e, a + b])), labels)
         assert info.value.columns == (3,)
 
+    def test_errors_name_the_design(self):
+        # a hand-built Design names its edge and features in the size and rank errors
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(2, 40))
+        a[20:] += 2.0
+        x = np.column_stack([a, b, a - b])
+        names = ["a", "b", "a_minus_b"]
+        labels = np.repeat([0.0, 1.0], 20)
+        with pytest.raises(GroupTooSmallError) as info:
+            logistic_fit(array_design(x[18:22], None, names, "edge 'p'-'q'"), labels[18:22])
+        assert str(info.value) == "edge 'p'-'q' too small for clock: 4 points for 3 features (need at least 5)"
+        with pytest.raises(RankDeficientError) as info:
+            logistic_fit(array_design(x, None, names, "edge 'p'-'q'"), labels)
+        assert str(info.value) == "edge 'p'-'q': features are linear combinations of the others: a_minus_b"
+        assert info.value.columns == (2,)
+
     def test_design_left_untouched(self):
         # the Design's rows are written into the fit's own [1 | X] matrix,
         # which the IRLS reads; its C-ordered, F-ordered or read-only x and
@@ -306,7 +322,7 @@ class TestLogisticFit:
         x[:, j] *= 10.0**log_scale
         labels = np.resize([0.0, 1.0], n)
         try:
-            check_rank(np.linalg.qr(x, mode="r"))
+            check_rank(np.linalg.qr(x, mode="r"), array_design(x))
             expected = None
         except RankDeficientError as exc:
             expected = exc.columns
@@ -427,8 +443,9 @@ class TestIntergroupClocks:
             (((0, 7, 1.0),), r"^spanning-tree edge \(0, 7\) names a group id the grouping does not have$"),
             (((0, 0, 0.0),), r"^spanning-tree edge \(0, 0\) joins a group to itself$"),
             (((0, 1, 10.0), (1, 0, 10.0)), r"^spanning-tree edge \(1, 0\) repeats a pair already in the tree$"),
+            ((), r"^no inter-group clocks: the spanning tree has no edges$"),
         ],
-        ids=["missing-id", "self-loop", "repeated-pair"],
+        ids=["missing-id", "self-loop", "repeated-pair", "empty"],
     )
     def test_faulty_spanning_tree_rejected_before_any_fit(self, tree, message, monkeypatch):
         dataset = shifted_fixture()
@@ -441,6 +458,21 @@ class TestIntergroupClocks:
         monkeypatch.setattr(intergroup_module, "logistic_fit", no_fit)
         with pytest.raises(ComputationError, match=message):
             build_intergroup_clocks(dataset, grouping, tree)
+
+    def test_tree_need_not_span_the_groups(self):
+        # each valid, distinct edge is fitted, as it is in the whole tree
+        dataset = shifted_fixture()
+        labels = ["low"] * 250 + ["high"] * 125 + ["far"] * 125
+        y = dataset.Y.copy()
+        y[375:] += np.array([0.0, 20.0])
+        dataset = dataclasses.replace(dataset, Y=y, labels=tuple(labels))
+        grouping = from_labels(labels, y)
+        tree = mst_over_centers(grouping)
+        assert len(tree) == 2
+        config = RunConfig(alpha=1.0)
+        whole = build_intergroup_clocks(dataset, grouping, tree, config)
+        for edge, clock in zip(tree, whole):
+            assert build_intergroup_clocks(dataset, grouping, (edge,), config) == [clock]
 
     def test_feature_names_must_match_x(self):
         # the edge builder shares the local builder's entry checks and messages

@@ -27,6 +27,8 @@ from featureclock.ingest import Dataset, Provenance
 from featureclock import render as render_module
 from featureclock.render import NOISE_COLOR, PALETTE, _fmt, _markers
 
+from oracles import svg_text
+
 
 def make_dataset(x, y, labels=None):
     x = np.asarray(x, dtype=float)
@@ -62,7 +64,7 @@ def marker_count(svg):
 class TestScatter:
     def test_three_points_single_color(self):
         scene = simple_scene()
-        svg = scene.to_svg()
+        svg = svg_text(scene)
         assert marker_count(svg) == 3
         colors = set(re.findall(r'<circle [^>]*r="3" fill="(#\w+)"', svg))
         assert len(colors) == 1
@@ -72,7 +74,7 @@ class TestScatter:
         x = np.column_stack([np.arange(4.0), np.ones(4)])
         dataset = make_dataset(x, y, labels=["a", "a", "a", "noise"])
         grouping = from_labels(dataset.labels, dataset.Y)
-        svg = render_scatter(dataset, grouping).to_svg()
+        svg = svg_text(render_scatter(dataset, grouping))
         assert NOISE_COLOR in svg
         assert ">noise<" in svg
 
@@ -81,7 +83,7 @@ class TestScatter:
         tokens = ["noise" if i % 13 == 12 else f"g{i % 13}" for i in range(39)]
         x = np.column_stack([np.arange(39.0), np.ones(39)])
         dataset = make_dataset(x, np.column_stack([np.arange(39.0), np.zeros(39)]), tokens)
-        svg = render_scatter(dataset, from_labels(dataset.labels, dataset.Y)).to_svg()
+        svg = svg_text(render_scatter(dataset, from_labels(dataset.labels, dataset.Y)))
         expected = [NOISE_COLOR if t == "noise" else PALETTE[int(t[1:]) % 10] for t in tokens]
         assert re.findall(r'<circle [^>]*r="3" fill="(#\w+)"', svg) == expected
         legend = re.findall(r'height="10" fill="(#\w+)"/>\n<text [^>]*>([^<]*)</text>', svg)
@@ -90,8 +92,8 @@ class TestScatter:
         assert legend[10] == (PALETTE[0], "g10")
 
     def test_byte_identical_runs(self):
-        first = simple_scene().to_svg()
-        second = simple_scene().to_svg()
+        first = svg_text(simple_scene())
+        second = svg_text(simple_scene())
         assert hashlib.sha256(first.encode()).hexdigest() == hashlib.sha256(
             second.encode()
         ).hexdigest()
@@ -153,7 +155,7 @@ class TestStreaming:
             patch.setattr(render_module, "_MARKER_CHUNK", chunk)
             with open(tmp_path / "out.svg", "w", encoding="utf-8") as handle:
                 assert scene.to_svg(handle) is None
-            text = scene.to_svg()
+            text = svg_text(scene)
         assert (tmp_path / "out.svg").read_bytes() == text.encode("utf-8")
         assert "sépal" in text
 
@@ -213,7 +215,7 @@ class TestClockGlyph:
     def test_single_arrow_spans_radius(self):
         scene = simple_scene()
         clock = manual_clock([arrow("f0", 1.0, 0.0)])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         radius = clock_radius_px(svg)
         color = scene.feature_styles["f0"][0]
         assert line_length_px(svg, color) == pytest.approx(radius, abs=0.03)
@@ -221,7 +223,7 @@ class TestClockGlyph:
     def test_equal_magnitudes_equal_pixel_lengths(self):
         scene = simple_scene()
         clock = manual_clock([arrow("f0", 1.0, 0.0), arrow("f1", 0.0, 1.0)])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         c0 = scene.feature_styles["f0"][0]
         c1 = scene.feature_styles["f1"][0]
         assert line_length_px(svg, c0) == pytest.approx(line_length_px(svg, c1), abs=0.03)
@@ -229,7 +231,7 @@ class TestClockGlyph:
     def test_relative_lengths_match_magnitudes(self):
         scene = simple_scene()
         clock = manual_clock([arrow("f0", 1.0, 0.0), arrow("f1", 0.0, 0.4)])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         c0 = scene.feature_styles["f0"][0]
         c1 = scene.feature_styles["f1"][0]
         ratio = line_length_px(svg, c1) / line_length_px(svg, c0)
@@ -238,20 +240,20 @@ class TestClockGlyph:
     def test_annotations_print_magnitudes(self):
         scene = simple_scene()
         clock = manual_clock([arrow("f0", 0.75, 0.0), arrow("f1", 0.0, 0.31)])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         assert ">0.75<" in svg
         assert ">0.31<" in svg
 
     def test_empty_clock_gets_caption(self):
         scene = simple_scene()
         clock = manual_clock([])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         assert "no significant features" in svg
 
     def test_legend_lists_features(self):
         scene = simple_scene()
         clock = manual_clock([arrow("f0", 1.0, 0.0)])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         assert ">f0<" in svg
 
     @pytest.mark.parametrize("canvas", [(900, 600), (900, 300), (400, 100), (150, 100)])
@@ -263,7 +265,7 @@ class TestClockGlyph:
         arrows = [arrow(f"f{j}", math.cos(j), math.sin(j)) for j in range(60)]
         x = np.column_stack([np.arange(3.0), np.ones(3)])
         scene = render_scatter(make_dataset(x, [[-2.0, -2.0], [2.0, 2.0], [0.0, 1.0]]), canvas=canvas)
-        svg = render_clock(scene, manual_clock(arrows)).to_svg()
+        svg = svg_text(render_clock(scene, manual_clock(arrows)))
         rects = re.findall(r'<rect x="([\d.-]+)" y="([\d.-]+)" width="10" height="10"', svg)
         assert len(rects) == shown
         width, height = canvas
@@ -300,14 +302,14 @@ class TestCirclesGlyph:
     def test_two_point_sweep_still_valid(self):
         scene = simple_scene()
         clock = self.sweep_clock(m=2)
-        svg = render_circles(scene, clock).to_svg()
+        svg = svg_text(render_circles(scene, clock))
         minidom.parseString(svg)
         assert "<polyline" in svg
 
     def test_insignificant_features_not_drawn(self):
         scene = simple_scene()
         clock = Clock("circles", (0.0, 0.0), 1.0, (), (0, 1, 2), {"f0": ((0.0, 1.0),)})
-        svg = render_circles(scene, clock).to_svg()
+        svg = svg_text(render_circles(scene, clock))
         assert "<polyline" not in svg
 
 
@@ -333,7 +335,7 @@ class TestIntergroupGlyph:
     def test_segment_and_arrow_toward_positive_class(self):
         dataset, grouping, clocks = self.fixture()
         scene = render_scatter(dataset, grouping)
-        svg = render_intergroup(scene, clocks).to_svg()
+        svg = svg_text(render_intergroup(scene, clocks))
         assert svg.count("stroke-dasharray=\"4,3\"") == 1  # one segment
         clock = clocks[0]
         assert clock.arrows[0].feature == "f0"
@@ -349,7 +351,7 @@ class TestIntergroupGlyph:
         dataset, grouping, clocks = self.fixture()
         bare = [dataclasses.replace(clocks[0], arrows=())]
         scene = render_scatter(dataset, grouping)
-        svg = render_intergroup(scene, bare).to_svg()
+        svg = svg_text(render_intergroup(scene, bare))
         assert 'stroke-dasharray="4,3"' in svg
         assert 'stroke-width="2"' not in svg
 
@@ -372,7 +374,7 @@ class TestIntergroupGlyph:
                 dataset, grouping, mst_over_centers(grouping), RunConfig(alpha=1e-9)
             )
         scene = render_scatter(dataset, grouping)
-        svg = render_intergroup(scene, clocks).to_svg()
+        svg = svg_text(render_intergroup(scene, clocks))
         assert svg.count('stroke-dasharray="4,3"') == 2
 
 
@@ -422,7 +424,7 @@ class TestWellFormed:
         )
         scene = render_scatter(iris_dataset, grouping)
         render_circles(scene, clock)
-        minidom.parseString(scene.to_svg())
+        minidom.parseString(svg_text(scene))
 
         plain = build_clock(
             iris_dataset.X,
@@ -432,7 +434,7 @@ class TestWellFormed:
         )
         scene2 = render_scatter(iris_dataset, grouping)
         render_clock(scene2, plain)
-        minidom.parseString(scene2.to_svg())
+        minidom.parseString(svg_text(scene2))
 
     def test_label_text_is_escaped(self):
         y = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 2.0]]
@@ -442,7 +444,7 @@ class TestWellFormed:
         )
         scene = render_scatter(dataset)
         clock = manual_clock([arrow("a<b", 1.0, 0.0), arrow("c&d", 0.0, 0.5)])
-        svg = render_clock(scene, clock).to_svg()
+        svg = svg_text(render_clock(scene, clock))
         minidom.parseString(svg)
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
