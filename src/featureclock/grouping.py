@@ -96,25 +96,6 @@ def from_labels(tokens, embedding) -> GroupingResult:
     return GroupingResult(labels, _make_groups(labels, names, emb))
 
 
-def _mean_row(arr: np.ndarray, members: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``arr[members].mean(axis=0)`` bit for bit, ``len(scratch) - 1`` rows at a time.
-
-    ``scratch`` is a (rows + 1, d) buffer; ``members`` is not empty.
-    """
-    if arr.shape[1] == 1:  # numpy sums one column pairwise; it is n values at most
-        return arr[members].mean(axis=0)
-    # numpy sums the rows of a C-ordered block one after another, from zero, so
-    # a running sum put in as a block's first row continues the same sum
-    rows = len(scratch) - 1
-    total = np.zeros(arr.shape[1])
-    for lo in range(0, members.size, rows):
-        part = members[lo : lo + rows]
-        scratch[0] = total
-        np.take(arr, part, axis=0, out=scratch[1 : part.size + 1])
-        scratch[: part.size + 1].sum(axis=0, out=total)
-    return total / members.size
-
-
 def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
@@ -131,7 +112,7 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
 
     Memory beyond ``data`` is one block of rows, about ``_BLOCK_CELLS``
     differences and as many squared distances, plus O(n): the labels, each
-    point's distance to its center and a cluster's member indices.
+    point's distance to its center and a copy of one feature column.
     """
     arr = as_matrix(data, name="data")
     n = arr.shape[0]
@@ -144,10 +125,9 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
         raise InputDataError(f"seed must be non-negative, got {seed}")
 
     # a block of rows at a time: its differences to one center, then its
-    # squared distances to every center; the spare row of diff carries the
-    # running sum of a center update
+    # squared distances to every center
     rows = max(1, _BLOCK_CELLS // max(arr.shape[1], k))
-    diff = np.empty((min(rows, n) + 1, arr.shape[1]))
+    diff = np.empty((min(rows, n), arr.shape[1]))
     dist = np.empty((min(rows, n), k))
 
     def squared_distances(lo, centers):
@@ -192,18 +172,23 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
             block.min(axis=1, out=nearest[lo : lo + rows])
         if not math.isfinite(nearest.max()):  # NaN propagates through max
             raise ComputationError(_OVERFLOW)
-        for cid in range(k):
-            if not np.any(assignment == cid):
-                assigned = nearest.copy()
-                # never take a cluster's last point, an earlier repair included
-                # (so the stale distance of a point moved by a repair is unread)
-                assigned[np.bincount(assignment, minlength=k)[assignment] < 2] = -1.0
-                assignment[int(assigned.argmax())] = cid
+        sizes = np.bincount(assignment, minlength=k)
+        for cid in np.flatnonzero(sizes == 0):
+            assigned = nearest.copy()
+            # never take a cluster's last point, an earlier repair included
+            # (so the stale distance of a point moved by a repair is unread)
+            assigned[sizes[assignment] < 2] = -1.0
+            point = int(assigned.argmax())
+            sizes[assignment[point]] -= 1
+            sizes[cid] += 1
+            assignment[point] = cid
         if np.array_equal(assignment, labels):
             break
         labels = assignment
-        for cid in range(k):
-            centers[cid] = _mean_row(arr, np.flatnonzero(labels == cid), diff)
+        # bincount adds each cluster's rows in row order, from zero
+        for j in range(arr.shape[1]):
+            centers[:, j] = np.bincount(labels, weights=arr[:, j], minlength=k)
+        centers /= sizes[:, None]
 
     names = {cid: str(cid) for cid in range(k)}
     return GroupingResult(labels, _make_groups(labels, names, emb))

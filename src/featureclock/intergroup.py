@@ -54,12 +54,8 @@ class LogisticFit:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(eta))  # at most 1, so neither branch overflows
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_fit(rows: Design, labels) -> LogisticFit:

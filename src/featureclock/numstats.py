@@ -60,15 +60,13 @@ def distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[keep]
 
 
-def as_matrix(values, *, name: str = "matrix", min_rows: int = 1) -> np.ndarray:
+def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
     """Validate a 2-D array of finite floats, with a column at least, and return it as float64."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ComputationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < min_rows or arr.shape[1] < 1:
-        raise ComputationError(
-            f"{name} must be at least {min_rows}x1, got {arr.shape[0]}x{arr.shape[1]}"
-        )
+    if arr.size == 0:
+        raise ComputationError(f"{name} must be at least 1x1, got {arr.shape[0]}x{arr.shape[1]}")
     # NaN propagates through min and max and an infinity is one of them, so
     # two reductions decide finiteness without a full-size mask
     if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):

@@ -381,7 +381,8 @@ def standardize_reference(m):
     passes on a new array, then one division. Constant columns are centered
     but not scaled.
     """
-    x = as_matrix(m, min_rows=2)
+    x = as_matrix(m)
+    assert x.shape[0] >= 2, "a sample std needs two rows"
     stds = x.std(axis=0, ddof=1)
     centered = x - x.mean(axis=0)
     centered -= centered.mean(axis=0)

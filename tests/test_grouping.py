@@ -143,6 +143,21 @@ class TestKmeans:
         assert set(grouping.labels.tolist()) == {0, 1, 2, 3}
         assert [g.id for g in grouping.groups] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "values, k, seed, expected",
+        [
+            ([0, 2, 1, 2, 1], 5, 14, [0, 3, 4, 1, 2]),
+            ([0, 1, 2, 2, 1, 2, 2, 2], 8, 9, [1, 3, 4, 5, 2, 6, 7, 0]),
+        ],
+    )
+    def test_repairs_read_the_sizes_they_change(self, values, k, seed, expected):
+        # each repair must see the clusters the earlier ones shrank: with the
+        # round's first sizes a later repair takes an earlier one's only point
+        data = np.array(values, dtype=float)[:, None]
+        grouping = kmeans(data, k, seed=seed, embedding=np.zeros((len(values), 2)))
+        assert grouping.labels.tolist() == expected
+        assert kmeans_reference(data, k, seed).tolist() == expected
+
     def test_centers_come_from_embedding(self):
         data = blob_fixture(seed=6)
         emb = np.column_stack([np.arange(40.0), np.zeros(40)])
@@ -177,26 +192,6 @@ class TestKmeans:
                 grouping = kmeans(arr, k, seed=seed, embedding=data[:, [0, 0]])
                 assert np.array_equal(grouping.labels, expected)
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=1, max_value=300),
-        d=st.integers(min_value=1, max_value=12),
-        rows=st.sampled_from([1, 2, 7, 1000]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_block_mean_equals_numpy_mean(self, seed, n, d, rows):
-        # a carried running sum must add in numpy's order, and from the same
-        # zero, so the bytes match; numpy's mean of -0.0 cells is +0.0
-        rng = np.random.default_rng(seed)
-        arr = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=d)
-        arr[rng.random((n, d)) < 0.2] = -0.0
-        arr[:, rng.random(d) < 0.2] = -0.0
-        members = np.flatnonzero(rng.random(n) < rng.random())
-        if members.size == 0:
-            members = np.array([n // 2])
-        got = grouping_module._mean_row(arr, members, np.empty((rows + 1, d)))
-        assert got.tobytes() == arr[members].mean(axis=0).tobytes()
-
     def test_memory_stays_near_the_data(self):
         # the n x k x d difference tensor of one Lloyd round would be 8 X.nbytes,
         # a full n x d difference buffer 1 X.nbytes, and with k = 1 a copy of
@@ -212,7 +207,7 @@ class TestKmeans:
             finally:
                 tracemalloc.stop()
             assert len(grouping.groups) == k
-            assert peak < 0.55 * data.nbytes  # 0.46 (k = 8) and 0.49 (k = 1) measured
+            assert peak < 0.55 * data.nbytes  # 0.507 (k = 8) and 0.473 (k = 1) measured
 
 
 class TestDbscan:
