@@ -29,7 +29,7 @@ from .ingest import Dataset, RunConfig, load_dataset, validate_config
 from .intergroup import IntergroupClock, build_intergroup_clocks
 from .render import render_circles, render_clock, render_intergroup, render_scatter
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @contextmanager
@@ -88,8 +88,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="sweep step in degrees, with --circles (default 5)")
     parser.add_argument("--no-standardize-x", dest="standardize_x", action="store_const",
                         const=False, default=None, help="skip feature standardization")
-    parser.add_argument("--standardize-betas", dest="standardize_betas", action="store_const",
-                        const=True, default=None, help="rescale coefficients by their pooled std")
     parser.add_argument("--significance-rule", dest="significance_rule", choices=("or", "and"),
                         default=None, help="axis p-value combination (default or)")
     parser.add_argument("--circles", action="store_const", const=True, default=None,
@@ -135,7 +133,6 @@ _UNREAD = {
     "intergroup": {
         dest: f"{flag} applies to global and local only"
         for dest, flag in (("standardize_x", "--no-standardize-x"),
-                           ("standardize_betas", "--standardize-betas"),
                            ("significance_rule", "--significance-rule"), ("circles", "--circles"),
                            ("theta_step_deg", "--theta-step"), ("clock_scale", "--scale"))
     },

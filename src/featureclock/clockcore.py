@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ClockWarning, ComputationError, GroupTooSmallError
 from .ingest import Dataset, RunConfig
-from .numstats import as_matrix, center_columns, distinct, fit_design, negligible, ols_fit
+from .numstats import center_columns, distinct, fit_design, ols_fit
 
 
 def unit_vector(angle_deg: float) -> tuple[float, float]:
@@ -120,23 +120,6 @@ def select_arrows(arrows, config: RunConfig, where: str) -> tuple[ClockArrow, ..
     return tuple(significant)
 
 
-def checked_inputs(x, y, feature_names):
-    """``(x, y, names)``: X and the embedding validated as one pair, and the feature names."""
-    x = as_matrix(x, name="X")
-    y = as_matrix(y, name="Y")
-    if y.shape[1] != 2:
-        raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
-    if x.shape[0] != y.shape[0]:
-        raise ComputationError(
-            f"X has {x.shape[0]} rows but the embedding has {y.shape[0]}"
-        )
-    d = x.shape[1]
-    names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(d)]
-    if len(names) != d:
-        raise ComputationError(f"got {len(names)} feature names for {d} features")
-    return x, y, names
-
-
 def check_coverage(dataset: Dataset, grouping) -> None:
     """Raise ComputationError unless ``grouping`` labels every row of ``dataset``."""
     if grouping.labels.shape[0] != dataset.X.shape[0]:
@@ -147,16 +130,14 @@ def check_coverage(dataset: Dataset, grouping) -> None:
 
 
 def build_clock(
-    x,
-    y,
+    dataset: Dataset,
     member_idx,
     config: RunConfig | None = None,
     *,
     variant: str = "global",
     group: str | None = None,
-    feature_names=None,
 ) -> Clock:
-    """Assemble a clock over the given member rows.
+    """Assemble a clock over the given member rows of ``dataset``.
 
     ``member_idx`` is any sequence or array of integer row indices; it is
     sorted and deduplicated. Standardizes the members' features (constant
@@ -167,7 +148,7 @@ def build_clock(
     GroupTooSmallError for fewer than 3 members, and, from the fit, for
     fewer than d + 2 with d the kept features.
     """
-    x, y, names = checked_inputs(x, y, feature_names)
+    x, y, names = dataset.X, dataset.Y, dataset.feature_names
     config = config or RunConfig()
     n = x.shape[0]
     idx = np.asarray(member_idx)
@@ -191,11 +172,6 @@ def build_clock(
     kept = design.kept
     fit0, fit90 = ols_fit(design)
     b0, b90 = fit0.coefficients, fit90.coefficients
-    if config.standardize_betas:
-        both = np.concatenate([b0, b90])
-        pooled = float(both.std(ddof=1))
-        if not negligible(pooled, np.abs(both).max()):
-            b0, b90 = b0 / pooled, b90 / pooled
 
     # the "and" rule needs both axis p-values below alpha, the "or" rule either
     combine = max if config.significance_rule == "and" else min
@@ -227,14 +203,7 @@ def build_clock(
 
 def build_global_clock(dataset: Dataset, config: RunConfig | None = None) -> Clock:
     """Clock over every point of the dataset."""
-    return build_clock(
-        dataset.X,
-        dataset.Y,
-        range(dataset.X.shape[0]),
-        config,
-        variant="global",
-        feature_names=dataset.feature_names,
-    )
+    return build_clock(dataset, range(dataset.X.shape[0]), config)
 
 
 def build_local_clocks(dataset: Dataset, grouping, config: RunConfig | None = None) -> list[Clock]:
@@ -245,8 +214,7 @@ def build_local_clocks(dataset: Dataset, grouping, config: RunConfig | None = No
     clocks = []
     for grp in grouping.groups:
         try:
-            clocks.append(build_clock(dataset.X, dataset.Y, grp.members, config, variant="local",
-                                      group=grp.name, feature_names=dataset.feature_names))
+            clocks.append(build_clock(dataset, grp.members, config, variant="local", group=grp.name))
         except GroupTooSmallError as exc:
             warnings.warn(f"skipping group {grp.name!r}: {exc}", ClockWarning, stacklevel=2)
     if not clocks:

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClockWarning, InputDataError
+from .errors import ClockWarning, ComputationError, InputDataError
+from .numstats import as_matrix
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,52 @@ class Provenance:
     labels_path: str | None
 
 
+def _name_fault(names) -> str | None:
+    """What is wrong with a list of feature names: the first empty one, else the first repeat."""
+    for idx, name in enumerate(names):
+        if not name:
+            return f"feature name in column {idx + 1} is empty"
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return f"duplicate feature name {name!r}"
+        seen.add(name)
+    return None
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """High-dimensional features, their 2D embedding, and optional labels."""
+    """High-dimensional features, their 2D embedding, and optional labels.
+
+    A Dataset checks itself when it is made, so every clock builder reads it
+    unchecked. X and Y become finite, non-empty 2-D float64 arrays (a float64
+    array is kept, not copied), Y has 2 columns and as many rows as X, and
+    the names, stored as a tuple, are one distinct, non-empty name per column
+    of X. A fault raises ComputationError.
+    """
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     Y: np.ndarray
     labels: tuple[str, ...] | None
     provenance: Provenance
+
+    def __post_init__(self):
+        x = as_matrix(self.X, name="X")
+        y = as_matrix(self.Y, name="Y")
+        if y.shape[1] != 2:
+            raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
+        if x.shape[0] != y.shape[0]:
+            raise ComputationError(f"X has {x.shape[0]} rows but the embedding has {y.shape[0]}")
+        names = tuple(self.feature_names)
+        if len(names) != x.shape[1]:
+            raise ComputationError(f"got {len(names)} feature names for {x.shape[1]} features")
+        fault = _name_fault(names)
+        if fault:
+            raise ComputationError(fault)
+        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "X", x)
+        object.__setattr__(self, "Y", y)
 
 
 @dataclass(frozen=True)
@@ -53,7 +91,6 @@ class RunConfig:
     top_k: int | None = None
     theta_step_deg: float = 5.0
     standardize_x: bool = True
-    standardize_betas: bool = False
     clock_scale: float = 1.0
     significance_rule: str = "or"
     circles: bool = False
@@ -117,7 +154,8 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
         next(csv.reader(handle))  # the header record, which may span lines
         values = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=2)
         # NaN propagates through min and max and an infinity is one of them,
-        # so two reductions decide finiteness without a full-size mask
+        # so two reductions decide finiteness without a full-size mask. The
+        # Dataset checks again, but only this check names the faulty cell
         if values.shape[1] == len(header) and math.isfinite(values.min()) and math.isfinite(values.max()):
             return header, values
     _first_fault(p, len(header), chain([first], rows))
@@ -142,14 +180,9 @@ def _read_labels(path) -> list[str]:
 def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
     """Load and cross-validate the feature matrix, embedding, and labels files."""
     x_header, X = _read_table(x_path)
-    for idx, name in enumerate(x_header):
-        if not name:
-            raise InputDataError(f"{x_path}: feature name in column {idx + 1} is empty")
-    seen: set[str] = set()
-    for name in x_header:
-        if name in seen:
-            raise InputDataError(f"{x_path}: duplicate feature name {name!r}")
-        seen.add(name)
+    fault = _name_fault(x_header)
+    if fault:
+        raise InputDataError(f"{x_path}: {fault}")
     n = X.shape[0]
 
     y_header, Y = _read_table(y_path)

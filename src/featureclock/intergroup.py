@@ -21,7 +21,6 @@ import numpy as np
 from .clockcore import (
     ClockArrow,
     check_coverage,
-    checked_inputs,
     max_contribution,
     select_arrows,
     unit_vector,
@@ -158,7 +157,7 @@ def build_intergroup_clocks(
         )
     if not mst:
         raise ComputationError("no inter-group clocks: the spanning tree has no edges")
-    x, _, names = checked_inputs(dataset.X, dataset.Y, dataset.feature_names)
+    x, names = dataset.X, dataset.feature_names
     d = x.shape[1]
     by_id = {g.id: g for g in grouping.groups}
     need = max(d + 2, 5)

@@ -18,9 +18,10 @@ then a column stack) that the one-buffer path must match; the fourth keeps
 the earlier IRLS loop of the logistic fit.
 
 ``array_design`` is no oracle: it is the one way the tests hand arrays to
-the fits, which read only a ``numstats.Design``. Nor is ``svg_text``: it is
-the one way the tests read a scene's SVG, which ``Scene.to_svg`` only
-streams to a file.
+the fits, which read only a ``numstats.Design``. Nor is ``make_dataset``:
+it is the one way the tests hand arrays to the clock builders, which read
+only a checked ``Dataset``. Nor is ``svg_text``: it is the one way the tests
+read a scene's SVG, which ``Scene.to_svg`` only streams to a file.
 """
 
 import csv
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from featureclock.ingest import Dataset, Provenance
 from featureclock.intergroup import L2_PENALTY, LogisticFit
 from featureclock.numstats import (
     Design,
@@ -61,6 +63,18 @@ def array_design(x, targets=None, names=None, where="design") -> Design:
     names = [f"f{j}" for j in range(d)] if names is None else list(names)
     zeros = np.zeros(d)
     return Design(x, np.arange(n), list(range(d)), zeros, zeros, None, targets, names, where)
+
+
+def make_dataset(x, y, labels=None, names=None) -> Dataset:
+    """A Dataset of X and the embedding ``y``, checked as it is made.
+
+    The features are named f0, f1, ... unless ``names`` is given; ``labels``
+    is one token per row, or None.
+    """
+    names = tuple(f"f{j}" for j in range(np.shape(x)[1])) if names is None else tuple(names)
+    if labels is None:
+        return Dataset(names, x, y, None, Provenance("x.csv", "y.csv", None))
+    return Dataset(names, x, y, tuple(labels), Provenance("x.csv", "y.csv", "labels.csv"))
 
 
 def svg_text(scene) -> str:

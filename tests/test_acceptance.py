@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from featureclock import (
-    Dataset,
     RunConfig,
     build_clock,
     build_global_clock,
@@ -30,11 +29,11 @@ from featureclock import (
     student_t_two_sided_p,
 )
 from featureclock.cli import main
-from featureclock.ingest import Provenance
 
 from oracles import (
     array_design,
     logistic_penalized_gradient,
+    make_dataset,
     min_spanning_weight,
     normal_equations_fit,
     pca_2d,
@@ -199,12 +198,8 @@ def test_criterion_7_logistic():
     assert float(np.max(np.abs(fit.p_values - swapped.p_values))) < 1e-9
 
     # 5-sigma shifted feature is the unique top significant arrow
-    from featureclock.ingest import Dataset, Provenance
-
     xs, ys, tokens = shifted_logistic_dataset()
-    dataset = Dataset(
-        ("f0", "f1", "f2"), xs, ys, tuple(tokens), Provenance("x", "y", "l")
-    )
+    dataset = make_dataset(xs, ys, tokens)
     grouping = from_labels(tokens, ys)
     clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
     assert len(clocks) == 1
@@ -222,11 +217,11 @@ def test_criterion_8_equivariance_and_determinism(tmp_path):
     x = rng.normal(size=(80, 4))
     y = rng.normal(size=(80, 2)) + x[:, :2]
 
-    base = build_clock(x, y, range(80), RunConfig(alpha=1.0))
+    base = build_clock(make_dataset(x, y), range(80), RunConfig(alpha=1.0))
     phi = 63.0
     rad = math.radians(phi)
     rot = np.array([[math.cos(rad), math.sin(rad)], [-math.sin(rad), math.cos(rad)]])
-    turned = build_clock(x, y @ rot, range(80), RunConfig(alpha=1.0))
+    turned = build_clock(make_dataset(x, y @ rot), range(80), RunConfig(alpha=1.0))
     for a, b in zip(base.arrows, turned.arrows):
         assert a.feature == b.feature
         assert abs(a.magnitude - b.magnitude) <= 1e-9
@@ -235,7 +230,7 @@ def test_criterion_8_equivariance_and_determinism(tmp_path):
 
     scaled_x = x.copy()
     scaled_x[:, 2] *= 411.17
-    rescaled = build_clock(scaled_x, y, range(80), RunConfig(alpha=1.0))
+    rescaled = build_clock(make_dataset(scaled_x, y), range(80), RunConfig(alpha=1.0))
     for a, b in zip(base.arrows, rescaled.arrows):
         assert a.feature == b.feature
         assert abs(a.beta0 - b.beta0) <= 1e-9
@@ -273,7 +268,7 @@ def test_criterion_9_defaults_conformance(tmp_path, iris_dataset):
     labels = ("a",) * 64 + ("b",) * 64
 
     def views(embedding):
-        dataset = Dataset(("f0", "f1", "f2", "f3"), x, embedding, labels, Provenance("x", "y", "l"))
+        dataset = make_dataset(x, embedding, labels)
         config = RunConfig(alpha=1.0)
         grouping = from_labels(labels, embedding)
         return [build_global_clock(dataset, config), *build_local_clocks(dataset, grouping, config)]

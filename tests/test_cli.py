@@ -197,7 +197,7 @@ class TestGlobalCommand:
         assert config["theta_step_deg"] == 5.0
         assert config["standardize_x"] is True
         assert config["significance_rule"] == "or"
-        assert "center_y" not in config and "anchor" not in config
+        assert not {"center_y", "anchor", "standardize_betas"} & set(config)
 
     @pytest.mark.parametrize(
         "cluster, expected",
@@ -213,14 +213,14 @@ class TestGlobalCommand:
         out = tmp_path / "out"
         seed = ["--seed", "3"] if cluster.startswith("kmeans") else []
         flags = ["--alpha", "0.01", "--top-k", "2", "--theta-step", "6", "--no-standardize-x",
-                 "--standardize-betas", "--significance-rule", "and", "--circles",
+                 "--significance-rule", "and", "--circles",
                  "--scale", "2", *seed, "--canvas", "800x500", "--cluster-on", "y",
                  "--cluster", cluster]
         assert run(["local", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
         config = json.loads((out / "clock.json").read_text())["config"]
         expected = {
             "alpha": 0.01, "top_k": 2, "theta_step_deg": 6.0, "standardize_x": False,
-            "standardize_betas": True, "significance_rule": "and",
+            "significance_rule": "and",
             "circles": True, "clock_scale": 2.0, "canvas": [800, 500],
             "cluster_on": "y", **expected,
         }
@@ -292,11 +292,13 @@ class TestGlobalCommand:
         assert not out.exists()
 
     def test_no_center_y_is_unrecognized(self, iris_paths, tmp_path, capsys):
+        # --standardize-betas went the same way: --standardize-x reports standardized betas
         x, y, _ = iris_paths
-        with pytest.raises(SystemExit) as exit_info:
-            run(["global", "--x", x, "--y", y, "--no-center-y", "--out-dir", tmp_path / "out"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --no-center-y" in capsys.readouterr().err
+        for flag in ("--no-center-y", "--standardize-betas"):
+            with pytest.raises(SystemExit) as exit_info:
+                run(["global", "--x", x, "--y", y, flag, "--out-dir", tmp_path / "out"])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_foreign_warning_reaches_the_caller(self, iris_paths, tmp_path, capsys, monkeypatch):
         build = cli_module.build_global_clock
@@ -333,15 +335,13 @@ class TestGlobalCommand:
         assert len(clock["circles"]["petal_length"]) == 36
         assert "<polyline" in (out / "clock.svg").read_text()
 
-    @pytest.mark.parametrize("flags", [[], ["--standardize-betas"]])
-    def test_circles_sweep_passes_through_arrow_pair(self, iris_paths, tmp_path, flags):
-        # The sweep at 0 and 90 degrees is the drawn arrow's (beta0, beta90),
-        # also when --standardize-betas rescales the arrows.
+    def test_circles_sweep_passes_through_arrow_pair(self, iris_paths, tmp_path):
+        # The sweep at 0 and 90 degrees is the drawn arrow's (beta0, beta90).
         x, y, _ = iris_paths
         out = tmp_path / "out"
         args = ["global", "--x", x, "--y", y, "--alpha", "0.01", "--top-k", "2", "--theta-step", "6",
                 "--no-standardize-x", "--significance-rule", "and", "--circles",
-                "--scale", "2", "--canvas", "800x500", "--out-dir", out, *flags]
+                "--scale", "2", "--canvas", "800x500", "--out-dir", out]
         assert run(args) == 0
         clock = json.loads((out / "clock.json").read_text())["clocks"][0]
         assert clock["arrows"]
@@ -517,8 +517,8 @@ class TestIntergroupCommand:
     @pytest.mark.parametrize(
         "flags",
         # given --circles and --theta-step, the message names --circles
-        [["--no-standardize-x"], ["--circles", "--theta-step", "7"], ["--standardize-betas"],
-         ["--significance-rule", "and"], ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
+        [["--no-standardize-x"], ["--circles", "--theta-step", "7"], ["--significance-rule", "and"],
+         ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
     )
     def test_unread_flag_exit_2(self, iris_paths, tmp_path, capsys, flags):
         x, y, labels = iris_paths
@@ -608,18 +608,18 @@ def hash_tree(directory):
 # sha256 of every demo output; regenerate with `featureclock demo` if the
 # rendering or report format changes on purpose.
 DEMO_GOLDEN = {
-    "global_clock.json": "b6256e1a3ab3537288fcca2338c06466dd5c7968c11acd9a536755792c179f49",
+    "global_clock.json": "f894d2e93a9210f2ab83e10f70a1846237735e5352bcf67d5c288938a1f00a17",
     "global_clock.svg": "fb9b7986b4c9e1fca592f9fe9a2164aa9277b09558ccebae0e2280045421a618",
-    "intergroup_clocks.json": "4025172e275d71dc00a12b9a4b31cb2e513bc331b5ea92c758a72b8b3e215be1",
+    "intergroup_clocks.json": "32a68a967b14df440273fc8c5964ce03d958c3afe400fc3d4bc2e6aeed5aab60",
     "intergroup_clocks.svg": "4f5c0e7cf29aaa81bf1c17001a0a7e680dc2f1ab1c423d2950d74868e43ebf55",
-    "local_clocks.json": "47953bbf094d57bb7a2a1160a9bbc46bb2af2ce800ed662c32678569ce0ccde9",
+    "local_clocks.json": "d10cc68fdf352f61cfa5a8ad30b3dec6363d2afc4a338f99381b02116d845b14",
     "local_clocks.svg": "412971e8936b20367f9a331b97368d609b231345e9afdc2e76bc902531827cc2",
 }
 
 
 # Flags read by both the global and the local view.
 _EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-standardize-x",
-               "--standardize-betas", "--significance-rule", "and", "--circles",
+               "--significance-rule", "and", "--circles",
                "--scale", "1.5", "--canvas", "800x500"]
 
 # sha256 of clock.json and clock.svg for iris runs that, between them, pass
@@ -628,53 +628,53 @@ _EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-sta
 FLAG_GOLDEN = {
     "global-circles": (
         ["global", "--circles"],
-        "0e58fa6ac2667f3a4efe0a2c7d5d653c735929eefe9acde99b0e7d050e830fab",
+        "3dacf02cc733a23f860b138c99ab3df4c6836a4e6a5d6bbd862a16e07b0d73ba",
         "558454657f875cd739ee606968f88c94dbe72680be5dd57a631e90c51532ff3f",
     ),
     "global-labels-raw-x": (
         ["global", "--labels", "--no-standardize-x"],
-        "f11605b3b29d0d94f70a3048e1fc918c5f407b22ca4bcaf7b39ccffff85c776c",
+        "b4ca6961e53535fe08055c1397cb731781c10f0826bb7742078104e7209469f1",
         "1f8d031da61381e0c7e9d9eba2c1014d883492216d0295cd1429fc482e49e314",
     ),
     "global-every-flag": (
         ["global", "--labels", *_EVERY_FLAG],
-        "c99a3e44d20bcb75ba7b63a9b6fda1f1748190f3ab06269b8a39e6f30c971843",
+        "0893857ac05604271d7e7bf579cb886fc5bbb35909ff687bc246842b47e8bb5c",
         "438289ba5eb215bffd4686d410dfb6c548df5b7727d2a5864d0f278a10f1e335",
     ),
     "local-kmeans": (
         ["local", "--cluster", "kmeans:3"],
-        "ac4b705bcf7ce7339eb46a1b993129eb5f51b481b88a8e77e0f1b5655a2c6f7d",
+        "0d71dede1735d0e5cd5ab1e2940b2c974187a9907a67dc20a241d272deca6f3b",
         "8b81e2cdec3846bee6d442ebda122143ae4dc34757c2c40fe95855ab773c0c9f",
     ),
     "local-circles-labels": (
         ["local", "--circles", "--labels"],
-        "18133399f8c9078f61c659a647b3d2fc56a9b0d4f9aaaac41e11dda04a84cad2",
+        "aaa594acb664dbf15195728dc2ebc2018644c3ab85dbf4f9178f4801449e4cae",
         "6c067ad9307fc3b29b5401d362bf0fc4694f1a51f1bb55052d8d74916dc36c5c",
     ),
     "local-dbscan": (
         ["local", "--cluster", "dbscan:0.4,4"],
-        "ee8f9e8ccd432a34ff7d4121935035c0274b0db7f53b6ed2198410ca3af8c48a",
+        "11e1b90bd8252841c3c24e3d2aa783edb760dc323343db613c3e99982498d97d",
         "099e370f47cdc14bc6245a7dac7e548331edb58754976eb0ab14cf0ba53ff0ca",
     ),
     "local-every-flag": (
         ["local", "--cluster", "kmeans:3", "--cluster-on", "y", "--seed", "5", *_EVERY_FLAG],
-        "b3d65ba9832c98c577906dc685690d8094d7a6782c9cdd36bb8b349fefbaf4bd",
+        "3069506c976c22a5c8d78beccf704da42a524f68ffc3166d7f4cbeb4bd634a19",
         "f52b1f9a1b4e6f65b0839ad116c92b17eaaa62b94f6a84f750a1405bf3a7996c",
     ),
     "intergroup-kmeans": (
         ["intergroup", "--cluster", "kmeans:4"],
-        "247ce9712fc9846f6edcb03b4dc0a9b6b9a4504e986c13c0e0a86284ab73ce9e",
+        "9855cfee87f5f2d5221910627eee263bf5bf12081ccd1fb1f82b3d5d8ca7409a",
         "82fd0efb712b460e5b6b0494bc14f204b95c3565117200b535b65c562f6627b4",
     ),
     "intergroup-dbscan": (
         ["intergroup", "--cluster", "dbscan:0.5,5"],
-        "c0ba4b426100d578229c5facd2b56bfbf9420cf9f43c9591ca248ff517db40a8",
+        "7640336748ff2040b3aa4bdbfbaef02084ed8cb1b516404db0c8468d2df04ba6",
         "628b7bb84fdec9c264c51ce7fe2c18e1d3fa1e9097b63e53b74fcb3cb94b9d2d",
     ),
     "intergroup-every-flag": (
         ["intergroup", "--cluster", "kmeans:4", "--cluster-on", "y", "--seed", "2",
                               "--alpha", "0.1", "--top-k", "2", "--canvas", "800x500"],
-        "ab95bb74479611699e854d1b809f06d7538fbf63e9c18bce3169caea7f0e72e1",
+        "20bb7026a6cb8cb8c8106bc4e6c45f7de377df5a89d9ab82d7e3f2ab4ed07144",
         "e1aa1b222788a92633c00394c9fcab7355b496eb25755193821c07b3333db481",
     ),
 }
@@ -792,7 +792,7 @@ class TestDemo:
         out = tmp_path / "demo"
         assert run(["demo", "--out-dir", out]) == 0
         report = json.loads((out / "global_clock.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["tool"] == "featureclock"
         assert report["inputs"]["x"] == "iris_features.csv"
         assert report["inputs"]["rows"] == 150

@@ -26,28 +26,16 @@ from featureclock import (
 from featureclock import numstats
 from featureclock.clockcore import unit_vector
 from featureclock.numstats import fill, fit_design
-from featureclock.ingest import Dataset, Provenance
 
 from oracles import (
     array_design,
     fit_design_reference,
+    make_dataset,
     ols_fit_reference,
     pca_2d,
     refit_sweep,
     standardize_reference,
 )
-
-
-def make_dataset(x, y, names=None, labels=None):
-    x = np.asarray(x, dtype=float)
-    names = tuple(names) if names else tuple(f"f{j}" for j in range(x.shape[1]))
-    return Dataset(
-        names,
-        x,
-        np.asarray(y, dtype=float),
-        tuple(labels) if labels else None,
-        Provenance("x.csv", "y.csv", None),
-    )
 
 
 def identity_fixture(n=60, seed=0, d=2):
@@ -275,7 +263,7 @@ class TestCircleSweep:
 class TestBuildClock:
     def test_identity_fixture_axes(self):
         x, y = identity_fixture()
-        clock = build_clock(x, y, range(len(x)))
+        clock = build_clock(make_dataset(x, y), range(len(x)))
         assert len(clock.arrows) == 2
         angles = sorted(a.angle_deg for a in clock.arrows)
         assert angles[0] == pytest.approx(0.0, abs=1e-6)
@@ -286,7 +274,7 @@ class TestBuildClock:
     def test_alpha_zero_keeps_nothing(self):
         x, y = identity_fixture()
         with pytest.warns(ClockWarning, match="no significant"):
-            clock = build_clock(x, y, range(len(x)), RunConfig(alpha=0.0))
+            clock = build_clock(make_dataset(x, y), range(len(x)), RunConfig(alpha=0.0))
         assert clock.arrows == ()
 
     def test_iris_matches_biplot_loadings(self, iris_dataset):
@@ -303,8 +291,9 @@ class TestBuildClock:
 
     def test_members_sorted_and_deduplicated(self):
         x, y = identity_fixture()
-        clock = build_clock(x, y, [5, 3, 3, 9, 7, 5, 1, 0, 2, 8, 6, 4])
-        assert clock == build_clock(x, y, range(10))
+        dataset = make_dataset(x, y)
+        clock = build_clock(dataset, [5, 3, 3, 9, 7, 5, 1, 0, 2, 8, 6, 4])
+        assert clock == build_clock(dataset, range(10))
         assert clock.member_count == 10
 
     @pytest.mark.parametrize(
@@ -318,7 +307,7 @@ class TestBuildClock:
     def test_bad_member_sets_rejected(self, members, message):
         x, y = identity_fixture()
         with pytest.raises(ComputationError, match=message):
-            build_clock(x, y, members)
+            build_clock(make_dataset(x, y), members)
 
     @pytest.mark.parametrize(
         "members, dtype",
@@ -330,29 +319,30 @@ class TestBuildClock:
     def test_non_integer_members_rejected(self, members, dtype):
         x, y = identity_fixture()
         with pytest.raises(ComputationError, match=f"^member indices must be integers, got dtype {dtype}$"):
-            build_clock(x, y, members)
+            build_clock(make_dataset(x, y), members)
 
     @pytest.mark.parametrize("members", [np.array([]), np.array([], dtype=bool)])
     def test_empty_selection_of_any_dtype_is_empty(self, members):
         x, y = identity_fixture()
         with pytest.raises(ComputationError, match="^member set is empty$"):
-            build_clock(x, y, members)
+            build_clock(make_dataset(x, y), members)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
     def test_integer_arrays_of_any_width_accepted(self, dtype):
         x, y = identity_fixture()
-        assert build_clock(x, y, np.arange(12, dtype=dtype)) == build_clock(x, y, range(12))
+        dataset = make_dataset(x, y)
+        assert build_clock(dataset, np.arange(12, dtype=dtype)) == build_clock(dataset, range(12))
 
     def test_anchor_is_member_centroid(self):
         x, y = identity_fixture()
         members = list(range(10, 30))
-        clock = build_clock(x, y, members)
+        clock = build_clock(make_dataset(x, y), members)
         assert clock.anchor[0] == pytest.approx(y[members, 0].mean())
         assert clock.anchor[1] == pytest.approx(y[members, 1].mean())
 
     def test_scale_is_half_bbox_diagonal(self):
         x, y = identity_fixture()
-        clock = build_clock(x, y, range(len(x)))
+        clock = build_clock(make_dataset(x, y), range(len(x)))
         dx = y[:, 0].max() - y[:, 0].min()
         dy = y[:, 1].max() - y[:, 1].min()
         assert clock.scale == pytest.approx(0.5 * math.hypot(dx, dy))
@@ -368,9 +358,9 @@ class TestBuildClock:
         for standardize_x in (True, False):
             config = RunConfig(standardize_x=standardize_x, alpha=1.0)
             with pytest.warns(ClockWarning, match="dropping zero-variance features: const$"):
-                clock = build_clock(with_const, y, range(200), config,
-                                    feature_names=[*names[:2], "const", *names[2:]])
-            reference = build_clock(x, y, range(200), config, feature_names=names)
+                clock = build_clock(make_dataset(with_const, y, names=[*names[:2], "const", *names[2:]]),
+                                    range(200), config)
+            reference = build_clock(make_dataset(x, y, names=names), range(200), config)
             assert len(clock.arrows) == 6
             assert clock.arrows == reference.arrows
 
@@ -383,7 +373,7 @@ class TestBuildClock:
         y = rng.normal(size=(4000, 2))
         tracemalloc.start()
         try:
-            build_clock(x, y, range(4000))
+            build_clock(make_dataset(x, y), range(4000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -395,53 +385,41 @@ class TestBuildClock:
         x, y = rank_deficient_fixture()
         with pytest.warns(ClockWarning, match="zero-variance"):
             with pytest.raises(RankDeficientError, match=r"group 'global': .*: a_plus_b$") as info:
-                build_clock(x, y, range(len(x)), feature_names=RANK_DEFICIENT_NAMES)
+                build_clock(make_dataset(x, y, names=RANK_DEFICIENT_NAMES), range(len(x)))
         assert info.value.columns == (3,)
 
     def test_group_too_small(self):
         x, y = identity_fixture(d=4)
         with pytest.raises(GroupTooSmallError) as info:
-            build_clock(x, y, range(4))
+            build_clock(make_dataset(x, y), range(4))
         assert str(info.value) == "group 'global' too small for clock: 4 points for 4 features (need at least 6)"
 
     def test_top_k_truncates(self):
         x, y = identity_fixture(d=5, n=80)
-        clock = build_clock(x, y, range(80), RunConfig(top_k=1))
+        clock = build_clock(make_dataset(x, y), range(80), RunConfig(top_k=1))
         assert len(clock.arrows) <= 1
 
     def test_arrows_sorted_by_magnitude(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(60, 4))
         y = center_columns(rng.normal(size=(60, 2))) + x[:, :2]
-        clock = build_clock(x, y, range(60), RunConfig(alpha=1.0))
+        clock = build_clock(make_dataset(x, y), range(60), RunConfig(alpha=1.0))
         mags = [a.magnitude for a in clock.arrows]
         assert mags == sorted(mags, reverse=True)
-
-    def test_standardize_betas_preserves_angles(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(50, 3))
-        y = center_columns(rng.normal(size=(50, 2))) + 2.0 * x[:, :2]
-        plain = build_clock(x, y, range(50), RunConfig(alpha=1.0))
-        scaled = build_clock(x, y, range(50), RunConfig(alpha=1.0, standardize_betas=True))
-        for a, b in zip(plain.arrows, scaled.arrows):
-            assert a.feature == b.feature
-            assert a.angle_deg == pytest.approx(b.angle_deg, abs=1e-9)
-        ratio = plain.arrows[0].magnitude / scaled.arrows[0].magnitude
-        for a, b in zip(plain.arrows, scaled.arrows):
-            assert a.magnitude / b.magnitude == pytest.approx(ratio, rel=1e-9)
 
     def test_no_standardize_x_keeps_raw_units(self):
         x, y = identity_fixture()
         doubled = x * 2.0  # embedding still equals the unit-variance columns
-        std_on = build_clock(doubled, y, range(len(x)))
-        std_off = build_clock(doubled, y, range(len(x)), RunConfig(standardize_x=False))
+        dataset = make_dataset(doubled, y)
+        std_on = build_clock(dataset, range(len(x)))
+        std_off = build_clock(dataset, range(len(x)), RunConfig(standardize_x=False))
         # standardized: the scale cancels, y0 = z0; raw: y0 = 0.5 * x0
         assert std_on.arrows[0].magnitude == pytest.approx(1.0, abs=1e-9)
         assert std_off.arrows[0].magnitude == pytest.approx(0.5, abs=1e-9)
 
     def test_circles_flag_attaches_sweep(self):
         x, y = identity_fixture()
-        clock = build_clock(x, y, range(len(x)), RunConfig(circles=True))
+        clock = build_clock(make_dataset(x, y), range(len(x)), RunConfig(circles=True))
         assert clock.variant == "circles"
         assert clock.circles is not None
         assert set(clock.circles) == {"f0", "f1"}
@@ -451,8 +429,9 @@ class TestBuildClock:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(40, 3))
         y = rng.normal(size=(40, 2))
-        a = build_clock(x, y, range(40), RunConfig(circles=True))
-        b = build_clock(x, y, range(40), RunConfig(circles=True))
+        dataset = make_dataset(x, y)
+        a = build_clock(dataset, range(40), RunConfig(circles=True))
+        b = build_clock(dataset, range(40), RunConfig(circles=True))
         assert a == b
 
 
@@ -466,8 +445,8 @@ class TestEquivariance:
         rot = np.array(
             [[math.cos(rad), math.sin(rad)], [-math.sin(rad), math.cos(rad)]]
         )
-        base = build_clock(x, y, range(60), RunConfig(alpha=1.0))
-        turned = build_clock(x, y @ rot, range(60), RunConfig(alpha=1.0))
+        base = build_clock(make_dataset(x, y), range(60), RunConfig(alpha=1.0))
+        turned = build_clock(make_dataset(x, y @ rot), range(60), RunConfig(alpha=1.0))
         for a, b in zip(base.arrows, turned.arrows):
             assert a.feature == b.feature
             assert abs(a.magnitude - b.magnitude) < 1e-9
@@ -480,8 +459,8 @@ class TestEquivariance:
         y = rng.normal(size=(60, 2)) + x[:, :2]
         scaled = x.copy()
         scaled[:, 1] *= 123.456
-        base = build_clock(x, y, range(60), RunConfig(alpha=1.0))
-        after = build_clock(scaled, y, range(60), RunConfig(alpha=1.0))
+        base = build_clock(make_dataset(x, y), range(60), RunConfig(alpha=1.0))
+        after = build_clock(make_dataset(scaled, y), range(60), RunConfig(alpha=1.0))
         for a, b in zip(base.arrows, after.arrows):
             assert a.feature == b.feature
             assert abs(a.magnitude - b.magnitude) < 1e-9
@@ -500,7 +479,7 @@ def two_signal_fixture(n=80, seed=21):
 def all_arrows(x, y, config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ClockWarning)
-        clock = build_clock(x, y, range(len(x)), config)
+        clock = build_clock(make_dataset(x, y), range(len(x)), config)
     return {a.feature: a for a in clock.arrows}
 
 
@@ -643,4 +622,4 @@ class TestLocalClocks:
         labels = ["a"] * 30 + ["noise"] * 10
         clocks = build_local_clocks(dataset, from_labels(labels, y))
         assert clocks[0].member_count == 30
-        assert clocks[0].anchor == build_clock(x, y, range(30)).anchor
+        assert clocks[0].anchor == build_clock(dataset, range(30)).anchor

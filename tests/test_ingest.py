@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tempfile
 import tracemalloc
@@ -12,12 +13,14 @@ from hypothesis.extra.numpy import arrays
 
 from featureclock import (
     ClockWarning,
+    ComputationError,
+    Dataset,
     InputDataError,
     RunConfig,
     load_dataset,
     validate_config,
 )
-from featureclock.ingest import _read_table
+from featureclock.ingest import Provenance, _read_table
 
 from oracles import read_table_reference
 
@@ -84,8 +87,15 @@ class TestLoadDataset:
     def test_duplicate_feature_name(self, small_inputs, tmp_path):
         _, y, _ = small_inputs
         dup = write(tmp_path / "dup.csv", "a,a\n" + "1,2\n" * 5)
-        with pytest.raises(InputDataError, match="duplicate feature name"):
+        with pytest.raises(InputDataError, match=f"^{re.escape(str(dup))}: duplicate feature name 'a'$"):
             load_dataset(dup, y)
+
+    def test_empty_feature_name(self, tmp_path):
+        # the names are checked before the embedding file is opened
+        blank = write(tmp_path / "blank.csv", "a, \n" + "1,2\n" * 5)
+        message = f"^{re.escape(str(blank))}: feature name in column 2 is empty$"
+        with pytest.raises(InputDataError, match=message):
+            load_dataset(blank, tmp_path / "no-embedding.csv")
 
     def test_missing_value_rejected(self, small_inputs, tmp_path):
         _, y, _ = small_inputs
@@ -120,6 +130,53 @@ class TestLoadDataset:
         assert np.array_equal(again.X, iris_dataset.X)
         assert np.array_equal(again.Y, iris_dataset.Y)
         assert again.labels == iris_dataset.labels
+
+
+def good_dataset_fields():
+    rng = np.random.default_rng(0)
+    return {"feature_names": ("a", "b", "c"), "X": rng.normal(size=(6, 3)),
+            "Y": rng.normal(size=(6, 2)), "labels": None, "provenance": Provenance("x", "y", None)}
+
+
+class TestDataset:
+    """A Dataset checks itself when it is made, by hand or by ``dataclasses.replace``."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"X": np.array([[0.0, 1.0, np.nan]] * 6)}, "X contains NaN or infinite values"),
+            ({"Y": np.array([[0.0, np.inf]] * 6)}, "Y contains NaN or infinite values"),
+            ({"X": np.arange(6.0)}, "X must be 2-dimensional, got shape (6,)"),
+            ({"Y": np.zeros((6, 3))}, "embedding must have 2 columns, got 3"),
+            ({"Y": np.zeros((5, 2))}, "X has 6 rows but the embedding has 5"),
+            ({"feature_names": ("a", "b")}, "got 2 feature names for 3 features"),
+            ({"feature_names": ("a", "", "c")}, "feature name in column 2 is empty"),
+            # once accepted: a clock's circles, keyed by name, lost the first 'a' sweep
+            ({"feature_names": ("a", "a", "b")}, "duplicate feature name 'a'"),
+        ],
+    )
+    def test_bad_input_raises_from_either_constructor(self, change, message):
+        fields = good_dataset_fields()
+        good = Dataset(**fields)
+        with pytest.raises(ComputationError, match=f"^{re.escape(message)}$"):
+            Dataset(**{**fields, **change})
+        with pytest.raises(ComputationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(good, **change)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_other_dtypes_are_stored_as_float64(self, dtype):
+        fields = good_dataset_fields()
+        x = np.arange(18).reshape(6, 3).astype(dtype)
+        dataset = Dataset(**{**fields, "X": x, "feature_names": ["a", "b", "c"]})
+        assert dataset.X.dtype == np.float64
+        assert np.array_equal(dataset.X, x)
+        assert dataset.feature_names == ("a", "b", "c")
+
+    def test_float64_arrays_are_kept_not_copied(self):
+        fields = good_dataset_fields()
+        dataset = Dataset(**fields)
+        assert dataset.X is fields["X"]
+        assert dataset.Y is fields["Y"]
 
 
 def write_table(path, header, rows):
@@ -303,7 +360,6 @@ class TestValidateConfig:
         assert config.alpha == 0.05
         assert config.theta_step_deg == 5.0
         assert config.standardize_x is True
-        assert config.standardize_betas is False
         assert config.significance_rule == "or"
         assert config.top_k is None
         assert config.clock_scale == 1.0
@@ -375,9 +431,12 @@ class TestValidateConfig:
         with pytest.raises(InputDataError, match="^unknown options: anchor$"):
             validate_config({"anchor": anchor})
 
-    @pytest.mark.parametrize("options", [{"center_y": False}, {"anchor": (0.0, 0.0)}])
+    @pytest.mark.parametrize(
+        "options", [{"center_y": False}, {"anchor": (0.0, 0.0)}, {"standardize_betas": True}]
+    )
     def test_removed_options_are_unknown(self, options):
-        # Y is always centered, and every clock sits at its members' centroid
+        # Y is always centered, every clock sits at its members' centroid, and
+        # the default standardize_x already reports standardized coefficients
         with pytest.raises(InputDataError, match=f"^unknown options: {next(iter(options))}$"):
             validate_config(options)
 

@@ -33,6 +33,7 @@ from featureclock.numstats import (
 from oracles import (
     array_design,
     fit_design_reference,
+    make_dataset,
     normal_equations_fit,
     ols_fit_reference,
     pca_2d,
@@ -79,7 +80,7 @@ class TestStandardize:
         # A sample std needs two rows: clocks reject smaller groups before any design is built.
         for rows in ([0], [0, 1]):
             with pytest.raises(GroupTooSmallError):
-                build_clock(np.eye(3), np.eye(3)[:, :2], rows)
+                build_clock(make_dataset(np.eye(3), np.eye(3)[:, :2]), rows)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1.0, 1e150])
     def test_cutoff_follows_column_scale(self, scale):

@@ -23,22 +23,10 @@ from featureclock import (
     render_intergroup,
     render_scatter,
 )
-from featureclock.ingest import Dataset, Provenance
 from featureclock import render as render_module
 from featureclock.render import NOISE_COLOR, PALETTE, _fmt, _markers
 
-from oracles import svg_text
-
-
-def make_dataset(x, y, labels=None):
-    x = np.asarray(x, dtype=float)
-    return Dataset(
-        tuple(f"f{j}" for j in range(x.shape[1])),
-        x,
-        np.asarray(y, dtype=float),
-        tuple(labels) if labels else None,
-        Provenance("x.csv", "y.csv", None),
-    )
+from oracles import make_dataset, svg_text
 
 
 def arrow(feature, beta0, beta90, p=0.001):
@@ -146,8 +134,9 @@ class TestStreaming:
     @pytest.mark.parametrize("chunk", [1, 3, render_module._MARKER_CHUNK])
     def test_written_bytes_equal_to_svg(self, iris_dataset, tmp_path, chunk):
         grouping = from_labels(iris_dataset.labels, iris_dataset.Y)
-        clock = build_clock(iris_dataset.X, iris_dataset.Y, range(150), RunConfig(circles=True),
-                            feature_names=("sépal", *iris_dataset.feature_names[1:]))
+        renamed = make_dataset(iris_dataset.X, iris_dataset.Y,
+                               names=("sépal", *iris_dataset.feature_names[1:]))
+        clock = build_clock(renamed, range(150), RunConfig(circles=True))
         scene = render_scatter(iris_dataset, grouping)
         render_circles(scene, clock)
         render_clock(scene, dataclasses.replace(clock, circles=None))
@@ -325,9 +314,7 @@ class TestIntergroupGlyph:
             [rng.normal(scale=0.4, size=(n, 2)), rng.normal(scale=0.4, size=(n, 2)) + 9.0]
         )
         labels = ["a"] * n + ["b"] * n
-        dataset = Dataset(
-            ("f0", "f1"), x, y, tuple(labels), Provenance("x", "y", "l")
-        )
+        dataset = make_dataset(x, y, labels)
         grouping = from_labels(labels, y)
         clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
         return dataset, grouping, clocks
@@ -365,9 +352,7 @@ class TestIntergroupGlyph:
         y[n : 2 * n, 0] += 4.0
         y[2 * n :, 0] += 8.0
         labels = ["a"] * n + ["b"] * n + ["c"] * n
-        dataset = Dataset(
-            ("f0", "f1"), x, y, tuple(labels), Provenance("x", "y", "l")
-        )
+        dataset = make_dataset(x, y, labels)
         grouping = from_labels(labels, y)
         with pytest.warns(Warning):
             clocks = build_intergroup_clocks(
@@ -415,23 +400,12 @@ class TestPaletteCycling:
 class TestWellFormed:
     def test_all_scene_kinds_parse_as_xml(self, iris_dataset):
         grouping = from_labels(iris_dataset.labels, iris_dataset.Y)
-        clock = build_clock(
-            iris_dataset.X,
-            iris_dataset.Y,
-            range(150),
-            RunConfig(circles=True),
-            feature_names=iris_dataset.feature_names,
-        )
+        clock = build_clock(iris_dataset, range(150), RunConfig(circles=True))
         scene = render_scatter(iris_dataset, grouping)
         render_circles(scene, clock)
         minidom.parseString(svg_text(scene))
 
-        plain = build_clock(
-            iris_dataset.X,
-            iris_dataset.Y,
-            range(150),
-            feature_names=iris_dataset.feature_names,
-        )
+        plain = build_clock(iris_dataset, range(150))
         scene2 = render_scatter(iris_dataset, grouping)
         render_clock(scene2, plain)
         minidom.parseString(svg_text(scene2))
@@ -439,9 +413,7 @@ class TestWellFormed:
     def test_label_text_is_escaped(self):
         y = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 2.0]]
         x = np.column_stack([np.arange(5.0), np.ones(5)])
-        dataset = Dataset(
-            ("a<b", "c&d"), np.asarray(x), np.asarray(y), None, Provenance("x", "y", None)
-        )
+        dataset = make_dataset(x, y, names=("a<b", "c&d"))
         scene = render_scatter(dataset)
         clock = manual_clock([arrow("a<b", 1.0, 0.0), arrow("c&d", 0.0, 0.5)])
         svg = svg_text(render_clock(scene, clock))
