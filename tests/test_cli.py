@@ -516,9 +516,9 @@ class TestIntergroupCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        # given --circles and --theta-step, the message names --circles
-        [["--no-standardize-x"], ["--circles", "--theta-step", "7"], ["--significance-rule", "and"],
-         ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
+        # given two unread flags, the message names the first in _UNREAD's order
+        [["--no-standardize-x"], ["--circles", "--theta-step", "7"], ["--no-standardize-x", "--scale", "2"],
+         ["--significance-rule", "and"], ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
     )
     def test_unread_flag_exit_2(self, iris_paths, tmp_path, capsys, flags):
         x, y, labels = iris_paths
