@@ -163,14 +163,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _resolve_grouping(args: argparse.Namespace, dataset: Dataset, config: RunConfig) -> GroupingResult | None:
     """Groups from --labels or --cluster; the global view colors by labels only."""
     if dataset.labels is not None:
-        return from_labels(dataset.labels, dataset.Y)
+        return from_labels(dataset)
     if args.command == "global":
         return None
-    data = dataset.X if config.cluster_on == "x" else dataset.Y
     if config.cluster_method == "kmeans":
-        return kmeans(data, config.cluster_k, config.seed, dataset.Y)
+        return kmeans(dataset, config.cluster_k, config.seed, on=config.cluster_on)
     if config.cluster_method == "dbscan":
-        return dbscan(data, config.cluster_eps, config.cluster_min_pts, dataset.Y)
+        return dbscan(dataset, config.cluster_eps, config.cluster_min_pts, on=config.cluster_on)
     raise InputDataError("a grouping source is required: --labels or --cluster")
 
 

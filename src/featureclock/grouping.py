@@ -1,9 +1,8 @@
-"""Point groupings for local and inter-group clocks.
+"""Point groupings for local and inter-group clocks, read from a checked ``Dataset``.
 
-Groups come from external label files, seeded k-means, or DBSCAN with its
-noise detection. Group centers always live in the 2D embedding, because that
-is where clocks are placed and where the spanning tree between groups is
-measured.
+Groups come from its labels, or from seeded k-means or DBSCAN (with its noise
+detection) over its X or its embedding Y. Group centers always live in the
+embedding, where clocks are placed and the spanning tree is measured.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputDataError
-from .numstats import as_matrix, distinct
+from .ingest import Dataset
+from .numstats import distinct
 
 # Label value for points no cluster claims. The token "noise" (any case) in a
 # labels file maps here; noise points never join a group or shift a center.
@@ -52,51 +52,42 @@ class GroupingResult:
 
 
 def _make_groups(labels: np.ndarray, names: dict[int, str], embedding: np.ndarray) -> tuple[Group, ...]:
+    # labels run from NOISE (-1) up: group g's rows, ascending, follow those labelled below g
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels + 1))
     groups = []
     for gid in sorted(names):
-        members = np.flatnonzero(labels == gid)
+        members = order[ends[gid] : ends[gid + 1]]
         rows = embedding[members]
         center = (float(rows[:, 0].mean()), float(rows[:, 1].mean()))
         groups.append(Group(gid, names[gid], members, center))
     return tuple(groups)
 
 
-def _check_embedding(embedding, n: int) -> np.ndarray:
-    emb = as_matrix(embedding, name="embedding")
-    if emb.shape[1] != 2:
-        raise ComputationError(f"embedding must have 2 columns, got {emb.shape[1]}")
-    if emb.shape[0] != n:
-        raise ComputationError(f"embedding has {emb.shape[0]} rows, expected {n}")
-    return emb
+def _space(dataset: Dataset, on: str) -> np.ndarray:
+    """The points a clustering reads: the rows of ``dataset.X`` (``on="x"``) or of ``dataset.Y`` ("y")."""
+    if on not in ("x", "y"):
+        raise InputDataError(f"cluster space must be 'x' or 'y', got {on!r}")
+    return dataset.X if on == "x" else dataset.Y
 
 
-def from_labels(tokens, embedding) -> GroupingResult:
-    """Group points by user-provided tokens, in first-appearance order.
+def from_labels(dataset: Dataset) -> GroupingResult:
+    """Group points by the dataset's labels, in first-appearance order.
 
     The token "noise" (case-insensitive) is reserved for unassigned points.
     """
-    tokens = list(tokens)
-    emb = as_matrix(embedding, name="embedding")
-    if emb.shape[1] != 2:
-        raise ComputationError(f"embedding must have 2 columns, got {emb.shape[1]}")
-    if len(tokens) != emb.shape[0]:
-        raise InputDataError(
-            f"{len(tokens)} labels for {emb.shape[0]} points"
-        )
-    labels = np.full(len(tokens), NOISE, dtype=int)
+    if dataset.labels is None:
+        raise ComputationError("the dataset has no labels to group by")
+    labels = np.full(len(dataset.labels), NOISE, dtype=int)
     ids: dict[str, int] = {}
-    for i, token in enumerate(tokens):
-        token = str(token)
-        if token.lower() == "noise":
-            continue
-        if token not in ids:
-            ids[token] = len(ids)
-        labels[i] = ids[token]
+    for i, token in enumerate(map(str, dataset.labels)):
+        if token.lower() != "noise":
+            labels[i] = ids.setdefault(token, len(ids))
     names = {gid: token for token, gid in ids.items()}
-    return GroupingResult(labels, _make_groups(labels, names, emb))
+    return GroupingResult(labels, _make_groups(labels, names, dataset.Y))
 
 
-def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
+def kmeans(dataset: Dataset, k: int, seed: int, *, on: str = "x") -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
     The start takes one ``random.Random(seed).random()`` draw u per center:
@@ -106,17 +97,17 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
     Empty clusters are repaired by reseeding them with the point farthest
     from its current center among clusters of two or more points, so every
     cluster keeps a member. Identical data, k, and seed give identical
-    labels. ``data`` may be the high-dimensional matrix or the embedding;
-    centers are always computed from ``embedding``. Squared distances (or
-    their k-means++ total) that overflow raise ComputationError.
+    labels. The points are the rows of ``dataset.X`` (``on="x"``) or of
+    the embedding ``dataset.Y`` (``on="y"``); centers are always computed
+    from ``dataset.Y``. Squared distances (or their k-means++ total) that
+    overflow raise ComputationError.
 
-    Memory beyond ``data`` is one block of rows, about ``_BLOCK_CELLS``
+    Memory beyond the points is one block of rows, about ``_BLOCK_CELLS``
     differences and as many squared distances, plus O(n): the labels, each
     point's distance to its center and a copy of one feature column.
     """
-    arr = as_matrix(data, name="data")
+    arr = _space(dataset, on)
     n = arr.shape[0]
-    emb = _check_embedding(embedding, n)
     if k < 1:
         raise InputDataError(f"k must be at least 1, got {k}")
     if k > n:
@@ -191,7 +182,7 @@ def kmeans(data, k: int, seed: int, embedding) -> GroupingResult:
         centers /= sizes[:, None]
 
     names = {cid: str(cid) for cid in range(k)}
-    return GroupingResult(labels, _make_groups(labels, names, emb))
+    return GroupingResult(labels, _make_groups(labels, names, dataset.Y))
 
 
 def _find(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -334,7 +325,7 @@ def _dbscan_labels(arr: np.ndarray, eps2: float, min_pts: int) -> tuple[np.ndarr
     return labels, heads.size
 
 
-def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
+def dbscan(dataset: Dataset, eps: float, min_pts: int, *, on: str = "x") -> GroupingResult:
     """Density-reachability clustering; unreachable points stay NOISE.
 
     Point j is a neighbor of point i when the squared distance, summed
@@ -343,7 +334,9 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     ``min_pts`` neighbors is a core point. Cluster ids follow the order in
     which core points are first met over the input point order, and a border
     point (a non-core neighbor of core points) joins the lowest cluster id
-    that reaches it, so results are deterministic.
+    that reaches it, so results are deterministic. The points are the rows
+    of ``dataset.X`` (``on="x"``) or of the embedding ``dataset.Y``
+    (``on="y"``); centers are always computed from ``dataset.Y``.
 
     The points are sorted by their first coordinate, and each block of sorted
     rows is compared only with the columns whose first coordinate lies within
@@ -356,15 +349,13 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
     Time is O(n log n) to sort, plus d times the cells of the row blocks'
     column windows, which hold the pairs whose first coordinates lie within
     eps: still O(n^2 d) when every point is that close to every other.
-    Memory is O(n) beyond a sorted copy of ``data``: the counts, the
+    Memory is O(n) beyond a sorted copy of the points: the counts, the
     union-find forest and the labels, plus two buffers of ``_BLOCK_CELLS``
     float64 (or n, if larger). Up to 7 coordinates the sums equal numpy's
-    row sum ``((data - data[i]) ** 2).sum(axis=1)`` bit for bit; from 8 on
+    row sum ``((points - points[i]) ** 2).sum(axis=1)`` bit for bit; from 8 on
     numpy adds in pairs, so a distance may differ from it by 1 ulp.
     """
-    arr = as_matrix(data, name="data")
-    n = arr.shape[0]
-    emb = _check_embedding(embedding, n)
+    arr = _space(dataset, on)
     if not (math.isfinite(eps) and eps > 0):
         raise InputDataError(f"eps must be positive and finite, got {eps}")
     if min_pts < 1:
@@ -372,7 +363,7 @@ def dbscan(data, eps: float, min_pts: int, embedding) -> GroupingResult:
 
     labels, clusters = _dbscan_labels(arr, eps * eps, min_pts)
     names = {g: str(g) for g in range(clusters)}
-    return GroupingResult(labels, _make_groups(labels, names, emb))
+    return GroupingResult(labels, _make_groups(labels, names, dataset.Y))
 
 
 def mst_over_centers(grouping: GroupingResult) -> tuple[tuple[int, int, float], ...]:

@@ -56,7 +56,8 @@ class Dataset:
     unchecked. X and Y become finite, non-empty 2-D float64 arrays (a float64
     array is kept, not copied), Y has 2 columns and as many rows as X, and
     the names, stored as a tuple, are one distinct, non-empty name per column
-    of X. A fault raises ComputationError.
+    of X. The labels, if any, are stored as a tuple of one token per row of X.
+    A fault raises ComputationError.
     """
 
     feature_names: tuple[str, ...]
@@ -78,6 +79,10 @@ class Dataset:
         fault = _name_fault(names)
         if fault:
             raise ComputationError(fault)
+        labels = None if self.labels is None else tuple(self.labels)
+        if labels is not None and len(labels) != x.shape[0]:
+            raise ComputationError(f"{len(labels)} labels for {x.shape[0]} points")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clockcore import Clock, unit_vector
+from .clockcore import Clock, check_coverage, unit_vector
 from .errors import ComputationError
 from .grouping import NOISE, GroupingResult
 from .ingest import Dataset
@@ -134,6 +134,7 @@ def render_scatter(dataset: Dataset, grouping: GroupingResult | None = None, *, 
     scene.point_slots = np.zeros(len(scene.points), np.uint8)
     if grouping is None:
         return scene
+    check_coverage(dataset, grouping)  # a shorter label array would broadcast over the slots
     for g in grouping.groups:
         _add_legend(scene, g.name, PALETTE[g.id % len(PALETTE)])
     # the remainder is cast into the slots as it is taken: no n-long int64 temporary

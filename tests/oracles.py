@@ -72,9 +72,8 @@ def make_dataset(x, y, labels=None, names=None) -> Dataset:
     is one token per row, or None.
     """
     names = tuple(f"f{j}" for j in range(np.shape(x)[1])) if names is None else tuple(names)
-    if labels is None:
-        return Dataset(names, x, y, None, Provenance("x.csv", "y.csv", None))
-    return Dataset(names, x, y, tuple(labels), Provenance("x.csv", "y.csv", "labels.csv"))
+    provenance = Provenance("x.csv", "y.csv", None if labels is None else "labels.csv")
+    return Dataset(names, x, y, labels, provenance)
 
 
 def svg_text(scene) -> str:

@@ -157,7 +157,7 @@ def test_criterion_6_mst_exact():
             rng = np.random.default_rng(1000 * k + seed)
             centers = rng.uniform(0.0, 10.0, size=(k, 2))
             tokens = [f"g{i}" for i in range(k)]
-            grouping = from_labels(tokens, centers)
+            grouping = from_labels(make_dataset(centers, centers, tokens))
             total = sum(length for _, _, length in mst_over_centers(grouping))
             assert total == pytest.approx(min_spanning_weight(centers), abs=1e-9)
 
@@ -200,7 +200,7 @@ def test_criterion_7_logistic():
     # 5-sigma shifted feature is the unique top significant arrow
     xs, ys, tokens = shifted_logistic_dataset()
     dataset = make_dataset(xs, ys, tokens)
-    grouping = from_labels(tokens, ys)
+    grouping = from_labels(dataset)
     clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
     assert len(clocks) == 1
     assert clocks[0].converged
@@ -270,7 +270,7 @@ def test_criterion_9_defaults_conformance(tmp_path, iris_dataset):
     def views(embedding):
         dataset = make_dataset(x, embedding, labels)
         config = RunConfig(alpha=1.0)
-        grouping = from_labels(labels, embedding)
+        grouping = from_labels(dataset)
         return [build_global_clock(dataset, config), *build_local_clocks(dataset, grouping, config)]
 
     for base, moved in zip(views(y), views(y + [5.0, -3.0]), strict=True):

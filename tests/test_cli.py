@@ -17,10 +17,10 @@ import featureclock
 import featureclock.cli as cli_module
 import featureclock.clockcore as clockcore_module
 import featureclock.render as render_module
-from featureclock import from_labels
+from featureclock import dbscan, from_labels, kmeans
 from featureclock.cli import demo_paths, main
 
-from oracles import pca_2d, standardize_reference
+from oracles import make_dataset, pca_2d, standardize_reference
 
 
 def run(args):
@@ -711,7 +711,7 @@ class TestDemo:
         report = json.loads((out / "global_clock.json").read_text())
         clock = report["clocks"][0]
         arrow = next(a for a in clock["arrows"] if a["feature"] == "sepal_width")
-        grouping = from_labels(iris_dataset.labels, iris_dataset.Y)
+        grouping = from_labels(iris_dataset)
         setosa = next(g for g in grouping.groups if g.name == "setosa")
         direction = np.array(setosa.center) - np.array(clock["anchor"])
         assert arrow["beta0"] * direction[0] + arrow["beta90"] * direction[1] > 0
@@ -842,12 +842,18 @@ def test_cli_fits_each_clock_with_one_ols_fit_call(view, iris_paths, tmp_path, m
     assert calls == {"build_clock": clocks, "ols_fit": clocks}
 
 
-def test_benchmark_traced_names_exist():
-    """Every function the benchmark's tracer wraps is still in the package."""
+def bench_tracer():
+    """The benchmark's tracer module, loaded from ``bench/tracer.py``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_traced_names_exist():
+    """Every function the benchmark's tracer wraps is still in the package."""
+    tracer = bench_tracer()
     for module_name, names in tracer.TRACED.items():
         module = importlib.import_module(module_name)
         for name in names:
@@ -856,3 +862,20 @@ def test_benchmark_traced_names_exist():
                 assert hasattr(owner, part), f"{module_name}.{name}"
                 owner = getattr(owner, part)
             assert callable(owner), f"{module_name}.{name}"
+
+
+def test_benchmark_reads_the_clusterings_labels():
+    """The benchmark checks each clustering's partition through the labels its tracer counts.
+
+    The tracer drops a result whose ``.labels`` it cannot read, and the
+    benchmark then skips its grouping check without a failure.
+    """
+    tracer = bench_tracer()
+    rng = np.random.default_rng(0)
+    dataset = make_dataset(rng.normal(size=(60, 3)), rng.normal(size=(60, 2)))
+    for name, result in (("grouping.kmeans", kmeans(dataset, 3, 0)),
+                         ("grouping.dbscan", dbscan(dataset, 1.0, 4))):
+        labels = tracer._counts(name, result)["labels"]
+        assert type(labels) is list and len(labels) == 60
+        assert all(type(v) is int for v in labels)
+        assert labels == result.labels.tolist()

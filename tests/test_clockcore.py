@@ -578,7 +578,7 @@ class TestLocalClocks:
     def test_single_group_equals_global(self):
         x, y = identity_fixture()
         dataset = make_dataset(x, y)
-        grouping = from_labels(["all"] * len(x), y)
+        grouping = from_labels(make_dataset(x, y, ["all"] * len(x)))
         clocks = build_local_clocks(dataset, grouping)
         global_clock = build_global_clock(dataset)
         assert len(clocks) == 1
@@ -589,9 +589,9 @@ class TestLocalClocks:
         x, y = identity_fixture(n=50, seed=13)
         x2 = np.vstack([x, x])
         y2 = np.vstack([y, y + 40.0])
-        dataset = make_dataset(x2, y2)
         labels = ["low"] * 50 + ["high"] * 50
-        clocks = build_local_clocks(dataset, from_labels(labels, y2))
+        dataset = make_dataset(x2, y2, labels)
+        clocks = build_local_clocks(dataset, from_labels(dataset))
         assert len(clocks) == 2
         first, second = clocks
         assert [a.feature for a in first.arrows] == [a.feature for a in second.arrows]
@@ -602,24 +602,24 @@ class TestLocalClocks:
 
     def test_small_group_skipped_with_warning(self):
         x, y = identity_fixture(n=40, d=3)
-        dataset = make_dataset(x, y)
         labels = ["big"] * 37 + ["tiny"] * 3
+        dataset = make_dataset(x, y, labels)
         with pytest.warns(ClockWarning, match="skipping group 'tiny'"):
-            clocks = build_local_clocks(dataset, from_labels(labels, y))
+            clocks = build_local_clocks(dataset, from_labels(dataset))
         assert [c.group for c in clocks] == ["big"]
 
     def test_all_groups_too_small(self):
         x, y = identity_fixture(n=8, d=4)
-        dataset = make_dataset(x, y)
         labels = ["a"] * 4 + ["b"] * 4
+        dataset = make_dataset(x, y, labels)
         with pytest.warns(ClockWarning):
             with pytest.raises(ComputationError, match="all groups too small"):
-                build_local_clocks(dataset, from_labels(labels, y))
+                build_local_clocks(dataset, from_labels(dataset))
 
     def test_noise_points_excluded(self):
         x, y = identity_fixture(n=40)
-        dataset = make_dataset(x, y)
         labels = ["a"] * 30 + ["noise"] * 10
-        clocks = build_local_clocks(dataset, from_labels(labels, y))
+        dataset = make_dataset(x, y, labels)
+        clocks = build_local_clocks(dataset, from_labels(dataset))
         assert clocks[0].member_count == 30
         assert clocks[0].anchor == build_clock(dataset, range(30)).anchor

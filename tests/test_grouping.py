@@ -18,7 +18,7 @@ from featureclock import (
 )
 from featureclock import grouping as grouping_module
 
-from oracles import dbscan_reference, kmeans_reference, min_spanning_weight
+from oracles import dbscan_reference, kmeans_reference, make_dataset, min_spanning_weight
 
 
 def blob_fixture(seed=0, gap=50.0, n_per=20, spread=0.5):
@@ -32,14 +32,14 @@ def blob_fixture(seed=0, gap=50.0, n_per=20, spread=0.5):
 class TestFromLabels:
     def test_two_groups_with_centers(self):
         y = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
-        grouping = from_labels(["a", "a", "b"], y)
+        grouping = from_labels(make_dataset(y, y, ["a", "a", "b"]))
         a, b = grouping.groups
         assert a.name == "a" and a.members.tolist() == [0, 1] and a.center == (1.0, 0.0)
         assert b.name == "b" and b.members.tolist() == [2] and b.center == (5.0, 5.0)
 
     def test_single_label_covers_everything(self):
         y = np.arange(10, dtype=float).reshape(5, 2)
-        grouping = from_labels(["only"] * 5, y)
+        grouping = from_labels(make_dataset(y, y, ["only"] * 5))
         assert len(grouping.groups) == 1
         assert grouping.groups[0].members.tolist() == list(range(5))
 
@@ -47,7 +47,7 @@ class TestFromLabels:
         rng = np.random.default_rng(1)
         y = rng.normal(size=(60, 2))
         tokens = [("p", "q", "r")[i % 3] for i in range(60)]
-        grouping = from_labels(tokens, y)
+        grouping = from_labels(make_dataset(y, y, tokens))
         for group in grouping.groups:
             rows = y[group.members]
             assert abs(group.center[0] - rows[:, 0].mean()) < 1e-12
@@ -55,26 +55,22 @@ class TestFromLabels:
 
     def test_noise_token_case_insensitive(self):
         y = np.zeros((4, 2))
-        grouping = from_labels(["a", "NOISE", "Noise", "a"], y)
+        grouping = from_labels(make_dataset(y, y, ["a", "NOISE", "Noise", "a"]))
         assert list(grouping.labels) == [0, NOISE, NOISE, 0]
         assert len(grouping.groups) == 1
 
     def test_first_appearance_order(self):
         y = np.zeros((4, 2))
-        grouping = from_labels(["z", "m", "z", "a"], y)
+        grouping = from_labels(make_dataset(y, y, ["z", "m", "z", "a"]))
         assert [g.name for g in grouping.groups] == ["z", "m", "a"]
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputDataError, match="labels for"):
-            from_labels(["a"], np.zeros((3, 2)))
 
     def test_permutation_only_relabels(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=(30, 2))
         tokens = [("u", "v")[i % 2] for i in range(30)]
         perm = rng.permutation(30)
-        base = from_labels(tokens, y)
-        shuffled = from_labels([tokens[i] for i in perm], y[perm])
+        base = from_labels(make_dataset(y, y, tokens))
+        shuffled = from_labels(make_dataset(y[perm], y[perm], [tokens[i] for i in perm]))
         base_sets = {g.name: set(g.members) for g in base.groups}
         inverse = np.empty(30, dtype=int)
         inverse[perm] = np.arange(30)
@@ -82,11 +78,87 @@ class TestFromLabels:
             mapped = {int(perm[i]) for i in g.members}
             assert mapped == base_sets[g.name]
 
+    def test_dataset_without_labels_rejected(self):
+        with pytest.raises(ComputationError, match="^the dataset has no labels to group by$"):
+            from_labels(make_dataset(np.zeros((3, 2)), np.zeros((3, 2))))
+
+
+def assert_per_group_reference(grouping, y):
+    """Members and centers equal a per-group pass over the labels, bit for bit."""
+    ids = sorted(set(grouping.labels.tolist()) - {NOISE})
+    assert [g.id for g in grouping.groups] == ids
+    for g in grouping.groups:
+        expected = np.flatnonzero(grouping.labels == g.id)
+        assert g.members.dtype == expected.dtype
+        assert np.array_equal(g.members, expected)
+        rows = y[expected]
+        assert g.center == (float(rows[:, 0].mean()), float(rows[:, 1].mean()))
+
+
+class TestMembersAndCenters:
+    """Every grouping takes its members from one argsort and its centers from numpy's mean."""
+
+    @given(
+        names=st.lists(st.text(alphabet="abcdef", min_size=1, max_size=2), min_size=1, max_size=12, unique=True),
+        n=st.integers(min_value=1, max_value=2000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_labels(self, names, n, seed):
+        # groups of every size, among noise rows; the scales and offset make a
+        # center's rounding depend on the order of its sum
+        rng = np.random.default_rng(seed)
+        vocabulary = [*names, "noise", "Noise"]
+        tokens = [vocabulary[i] for i in rng.integers(len(vocabulary), size=n)]
+        y = rng.normal(size=(len(tokens), 2)) * 10.0 ** rng.integers(-3, 4, size=2) + rng.normal(size=2) * 1e3
+        assert_per_group_reference(from_labels(make_dataset(y, y, tokens)), y)
+
+    def test_kmeans(self):
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(6, 4)) * 20.0
+        x = centers[rng.integers(6, size=3000)] + rng.normal(size=(3000, 4))
+        y = x[:, :2] * 0.37 + 1e3
+        grouping = kmeans(make_dataset(x, y), 6, seed=1)
+        assert len(grouping.groups) == 6
+        assert_per_group_reference(grouping, y)
+
+    def test_dbscan(self):
+        rng = np.random.default_rng(6)
+        angles = np.repeat(np.arange(8) * (2 * math.pi / 8), 300)
+        blobs = np.column_stack([np.cos(angles), np.sin(angles)]) * 20.0 + rng.normal(size=(2400, 2))
+        y = np.vstack([blobs, rng.uniform(-30.0, 30.0, size=(200, 2))]) + 1e3
+        x = rng.normal(size=(2600, 3))
+        grouping = dbscan(make_dataset(x, y), eps=1.0, min_pts=8, on="y")
+        assert len(grouping.groups) >= 8 and np.any(grouping.labels == NOISE)
+        assert_per_group_reference(grouping, y)
+
+
+class TestClusterSpace:
+    """``on`` picks the rows a clustering reads; centers always come from the embedding."""
+
+    def test_on_y_clusters_the_embedding(self):
+        y = blob_fixture(seed=15)
+        x = np.random.default_rng(15).normal(size=(40, 3))
+        for cluster in (lambda d, **on: kmeans(d, 2, seed=0, **on),
+                        lambda d, **on: dbscan(d, eps=3.0, min_pts=4, **on)):
+            on_y = cluster(make_dataset(x, y), on="y")
+            on_x = cluster(make_dataset(y, y))
+            assert np.array_equal(on_y.labels, on_x.labels)
+            assert [g.center for g in on_y.groups] == [g.center for g in on_x.groups]
+
+    def test_unknown_space_rejected(self):
+        dataset = make_dataset(blob_fixture(), blob_fixture())
+        message = "^cluster space must be 'x' or 'y', got 'X'$"
+        with pytest.raises(InputDataError, match=message):
+            kmeans(dataset, 2, seed=0, on="X")
+        with pytest.raises(InputDataError, match=message):
+            dbscan(dataset, eps=3.0, min_pts=4, on="X")
+
 
 class TestKmeans:
     def test_two_blobs_recovered(self):
         data = blob_fixture()
-        grouping = kmeans(data, 2, seed=0, embedding=data)
+        grouping = kmeans(make_dataset(data, data), 2, seed=0)
         assert len(grouping.groups) == 2
         sets = sorted((set(g.members) for g in grouping.groups), key=min)
         assert sets[0] == set(range(20))
@@ -95,7 +167,7 @@ class TestKmeans:
     def test_k1_single_group_global_centroid(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(25, 2))
-        grouping = kmeans(data, 1, seed=0, embedding=data)
+        grouping = kmeans(make_dataset(data, data), 1, seed=0)
         assert len(grouping.groups) == 1
         center = grouping.groups[0].center
         assert center[0] == pytest.approx(data[:, 0].mean())
@@ -105,23 +177,23 @@ class TestKmeans:
         rng = np.random.default_rng(4)
         data = rng.normal(size=(50, 4))
         emb = rng.normal(size=(50, 2))
-        a = kmeans(data, 3, seed=11, embedding=emb)
-        b = kmeans(data, 3, seed=11, embedding=emb)
+        a = kmeans(make_dataset(data, emb), 3, seed=11)
+        b = kmeans(make_dataset(data, emb), 3, seed=11)
         assert np.array_equal(a.labels, b.labels)
 
     def test_no_noise_labels(self):
         data = blob_fixture(seed=5)
-        grouping = kmeans(data, 2, seed=0, embedding=data)
+        grouping = kmeans(make_dataset(data, data), 2, seed=0)
         assert not np.any(grouping.labels == NOISE)
 
     def test_k_exceeds_n(self):
         with pytest.raises(InputDataError, match="exceeds"):
-            kmeans(np.zeros((3, 2)), 4, seed=0, embedding=np.zeros((3, 2)))
+            kmeans(make_dataset(np.zeros((3, 2)), np.zeros((3, 2))), 4, seed=0)
 
     def test_negative_seed_rejected(self):
         data = blob_fixture()
         with pytest.raises(InputDataError, match="seed must be non-negative, got -1"):
-            kmeans(data, 2, seed=-1, embedding=data)
+            kmeans(make_dataset(data, data), 2, seed=-1)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_overflowing_distances_raise(self, k):
@@ -131,7 +203,7 @@ class TestKmeans:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
             with pytest.raises(ComputationError, match="squared distances between points overflow"):
-                kmeans(data, k, seed=0, embedding=data / 1e200)
+                kmeans(make_dataset(data, data / 1e200), k, seed=0)
 
     def test_repair_keeps_every_cluster(self):
         # three distinct values for k=4: a repair that took a cluster's only
@@ -139,7 +211,7 @@ class TestKmeans:
         data = np.array([[0.0], [1.0], [2.0], [2.0], [1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grouping = kmeans(data, 4, seed=40, embedding=np.zeros((5, 2)))
+            grouping = kmeans(make_dataset(data, np.zeros((5, 2))), 4, seed=40)
         assert set(grouping.labels.tolist()) == {0, 1, 2, 3}
         assert [g.id for g in grouping.groups] == [0, 1, 2, 3]
 
@@ -154,14 +226,14 @@ class TestKmeans:
         # each repair must see the clusters the earlier ones shrank: with the
         # round's first sizes a later repair takes an earlier one's only point
         data = np.array(values, dtype=float)[:, None]
-        grouping = kmeans(data, k, seed=seed, embedding=np.zeros((len(values), 2)))
+        grouping = kmeans(make_dataset(data, np.zeros((len(values), 2))), k, seed=seed)
         assert grouping.labels.tolist() == expected
         assert kmeans_reference(data, k, seed).tolist() == expected
 
     def test_centers_come_from_embedding(self):
         data = blob_fixture(seed=6)
         emb = np.column_stack([np.arange(40.0), np.zeros(40)])
-        grouping = kmeans(data, 2, seed=0, embedding=emb)
+        grouping = kmeans(make_dataset(data, emb), 2, seed=0)
         for g in grouping.groups:
             rows = emb[g.members]
             assert g.center == (pytest.approx(rows[:, 0].mean()), pytest.approx(0.0))
@@ -189,7 +261,7 @@ class TestKmeans:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
             # the blocks are C-ordered, so the input's memory order changes nothing
             for arr in (data, np.asfortranarray(data)):
-                grouping = kmeans(arr, k, seed=seed, embedding=data[:, [0, 0]])
+                grouping = kmeans(make_dataset(arr, data[:, [0, 0]]), k, seed=seed)
                 assert np.array_equal(grouping.labels, expected)
 
     def test_memory_stays_near_the_data(self):
@@ -202,7 +274,7 @@ class TestKmeans:
         for k in (8, 1):
             tracemalloc.start()
             try:
-                grouping = kmeans(data, k, seed=0, embedding=data[:, :2])
+                grouping = kmeans(make_dataset(data, data[:, :2]), k, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -213,7 +285,7 @@ class TestKmeans:
 class TestDbscan:
     def test_blobs_plus_outlier(self):
         data = np.vstack([blob_fixture(seed=7), [[25.0, 200.0]]])
-        grouping = dbscan(data, eps=3.0, min_pts=4, embedding=data)
+        grouping = dbscan(make_dataset(data, data), eps=3.0, min_pts=4)
         assert len(grouping.groups) == 2
         assert grouping.labels[40] == NOISE
         sets = sorted((set(g.members) for g in grouping.groups), key=min)
@@ -222,25 +294,25 @@ class TestDbscan:
 
     def test_huge_eps_single_group(self):
         data = blob_fixture(seed=8)
-        grouping = dbscan(data, eps=1e6, min_pts=4, embedding=data)
+        grouping = dbscan(make_dataset(data, data), eps=1e6, min_pts=4)
         assert len(grouping.groups) == 1
         assert not np.any(grouping.labels == NOISE)
 
     def test_min_pts_above_n_all_noise(self):
         data = blob_fixture(seed=9)
-        grouping = dbscan(data, eps=1e6, min_pts=41, embedding=data)
+        grouping = dbscan(make_dataset(data, data), eps=1e6, min_pts=41)
         assert np.all(grouping.labels == NOISE)
         assert grouping.groups == ()
 
     def test_ids_follow_scan_order(self):
         data = blob_fixture(seed=10)
-        grouping = dbscan(data, eps=3.0, min_pts=4, embedding=data)
+        grouping = dbscan(make_dataset(data, data), eps=3.0, min_pts=4)
         assert grouping.labels[0] == 0
         assert grouping.labels[20] == 1
 
     def test_noise_never_in_groups(self):
         data = np.vstack([blob_fixture(seed=11), [[500.0, 500.0]]])
-        grouping = dbscan(data, eps=3.0, min_pts=4, embedding=data)
+        grouping = dbscan(make_dataset(data, data), eps=3.0, min_pts=4)
         for g in grouping.groups:
             assert 40 not in g.members
 
@@ -248,9 +320,9 @@ class TestDbscan:
         data = blob_fixture()
         for eps in (0.0, math.nan, math.inf):
             with pytest.raises(InputDataError, match="eps"):
-                dbscan(data, eps=eps, min_pts=4, embedding=data)
+                dbscan(make_dataset(data, data), eps=eps, min_pts=4)
         with pytest.raises(InputDataError):
-            dbscan(data, eps=1.0, min_pts=0, embedding=data)
+            dbscan(make_dataset(data, data), eps=1.0, min_pts=0)
 
     def test_shared_border_point_joins_lowest_cluster(self):
         # Point 0 is a border point, within eps of core point 1 (cluster 0)
@@ -260,7 +332,7 @@ class TestDbscan:
             [-1.0, 0.0], [-1.5, 0.0], [-2.0, 0.0],
             [1.0, 0.0], [1.5, 0.0], [2.0, 0.0],
         ])
-        grouping = dbscan(data, eps=1.0, min_pts=4, embedding=data)
+        grouping = dbscan(make_dataset(data, data), eps=1.0, min_pts=4)
         assert grouping.labels.tolist() == [0, 0, 0, 0, 1, 1, 1]
         assert grouping.labels.tolist() == dbscan_reference(data, 1.0, 4).tolist()
 
@@ -281,7 +353,7 @@ class TestDbscan:
         data = rng.integers(0, side, size=(n, d)).astype(float)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
-            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, [0, 0]])
+            grouping = dbscan(make_dataset(data, data[:, [0, 0]]), eps=eps, min_pts=min_pts)
         assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
 
     @given(
@@ -305,7 +377,7 @@ class TestDbscan:
         data[:, 0] = rng.integers(0, values, size=n) * eps
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
-            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, [0, 0]])
+            grouping = dbscan(make_dataset(data, data[:, [0, 0]]), eps=eps, min_pts=min_pts)
         assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
 
     @given(
@@ -330,7 +402,7 @@ class TestDbscan:
         data = offset + rng.integers(0, 6, size=(n, d)) * step
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
-            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, [0, 0]])
+            grouping = dbscan(make_dataset(data, data[:, [0, 0]]), eps=eps, min_pts=min_pts)
         assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
 
     @given(
@@ -347,7 +419,7 @@ class TestDbscan:
         eps = math.sqrt(d) * 0.9
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
-            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data[:, :2])
+            grouping = dbscan(make_dataset(data, data[:, :2]), eps=eps, min_pts=min_pts)
         assert np.array_equal(grouping.labels, dbscan_reference(data, eps, min_pts))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -366,7 +438,7 @@ class TestDbscan:
         data = data[rng.permutation(len(data))]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
-            grouping = dbscan(data, eps=0.6, min_pts=3, embedding=data)
+            grouping = dbscan(make_dataset(data, data), eps=0.6, min_pts=3)
         assert sorted(len(g.members) for g in grouping.groups) == [60, 121]
         assert np.array_equal(grouping.labels, dbscan_reference(data, 0.6, 3))
 
@@ -384,7 +456,7 @@ class TestDbscan:
         data[:6] *= 1.6
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(grouping_module, "_BLOCK_CELLS", block_cells)
-            grouping = dbscan(data, eps=6.5, min_pts=10, embedding=data[:, :2])
+            grouping = dbscan(make_dataset(data, data[:, :2]), eps=6.5, min_pts=10)
         assert np.array_equal(grouping.labels, dbscan_reference(data, 6.5, 10))
         assert max(len(g.members) for g in grouping.groups) > 250
 
@@ -392,7 +464,7 @@ class TestDbscan:
     def dbscan_peak(data, eps, min_pts):
         tracemalloc.start()
         try:
-            grouping = dbscan(data, eps=eps, min_pts=min_pts, embedding=data)
+            grouping = dbscan(make_dataset(data, data), eps=eps, min_pts=min_pts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -427,8 +499,8 @@ class TestDbscan:
         rng = np.random.default_rng(12)
         data = blob_fixture(seed=12)
         perm = rng.permutation(len(data))
-        base = dbscan(data, eps=3.0, min_pts=4, embedding=data)
-        shuffled = dbscan(data[perm], eps=3.0, min_pts=4, embedding=data[perm])
+        base = dbscan(make_dataset(data, data), eps=3.0, min_pts=4)
+        shuffled = dbscan(make_dataset(data[perm], data[perm]), eps=3.0, min_pts=4)
         base_sets = sorted(frozenset(g.members) for g in base.groups)
         shuffled_sets = sorted(
             frozenset(int(perm[i]) for i in g.members) for g in shuffled.groups
@@ -445,7 +517,7 @@ class TestMst:
         for i, c in enumerate(centers):
             labels.append(f"g{i}")
             rows.append(c)
-        return from_labels(labels, np.asarray(rows))
+        return from_labels(make_dataset(np.asarray(rows), np.asarray(rows), labels))
 
     def test_two_centers_single_edge(self):
         grouping = self.grouping_from_centers([[0.0, 0.0], [3.0, 4.0]])

@@ -153,6 +153,7 @@ class TestDataset:
             ({"feature_names": ("a", "", "c")}, "feature name in column 2 is empty"),
             # once accepted: a clock's circles, keyed by name, lost the first 'a' sweep
             ({"feature_names": ("a", "a", "b")}, "duplicate feature name 'a'"),
+            ({"labels": ("a",)}, "1 labels for 6 points"),
         ],
     )
     def test_bad_input_raises_from_either_constructor(self, change, message):

@@ -342,7 +342,7 @@ class TestLogisticFit:
 class TestIntergroupClocks:
     def test_shifted_feature_dominates(self):
         dataset = shifted_fixture()
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         clocks = build_intergroup_clocks(dataset, grouping, mst)
         assert len(clocks) == 1
@@ -358,7 +358,7 @@ class TestIntergroupClocks:
 
     def test_anchor_and_axis_geometry(self):
         dataset = shifted_fixture()
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         clock = build_intergroup_clocks(dataset, grouping, mst)[0]
         (xa, ya), (xb, yb) = clock.centers
@@ -371,7 +371,7 @@ class TestIntergroupClocks:
         n_per = len(dataset.labels) // 2
         y = dataset.Y.copy()
         y[n_per:] = y[:n_per] + np.array([0.0, 10.0])  # centers differ only in y
-        grouping = from_labels(dataset.labels, y)
+        grouping = from_labels(dataclasses.replace(dataset, Y=y))
         clock = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))[0]
         assert clock.axis_angle_deg in (90.0, 270.0)
         assert clock.arrows
@@ -379,7 +379,7 @@ class TestIntergroupClocks:
 
     def test_collinear_features_named_per_edge(self):
         dataset = collinear_fixture()
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         with pytest.raises(RankDeficientError) as info:
             build_intergroup_clocks(dataset, grouping, mst)
@@ -394,7 +394,7 @@ class TestIntergroupClocks:
         names = ("f0", "f1", "f2")
         with_const = make_dataset(np.insert(x, 1, -2.5, axis=1), dataset.Y, dataset.labels,
                                   ("f0", "const", "f1", "f2"))
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         config = RunConfig(alpha=1.0)
         with pytest.warns(ClockWarning, match="'low'-'high': dropping zero-variance features: const$"):
@@ -412,7 +412,7 @@ class TestIntergroupClocks:
         y += np.random.default_rng(11).normal(scale=0.1, size=y.shape)
         labels = ["a"] * n + ["b"] * n + ["c"] * n
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         with pytest.warns(ClockWarning) as caught:
             clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
         assert "skipping edge 'a'-'b': every feature is constant" in [
@@ -422,7 +422,7 @@ class TestIntergroupClocks:
 
     def test_single_group_raises(self):
         dataset = shifted_fixture()
-        grouping = from_labels(["all"] * len(dataset.labels), dataset.Y)
+        grouping = from_labels(dataclasses.replace(dataset, labels=["all"] * len(dataset.labels)))
         with pytest.raises(ComputationError, match="need at least 2 groups, found 1"):
             build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
 
@@ -438,7 +438,7 @@ class TestIntergroupClocks:
     )
     def test_faulty_spanning_tree_rejected_before_any_fit(self, tree, message, monkeypatch):
         dataset = shifted_fixture()
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         assert sorted(g.id for g in grouping.groups) == [0, 1]
 
         def no_fit(*args):
@@ -454,8 +454,8 @@ class TestIntergroupClocks:
         labels = ["low"] * 250 + ["high"] * 125 + ["far"] * 125
         y = dataset.Y.copy()
         y[375:] += np.array([0.0, 20.0])
-        dataset = dataclasses.replace(dataset, Y=y, labels=tuple(labels))
-        grouping = from_labels(labels, y)
+        dataset = dataclasses.replace(dataset, Y=y, labels=labels)
+        grouping = from_labels(dataset)
         tree = mst_over_centers(grouping)
         assert len(tree) == 2
         config = RunConfig(alpha=1.0)
@@ -471,7 +471,7 @@ class TestIntergroupClocks:
     @pytest.mark.parametrize("rows", [490, 510])
     def test_grouping_must_cover_the_rows(self, rows):
         full = shifted_fixture()
-        grouping = from_labels(full.labels, full.Y)  # 500 points
+        grouping = from_labels(full)  # 500 points
         pad = max(0, rows - 500)
         dataset = dataclasses.replace(
             full,
@@ -487,7 +487,7 @@ class TestIntergroupClocks:
 
     def test_alpha_zero_empty_arrows(self):
         dataset = shifted_fixture()
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         with pytest.warns(ClockWarning, match="no significant"):
             clocks = build_intergroup_clocks(dataset, grouping, mst, RunConfig(alpha=0.0))
@@ -505,7 +505,7 @@ class TestIntergroupClocks:
         y[2 * n :, 0] += 10.0
         labels = ["a"] * n + ["b"] * n + ["c"] * n
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         clocks = build_intergroup_clocks(dataset, grouping, mst)
         assert len(clocks) == 2
@@ -517,7 +517,7 @@ class TestIntergroupClocks:
 
     def test_label_swap_flips_axis_component(self):
         dataset = shifted_fixture()
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         ((ga, gb, length),) = mst
         reversed_mst = ((gb, ga, length),)
@@ -541,7 +541,7 @@ class TestIntergroupClocks:
         tokens = list(dataset.labels)
         for i in range(4):  # carve a 4-point group out of the low blob
             tokens[i] = "tiny"
-        grouping = from_labels(tokens, dataset.Y)
+        grouping = from_labels(dataclasses.replace(dataset, labels=tokens))
         mst = mst_over_centers(grouping)
         with pytest.warns(ClockWarning, match="skipping edge"):
             clocks = build_intergroup_clocks(dataset, grouping, mst)
@@ -553,7 +553,7 @@ class TestIntergroupClocks:
         y = rng.normal(size=(8, 2))
         labels = ["a"] * 4 + ["b"] * 4
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         with pytest.warns(ClockWarning):
             with pytest.raises(ComputationError, match="every MST edge was skipped"):
@@ -571,7 +571,7 @@ class TestIntergroupClocks:
         y[n // 2 :, 0] += 10.0
         labels = ["a"] * (n // 2) + ["b"] * (n // 2)
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         tracemalloc.start()
         try:
@@ -592,7 +592,7 @@ class TestIntergroupClocks:
         )
         labels = ["a"] * n + ["b"] * n
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
         full = build_intergroup_clocks(dataset, grouping, mst)[0]
         trimmed = build_intergroup_clocks(dataset, grouping, mst, RunConfig(top_k=1))[0]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from featureclock import (
     Clock,
     ClockArrow,
+    ComputationError,
     RunConfig,
     build_clock,
     from_labels,
@@ -61,17 +62,27 @@ class TestScatter:
         y = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
         x = np.column_stack([np.arange(4.0), np.ones(4)])
         dataset = make_dataset(x, y, labels=["a", "a", "a", "noise"])
-        grouping = from_labels(dataset.labels, dataset.Y)
+        grouping = from_labels(dataset)
         svg = svg_text(render_scatter(dataset, grouping))
         assert NOISE_COLOR in svg
         assert ">noise<" in svg
+
+    @pytest.mark.parametrize("rows", [1, 30])
+    def test_grouping_must_cover_the_rows(self, rows):
+        # one label once broadcast over all 50 slots, painting every marker its
+        # group's color; 30 labels raised numpy's "operands could not be broadcast"
+        rng = np.random.default_rng(3)
+        dataset = make_dataset(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
+        grouping = from_labels(make_dataset(dataset.X[:rows], dataset.Y[:rows], ["g"] * rows))
+        with pytest.raises(ComputationError, match=f"^grouping covers {rows} points but the dataset has 50$"):
+            render_scatter(dataset, grouping)
 
     def test_group_colors_cycle_past_ten_groups(self):
         # groups g0..g11 get ids 0..11 in first-appearance order; every 13th row is noise
         tokens = ["noise" if i % 13 == 12 else f"g{i % 13}" for i in range(39)]
         x = np.column_stack([np.arange(39.0), np.ones(39)])
         dataset = make_dataset(x, np.column_stack([np.arange(39.0), np.zeros(39)]), tokens)
-        svg = svg_text(render_scatter(dataset, from_labels(dataset.labels, dataset.Y)))
+        svg = svg_text(render_scatter(dataset, from_labels(dataset)))
         expected = [NOISE_COLOR if t == "noise" else PALETTE[int(t[1:]) % 10] for t in tokens]
         assert re.findall(r'<circle [^>]*r="3" fill="(#\w+)"', svg) == expected
         legend = re.findall(r'height="10" fill="(#\w+)"/>\n<text [^>]*>([^<]*)</text>', svg)
@@ -133,7 +144,7 @@ class TestStreaming:
 
     @pytest.mark.parametrize("chunk", [1, 3, render_module._MARKER_CHUNK])
     def test_written_bytes_equal_to_svg(self, iris_dataset, tmp_path, chunk):
-        grouping = from_labels(iris_dataset.labels, iris_dataset.Y)
+        grouping = from_labels(iris_dataset)
         renamed = make_dataset(iris_dataset.X, iris_dataset.Y,
                                names=("sépal", *iris_dataset.feature_names[1:]))
         clock = build_clock(renamed, range(150), RunConfig(circles=True))
@@ -153,7 +164,7 @@ class TestStreaming:
         rng = np.random.default_rng(0)
         y = rng.normal(size=(40_000, 2)) * 10.0
         dataset = make_dataset(rng.normal(size=(40_000, 3)), y)
-        grouping = from_labels([f"g{i}" for i in rng.integers(8, size=40_000)], y)
+        grouping = from_labels(make_dataset(dataset.X, y, [f"g{i}" for i in rng.integers(8, size=40_000)]))
         tracemalloc.start()
         try:
             scene = render_scatter(dataset, grouping)
@@ -172,7 +183,7 @@ class TestStreaming:
         dataset = make_dataset(rng.normal(size=(40_000, 3)), y)
         tokens = [f"g{i}" for i in rng.integers(12, size=40_000)]
         tokens[::7] = ["noise"] * len(tokens[::7])
-        grouping = from_labels(tokens, y)
+        grouping = from_labels(make_dataset(dataset.X, y, tokens))
         tracemalloc.start()
         try:
             scene = render_scatter(dataset, grouping)
@@ -315,7 +326,7 @@ class TestIntergroupGlyph:
         )
         labels = ["a"] * n + ["b"] * n
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         clocks = build_intergroup_clocks(dataset, grouping, mst_over_centers(grouping))
         return dataset, grouping, clocks
 
@@ -353,7 +364,7 @@ class TestIntergroupGlyph:
         y[2 * n :, 0] += 8.0
         labels = ["a"] * n + ["b"] * n + ["c"] * n
         dataset = make_dataset(x, y, labels)
-        grouping = from_labels(labels, y)
+        grouping = from_labels(dataset)
         with pytest.warns(Warning):
             clocks = build_intergroup_clocks(
                 dataset, grouping, mst_over_centers(grouping), RunConfig(alpha=1e-9)
@@ -399,7 +410,7 @@ class TestPaletteCycling:
 
 class TestWellFormed:
     def test_all_scene_kinds_parse_as_xml(self, iris_dataset):
-        grouping = from_labels(iris_dataset.labels, iris_dataset.Y)
+        grouping = from_labels(iris_dataset)
         clock = build_clock(iris_dataset, range(150), RunConfig(circles=True))
         scene = render_scatter(iris_dataset, grouping)
         render_circles(scene, clock)
