@@ -64,6 +64,10 @@ class TestFromLabels:
         grouping = from_labels(make_dataset(y, y, ["z", "m", "z", "a"]))
         assert [g.name for g in grouping.groups] == ["z", "m", "a"]
 
+    def test_length_mismatch(self):
+        with pytest.raises(ComputationError, match="^1 labels for 3 points$"):
+            from_labels(make_dataset(np.zeros((3, 2)), np.zeros((3, 2)), ["a"]))
+
     def test_permutation_only_relabels(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=(30, 2))
