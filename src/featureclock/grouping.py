@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputDataError
-from .ingest import Dataset
+from .ingest import Dataset, cluster_space
 from .numstats import distinct
 
 # Label value for points no cluster claims. The token "noise" (any case) in a
@@ -52,12 +52,9 @@ class GroupingResult:
 
 
 def _make_groups(labels: np.ndarray, names: dict[int, str], embedding: np.ndarray) -> tuple[Group, ...]:
-    # labels run from NOISE (-1) up: group g's rows, ascending, follow those labelled below g
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels + 1))
     groups = []
     for gid in sorted(names):
-        members = order[ends[gid] : ends[gid + 1]]
+        members = np.flatnonzero(labels == gid)
         rows = embedding[members]
         center = (float(rows[:, 0].mean()), float(rows[:, 1].mean()))
         groups.append(Group(gid, names[gid], members, center))
@@ -66,9 +63,7 @@ def _make_groups(labels: np.ndarray, names: dict[int, str], embedding: np.ndarra
 
 def _space(dataset: Dataset, on: str) -> np.ndarray:
     """The points a clustering reads: the rows of ``dataset.X`` (``on="x"``) or of ``dataset.Y`` ("y")."""
-    if on not in ("x", "y"):
-        raise InputDataError(f"cluster space must be 'x' or 'y', got {on!r}")
-    return dataset.X if on == "x" else dataset.Y
+    return dataset.X if cluster_space(on) == "x" else dataset.Y
 
 
 def from_labels(dataset: Dataset) -> GroupingResult:

@@ -239,6 +239,14 @@ def _integer(name: str, value) -> int:
     raise InputDataError(f"{name} must be an integer, got {value!r}")
 
 
+def cluster_space(value) -> str:
+    """The space a clustering reads, lower-cased: "x" (the features) or "y" (the embedding)."""
+    space = str(value).lower()
+    if space not in ("x", "y"):
+        raise InputDataError(f"cluster space must be 'x' or 'y', got {space!r}")
+    return space
+
+
 def validate_config(options=None, /) -> RunConfig:
     """Apply defaults and range checks to a dict of raw options; returns a RunConfig.
 
@@ -295,10 +303,7 @@ def validate_config(options=None, /) -> RunConfig:
         raise InputDataError(f"significance rule must be 'or' or 'and', got {rule!r}")
     merged["significance_rule"] = rule
 
-    space = str(merged["cluster_on"]).lower()
-    if space not in ("x", "y"):
-        raise InputDataError(f"cluster space must be 'x' or 'y', got {space!r}")
-    merged["cluster_on"] = space
+    merged["cluster_on"] = cluster_space(merged["cluster_on"])
 
     if merged["cluster_eps"] is not None:
         merged["cluster_eps"] = _finite("eps", merged["cluster_eps"])

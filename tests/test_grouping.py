@@ -15,6 +15,7 @@ from featureclock import (
     from_labels,
     kmeans,
     mst_over_centers,
+    validate_config,
 )
 from featureclock import grouping as grouping_module
 
@@ -47,11 +48,7 @@ class TestFromLabels:
         rng = np.random.default_rng(1)
         y = rng.normal(size=(60, 2))
         tokens = [("p", "q", "r")[i % 3] for i in range(60)]
-        grouping = from_labels(make_dataset(y, y, tokens))
-        for group in grouping.groups:
-            rows = y[group.members]
-            assert abs(group.center[0] - rows[:, 0].mean()) < 1e-12
-            assert abs(group.center[1] - rows[:, 1].mean()) < 1e-12
+        assert_per_group_reference(from_labels(make_dataset(y, y, tokens)), y)
 
     def test_noise_token_case_insensitive(self):
         y = np.zeros((4, 2))
@@ -100,7 +97,7 @@ def assert_per_group_reference(grouping, y):
 
 
 class TestMembersAndCenters:
-    """Every grouping takes its members from one argsort and its centers from numpy's mean."""
+    """Every grouping takes each group's ascending rows as members and numpy's mean of them as center."""
 
     @given(
         names=st.lists(st.text(alphabet="abcdef", min_size=1, max_size=2), min_size=1, max_size=12, unique=True),
@@ -150,13 +147,16 @@ class TestClusterSpace:
             assert np.array_equal(on_y.labels, on_x.labels)
             assert [g.center for g in on_y.groups] == [g.center for g in on_x.groups]
 
-    def test_unknown_space_rejected(self):
-        dataset = make_dataset(blob_fixture(), blob_fixture())
-        message = "^cluster space must be 'x' or 'y', got 'X'$"
-        with pytest.raises(InputDataError, match=message):
-            kmeans(dataset, 2, seed=0, on="X")
-        with pytest.raises(InputDataError, match=message):
-            dbscan(dataset, eps=3.0, min_pts=4, on="X")
+    def test_space_read_as_validate_config_reads_it(self):
+        dataset = make_dataset(np.random.default_rng(16).normal(size=(40, 3)), blob_fixture())
+        assert np.array_equal(kmeans(dataset, 2, seed=0, on="Y").labels, kmeans(dataset, 2, seed=0, on="y").labels)
+        assert validate_config({"cluster_on": "Y"}).cluster_on == "y"
+        message = "^cluster space must be 'x' or 'y', got 'z'$"
+        for reject in (lambda: kmeans(dataset, 2, seed=0, on="Z"),
+                       lambda: dbscan(dataset, eps=3.0, min_pts=4, on="Z"),
+                       lambda: validate_config({"cluster_on": "Z"})):
+            with pytest.raises(InputDataError, match=message):
+                reject()
 
 
 class TestKmeans:
