@@ -25,7 +25,7 @@ from . import __version__
 from .clockcore import Clock, build_global_clock, build_local_clocks
 from .errors import ClockWarning, ComputationError, InputDataError
 from .grouping import GroupingResult, dbscan, from_labels, kmeans, mst_over_centers
-from .ingest import Dataset, RunConfig, load_dataset, validate_config
+from .ingest import CLUSTER_SPACES, SIGNIFICANCE_RULES, Dataset, RunConfig, load_dataset, validate_config
 from .intergroup import IntergroupClock, build_intergroup_clocks
 from .render import render_circles, render_clock, render_intergroup, render_scatter
 
@@ -80,7 +80,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--labels", default=None, help="CSV of per-point labels")
     parser.add_argument("--cluster", default=None,
                         help="kmeans:<k> or dbscan:<eps>,<min_pts> (local and intergroup only)")
-    parser.add_argument("--cluster-on", dest="cluster_on", choices=("x", "y"), default=None,
+    parser.add_argument("--cluster-on", dest="cluster_on", choices=CLUSTER_SPACES, default=None,
                         help="space to cluster in, with --cluster (default: x)")
     parser.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
     parser.add_argument("--top-k", dest="top_k", type=int, default=None, help="keep only the k strongest arrows")
@@ -88,7 +88,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="sweep step in degrees, with --circles (default 5)")
     parser.add_argument("--no-standardize-x", dest="standardize_x", action="store_const",
                         const=False, default=None, help="skip feature standardization")
-    parser.add_argument("--significance-rule", dest="significance_rule", choices=("or", "and"),
+    parser.add_argument("--significance-rule", dest="significance_rule", choices=SIGNIFICANCE_RULES,
                         default=None, help="axis p-value combination (default or)")
     parser.add_argument("--circles", action="store_const", const=True, default=None,
                         help="draw the full coefficient sweep instead of single arrows")

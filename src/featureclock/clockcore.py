@@ -193,8 +193,7 @@ def build_clock(
     circles = None
     out_variant = variant
     if config.circles:
-        m = max(2, int(round(180.0 / config.theta_step_deg)))
-        sweep = circle_sweep(b0, b90, m)
+        sweep = circle_sweep(b0, b90, round(180.0 / config.theta_step_deg))  # the step is 180/m
         circles = {names[j]: tuple(sweep[i]) for i, j in enumerate(kept)}
         out_variant = "circles"
 

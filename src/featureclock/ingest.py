@@ -1,4 +1,4 @@
-"""CSV ingestion into validated datasets, plus run-configuration handling.
+"""CSV ingestion into validated datasets, and the run configuration.
 
 Every input file is UTF-8, with or without a byte-order mark: comma
 separator, one header row, no missing values. The csv module reads headers and
@@ -7,6 +7,9 @@ is a plain ASCII decimal or exponent float, optionally quoted or padded with
 whitespace. Only a table that loadtxt refuses, or that has the wrong width or
 a non-finite value, is read again by the csv module, cell by cell, to raise an
 InputDataError naming the file's first fault by row and column.
+
+A Dataset and a RunConfig each check themselves when they are made;
+``validate_config`` is the RunConfig's front door for a dict of raw options.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -88,9 +92,25 @@ class Dataset:
         object.__setattr__(self, "Y", y)
 
 
+SIGNIFICANCE_RULES = ("or", "and")
+CLUSTER_SPACES = ("x", "y")
+CANVAS_MARGIN = 50.0  # px the renderer leaves blank on each side of the canvas
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Options shared by the clock builders, the renderer, and the CLI."""
+    """Options shared by the clock builders, the renderer, and the CLI.
+
+    A RunConfig checks itself when made, also by :func:`validate_config` or
+    ``dataclasses.replace``, raising InputDataError. alpha is in (0, 1]; top_k,
+    k-means' k and DBSCAN's min_pts are at least 1; its eps and the scale are
+    positive; the seed is non-negative; the switches are bools. Numbers are
+    stored as floats, counts as ints (from a whole float or integer string,
+    not a fraction), and the rule, cluster method and space lower-cased. The
+    projection step is at least 0.1 degrees; one that does not divide 180 is
+    raised to the next 180/m, and one above 90 clamped to 90, with a warning.
+    A canvas side must exceed twice ``CANVAS_MARGIN``.
+    """
 
     alpha: float = 0.05
     top_k: int | None = None
@@ -106,6 +126,48 @@ class RunConfig:
     cluster_min_pts: int = 5
     cluster_on: str = "x"
     canvas: tuple[int, int] = (900, 600)
+
+    def __post_init__(self):
+        put = partial(object.__setattr__, self)  # stores a frozen field's normalized value
+        put("alpha", _finite("alpha", self.alpha))
+        if not 0.0 < self.alpha <= 1.0:
+            raise InputDataError(f"alpha must be in (0, 1], got {self.alpha}")
+        for name in ("seed", "cluster_k", "cluster_min_pts"):
+            put(name, _integer(name, getattr(self, name)))
+        if self.top_k is not None:
+            put("top_k", _integer("top_k", self.top_k))
+            if self.top_k < 1:
+                raise InputDataError(f"top_k must be at least 1, got {self.top_k}")
+        step = _finite("theta_step", self.theta_step_deg)
+        if step < 0.1:
+            raise InputDataError(f"theta_step must be at least 0.1 degrees, got {step}")
+        lines = 180.0 / step
+        if abs(lines - round(lines)) > 1e-9 or round(lines) < 2:
+            step, given = 180.0 / max(2, int(lines + 1e-9)), step
+            warnings.warn(f"theta_step {given} does not divide 180 into at least 2 lines; using {step}",
+                          ClockWarning, stacklevel=3)  # past __init__, to the code that made the RunConfig
+        put("theta_step_deg", step)
+        put("clock_scale", _finite("scale", self.clock_scale))
+        if self.clock_scale <= 0:
+            raise InputDataError(f"scale must be positive, got {self.clock_scale}")
+        put("significance_rule", _choice("significance rule", self.significance_rule, SIGNIFICANCE_RULES))
+        put("cluster_on", cluster_space(self.cluster_on))
+        if self.cluster_eps is not None:
+            put("cluster_eps", _finite("eps", self.cluster_eps))
+        if self.cluster_method is not None:
+            put("cluster_method", _choice("cluster method", self.cluster_method, ("kmeans", "dbscan")))
+        if self.cluster_method == "kmeans" and self.cluster_k < 1:
+            raise InputDataError("kmeans needs k >= 1")
+        if self.cluster_method == "dbscan" and (self.cluster_eps is None or self.cluster_eps <= 0):
+            raise InputDataError("dbscan needs eps > 0")
+        if self.cluster_method == "dbscan" and self.cluster_min_pts < 1:
+            raise InputDataError("dbscan needs min_pts >= 1")
+        put("canvas", canvas_size(self.canvas))
+        if self.seed < 0:
+            raise InputDataError(f"seed must be non-negative, got {self.seed}")
+        for name in ("standardize_x", "circles"):
+            if not isinstance(getattr(self, name), bool):
+                raise InputDataError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
 
 def _rows(p: Path):
@@ -239,102 +301,41 @@ def _integer(name: str, value) -> int:
     raise InputDataError(f"{name} must be an integer, got {value!r}")
 
 
+def _choice(what: str, value, choices: tuple[str, ...]) -> str:
+    """``value`` lower-cased, which must be one of ``choices``."""
+    choice = str(value).lower()
+    if choice not in choices:
+        raise InputDataError(f"{what} must be {' or '.join(map(repr, choices))}, got {choice!r}")
+    return choice
+
+
 def cluster_space(value) -> str:
     """The space a clustering reads, lower-cased: "x" (the features) or "y" (the embedding)."""
-    space = str(value).lower()
-    if space not in ("x", "y"):
-        raise InputDataError(f"cluster space must be 'x' or 'y', got {space!r}")
-    return space
+    return _choice("cluster space", value, CLUSTER_SPACES)
+
+
+def canvas_size(canvas) -> tuple[int, int]:
+    """A canvas's (width, height) as ints; each side must exceed twice ``CANVAS_MARGIN``."""
+    try:
+        w, h = canvas  # exactly two sides: not three, nor the characters of "900x600"
+        width, height = int(w), int(h)
+        float(width), float(height)  # the renderer draws in floats
+    except (TypeError, ValueError):
+        raise InputDataError(f"canvas must be a (width, height) pair, got {canvas!r}") from None
+    except OverflowError:
+        raise InputDataError(f"canvas sides must be finite numbers, got {w}x{h}") from None
+    if not (_whole(w, width) and _whole(h, height)):
+        raise InputDataError(f"canvas sides must be integers, got {w}x{h}")
+    bound = 2 * CANVAS_MARGIN
+    if min(width, height) <= bound:
+        raise InputDataError(f"canvas sides must exceed {bound:g} px, twice the margin, got {width}x{height}")
+    return width, height
 
 
 def validate_config(options=None, /) -> RunConfig:
-    """Apply defaults and range checks to a dict of raw options; returns a RunConfig.
-
-    Keys are RunConfig field names; a None value keeps the default. The
-    projection step must be at least 0.1 degrees (1800 lines). A step that
-    does not divide 180 degrees is raised to the next step of the form 180/m,
-    and a step above 90 is clamped to 90; both warn.
-    """
+    """``RunConfig(**options)`` that rejects unknown keys; a None value keeps the field's default."""
     raw = dict(options or {})
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:
         raise InputDataError(f"unknown options: {', '.join(unknown)}")
-
-    merged = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    merged.update({k: v for k, v in raw.items() if v is not None})
-
-    alpha = _finite("alpha", merged["alpha"])
-    if not 0.0 < alpha <= 1.0:
-        raise InputDataError(f"alpha must be in (0, 1], got {alpha}")
-    merged["alpha"] = alpha
-
-    for key in ("seed", "cluster_k", "cluster_min_pts"):
-        merged[key] = _integer(key, merged[key])
-
-    if merged["top_k"] is not None:
-        top_k = _integer("top_k", merged["top_k"])
-        if top_k < 1:
-            raise InputDataError(f"top_k must be at least 1, got {top_k}")
-        merged["top_k"] = top_k
-
-    step = _finite("theta_step", merged["theta_step_deg"])
-    if step < 0.1:
-        raise InputDataError(f"theta_step must be at least 0.1 degrees, got {step}")
-    lines = 180.0 / step
-    if abs(lines - round(lines)) > 1e-9 or round(lines) < 2:
-        adjusted = 180.0 / max(2, int(lines + 1e-9))
-        warnings.warn(
-            f"theta_step {step} does not divide 180 into at least 2 lines; "
-            f"using {adjusted}",
-            ClockWarning,
-            stacklevel=2,
-        )
-        step = adjusted
-    merged["theta_step_deg"] = step
-
-    scale = _finite("scale", merged["clock_scale"])
-    if scale <= 0:
-        raise InputDataError(f"scale must be positive, got {scale}")
-    merged["clock_scale"] = scale
-
-    rule = str(merged["significance_rule"]).lower()
-    if rule not in ("or", "and"):
-        raise InputDataError(f"significance rule must be 'or' or 'and', got {rule!r}")
-    merged["significance_rule"] = rule
-
-    merged["cluster_on"] = cluster_space(merged["cluster_on"])
-
-    if merged["cluster_eps"] is not None:
-        merged["cluster_eps"] = _finite("eps", merged["cluster_eps"])
-    if merged["cluster_method"] is not None:
-        method = str(merged["cluster_method"]).lower()
-        if method not in ("kmeans", "dbscan"):
-            raise InputDataError(f"cluster method must be 'kmeans' or 'dbscan', got {method!r}")
-        merged["cluster_method"] = method
-        if method == "kmeans" and merged["cluster_k"] < 1:
-            raise InputDataError("kmeans needs k >= 1")
-        if method == "dbscan":
-            if merged["cluster_eps"] is None or merged["cluster_eps"] <= 0:
-                raise InputDataError("dbscan needs eps > 0")
-            if merged["cluster_min_pts"] < 1:
-                raise InputDataError("dbscan needs min_pts >= 1")
-
-    canvas = merged["canvas"]
-    try:
-        width, height = (int(canvas[0]), int(canvas[1]))
-        float(width), float(height)  # the renderer draws in floats
-    except (TypeError, ValueError, IndexError):
-        raise InputDataError(f"canvas must be a (width, height) pair, got {canvas!r}") from None
-    except OverflowError:
-        raise InputDataError(f"canvas sides must be finite numbers, got {canvas[0]}x{canvas[1]}") from None
-    if not (_whole(canvas[0], width) and _whole(canvas[1], height)):
-        raise InputDataError(f"canvas sides must be integers, got {canvas[0]}x{canvas[1]}")
-    if width < 100 or height < 100:
-        raise InputDataError(f"canvas must be at least 100x100, got {width}x{height}")
-    merged["canvas"] = (width, height)
-
-    if merged["seed"] < 0:
-        raise InputDataError(f"seed must be non-negative, got {merged['seed']}")
-
-    return RunConfig(**merged)
+    return RunConfig(**{key: value for key, value in raw.items() if value is not None})

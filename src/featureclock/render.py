@@ -17,7 +17,7 @@ import numpy as np
 from .clockcore import Clock, check_coverage, unit_vector
 from .errors import ComputationError
 from .grouping import NOISE, GroupingResult
-from .ingest import Dataset
+from .ingest import CANVAS_MARGIN, Dataset, canvas_size
 from .intergroup import IntergroupClock
 
 PALETTE = (
@@ -36,7 +36,6 @@ DASHES = ("", "6,3", "2,2", "8,3,2,3")
 NOISE_COLOR = "#999999"
 _POINT_COLORS = (*PALETTE, NOISE_COLOR)  # indexed by Scene.point_slots
 
-_MARGIN = 50.0
 _ANNOTATION_STEP = 12.0  # degrees to nudge overlapping rim labels
 
 # Scatter markers formatted by one %-operation, a chunk at a time, so the text
@@ -127,8 +126,8 @@ def _add_legend(scene: Scene, label: str, color: str, dash: str = "") -> None:
 
 
 def render_scatter(dataset: Dataset, grouping: GroupingResult | None = None, *, canvas=(900, 600)) -> Scene:
-    """Scene with one marker per embedded point, colored by group when given."""
-    scene = Scene(width=int(canvas[0]), height=int(canvas[1]), points=dataset.Y)
+    """Scene with one marker per embedded point, colored by group; the canvas obeys :func:`canvas_size`."""
+    scene = Scene(*canvas_size(canvas), points=dataset.Y)
     for name in dataset.feature_names:
         _style_for(scene, name)
     scene.point_slots = np.zeros(len(scene.points), np.uint8)
@@ -287,11 +286,11 @@ def _svg_pieces(scene: Scene) -> Iterator[str]:
     xmin, ymin, xmax, ymax = _data_bounds(scene, points)
     span_x = xmax - xmin if xmax > xmin else 1.0
     span_y = ymax - ymin if ymax > ymin else 1.0
-    avail_w = scene.width - 2 * _MARGIN
-    avail_h = scene.height - 2 * _MARGIN
+    avail_w = scene.width - 2 * CANVAS_MARGIN
+    avail_h = scene.height - 2 * CANVAS_MARGIN
     s = min(avail_w / span_x, avail_h / span_y)
-    ox = _MARGIN + (avail_w - s * span_x) / 2.0
-    oy = _MARGIN + (avail_h - s * span_y) / 2.0
+    ox = CANVAS_MARGIN + (avail_w - s * span_x) / 2.0
+    oy = CANVAS_MARGIN + (avail_h - s * span_y) / 2.0
 
     def tx(x):  # a float or an array of them
         return ox + s * (x - xmin)
@@ -355,7 +354,7 @@ def _svg_pieces(scene: Scene) -> Iterator[str]:
 
     # rows 18 px apart from y = 24; a row past the bottom margin starts a new column to the
     # left, and when no column is left the last row counts the entries left out
-    per_column = max(1, int((scene.height - _MARGIN - 24) // 18) + 1)
+    per_column = max(1, int((scene.height - CANVAS_MARGIN - 24) // 18) + 1)
     slots = per_column * max(1, scene.width // 160)
     rows = [(label, color) for label, color, _ in scene.legend]
     if len(rows) > slots:

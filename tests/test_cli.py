@@ -291,6 +291,15 @@ class TestGlobalCommand:
         assert capsys.readouterr().err == f"error: canvas sides must be finite numbers, got {side}x600\n"
         assert not out.exists()
 
+    def test_canvas_without_room_to_draw_exit_2(self, iris_paths, tmp_path, capsys):
+        # a side of 100 px leaves nothing inside the margins: every marker once
+        # landed on one point and the clock got radius 0
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        assert run(["global", "--x", x, "--y", y, "--canvas", "900x100", "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: canvas sides must exceed 100 px, twice the margin, got 900x100\n"
+        assert not out.exists()
+
     def test_no_center_y_is_unrecognized(self, iris_paths, tmp_path, capsys):
         # --standardize-betas went the same way: --standardize-x reports standardized betas
         x, y, _ = iris_paths

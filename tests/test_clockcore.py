@@ -272,9 +272,14 @@ class TestBuildClock:
         assert abs(mags[0] - mags[1]) < 1e-9
 
     def test_alpha_zero_keeps_nothing(self):
-        x, y = identity_fixture()
+        # a RunConfig refuses alpha=0, so the empty clock comes from null data
+        # whose smallest axis p-value lies above a legal alpha
+        rng = np.random.default_rng(1)
+        dataset = make_dataset(rng.normal(size=(60, 3)), rng.normal(size=(60, 2)))
+        every = build_clock(dataset, range(60), RunConfig(alpha=1.0)).arrows
+        assert len(every) == 3 and min(min(a.p0, a.p90) for a in every) > 0.05
         with pytest.warns(ClockWarning, match="no significant"):
-            clock = build_clock(make_dataset(x, y), range(len(x)), RunConfig(alpha=0.0))
+            clock = build_clock(dataset, range(60), RunConfig(alpha=0.05))
         assert clock.arrows == ()
 
     def test_iris_matches_biplot_loadings(self, iris_dataset):
@@ -424,6 +429,25 @@ class TestBuildClock:
         assert clock.circles is not None
         assert set(clock.circles) == {"f0", "f1"}
         assert len(clock.circles["f0"]) == 36  # 180/5
+
+    def test_adjusted_step_gives_its_line_count(self):
+        x, y = identity_fixture()
+        with pytest.warns(ClockWarning, match="^theta_step 7.0 does not divide 180 into at least 2 lines; using 7.2$"):
+            config = RunConfig(circles=True, theta_step_deg=7.0)
+        clock = build_clock(make_dataset(x, y), range(len(x)), config)
+        assert len(clock.circles["f0"]) == 25
+
+    @pytest.mark.parametrize("rule", ["and", "AND", "And"])
+    def test_rule_read_in_any_case(self, rule):
+        rng = np.random.default_rng(1)
+        dataset = make_dataset(rng.normal(size=(60, 3)), rng.normal(size=(60, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClockWarning)
+            clock = build_clock(dataset, range(60), RunConfig(alpha=0.5, significance_rule=rule))
+        every = build_clock(dataset, range(60), RunConfig(alpha=1.0)).arrows
+        # the "or" rule would keep all three at this alpha
+        assert [a.feature for a in clock.arrows] == ["f1"]
+        assert clock.arrows == tuple(a for a in every if max(a.p0, a.p90) < 0.5)
 
     def test_determinism(self):
         rng = np.random.default_rng(10)

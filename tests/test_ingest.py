@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -355,6 +355,59 @@ class TestFileEncoding:
             load_dataset(x, y, bad)
 
 
+# One value per RunConfig field that the field's rule rejects, and the text it raises.
+REJECTED = {
+    "alpha": (7.0, "alpha must be in (0, 1], got 7.0"),
+    "top_k": (0, "top_k must be at least 1, got 0"),
+    "theta_step_deg": (0.0, "theta_step must be at least 0.1 degrees, got 0.0"),
+    "standardize_x": ("no", "standardize_x must be True or False, got 'no'"),
+    "clock_scale": (0, "scale must be positive, got 0.0"),
+    "significance_rule": ("joint", "significance rule must be 'or' or 'and', got 'joint'"),
+    "circles": (1, "circles must be True or False, got 1"),
+    "seed": (-1, "seed must be non-negative, got -1"),
+    "cluster_method": ("Optics", "cluster method must be 'kmeans' or 'dbscan', got 'optics'"),
+    "cluster_k": (2.5, "cluster_k must be an integer, got 2.5"),
+    "cluster_eps": (float("nan"), "eps must be a finite number, got nan"),
+    "cluster_min_pts": ("five", "cluster_min_pts must be an integer, got 'five'"),
+    "cluster_on": ("z", "cluster space must be 'x' or 'y', got 'z'"),
+    "canvas": ((900, 100), "canvas sides must exceed 100 px, twice the margin, got 900x100"),
+}
+
+# Valid values of every field, in the forms the rules accept: whole floats and
+# integer strings for counts, any case for the named choices. DBSCAN without a
+# positive eps is the one invalid combination.
+VALID_VALUES = {
+    "alpha": st.one_of(st.floats(1e-12, 1.0), st.sampled_from(["0.1", 1])),
+    "top_k": st.one_of(st.none(), st.integers(1, 50), st.sampled_from([2.0, "3"])),
+    "theta_step_deg": st.one_of(st.floats(0.1, 400.0), st.sampled_from([7.0, 7.2, 4.5, 90, "0.1"])),
+    "standardize_x": st.booleans(),
+    "clock_scale": st.one_of(st.floats(1e-6, 1e6), st.sampled_from(["2", 3])),
+    "significance_rule": st.sampled_from(["or", "and", "AND", "Or"]),
+    "circles": st.booleans(),
+    "seed": st.one_of(st.integers(0, 2**40), st.sampled_from([1.0, "7"])),
+    "cluster_method": st.sampled_from([None, "kmeans", "KMeans", "dbscan"]),
+    "cluster_k": st.one_of(st.integers(1, 20), st.sampled_from([4.0, "2"])),
+    "cluster_eps": st.one_of(st.none(), st.floats(1e-6, 10.0), st.just("0.5")),
+    "cluster_min_pts": st.one_of(st.integers(1, 20), st.just(5.0)),
+    "cluster_on": st.sampled_from(["x", "y", "X", "Y"]),
+    "canvas": st.tuples(st.integers(101, 5000), st.one_of(st.integers(101, 5000), st.sampled_from([600.0, "300"]))),
+}
+
+# Every field drawn from its valid values, from invalid ones (out of range,
+# non-finite, fractional, unknown choices, wrong types), strings, whole floats and None.
+_ANY = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 2000),
+    st.integers(-5, 2000).map(float),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["nan", "inf", "1e400", "-1", "0", "3", "2.5", "and", "dbscan", "y", (900, 600)]),
+)
+OPTION_VALUES = {name: st.one_of(values, _ANY) for name, values in VALID_VALUES.items()}
+OPTION_VALUES["canvas"] = st.one_of(OPTION_VALUES["canvas"], st.tuples(_ANY, _ANY), st.lists(_ANY, max_size=3))
+
+
 class TestValidateConfig:
     def test_defaults(self):
         config = validate_config({})
@@ -463,6 +516,13 @@ class TestValidateConfig:
         with pytest.raises(InputDataError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
             validate_config(options)
 
+    @pytest.mark.parametrize("canvas", [(900, 600, 5), "900x600", (900,), 900])
+    def test_canvas_must_be_a_pair(self, canvas):
+        # a string was once read as its first two characters: "900x600" as 9x0
+        message = f"canvas must be a (width, height) pair, got {canvas!r}"
+        with pytest.raises(InputDataError, match=f"^{re.escape(message)}$"):
+            RunConfig(canvas=canvas)
+
     def test_fractional_canvas_side_rejected(self):
         with pytest.raises(InputDataError, match="^canvas sides must be integers, got 900.5x600$"):
             validate_config({"canvas": (900.5, 600)})
@@ -483,5 +543,50 @@ class TestValidateConfig:
         assert config.alpha == 0.1
         assert all(type(v) is int for v in (config.top_k, config.seed, config.cluster_k, *config.canvas))
 
-    def test_run_config_direct_construction_allows_alpha_zero(self):
-        assert RunConfig(alpha=0.0).alpha == 0.0
+    def test_run_config_direct_construction_rejects_alpha_zero(self):
+        # a RunConfig made in code, or by dataclasses.replace, obeys validate_config's rules
+        message = re.escape("alpha must be in (0, 1], got 0.0")
+        with pytest.raises(InputDataError, match=message):
+            RunConfig(alpha=0.0)
+        with pytest.raises(InputDataError, match=message):
+            dataclasses.replace(RunConfig(), alpha=0.0)
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejected_value(self, name):
+        value, message = REJECTED[name]
+        for make in (lambda: RunConfig(**{name: value}), lambda: validate_config({name: value})):
+            with pytest.raises(InputDataError, match=f"^{re.escape(message)}$"):
+                make()
+
+    def test_every_field_has_a_rejected_value(self):
+        # a field added later gets a rule, and an entry here, in the same change
+        assert set(REJECTED) == {field.name for field in dataclasses.fields(RunConfig)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=OPTION_VALUES))
+    def test_validate_config_is_run_config(self, options):
+        def outcome(make):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = make()
+                except InputDataError as exc:
+                    result = f"InputDataError: {exc}"
+            return result, [str(item.message) for item in caught]
+
+        direct = {key: value for key, value in options.items() if value is not None}
+        assert outcome(lambda: validate_config(options)) == outcome(lambda: RunConfig(**direct))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=VALID_VALUES))
+    def test_rebuilt_config_is_equal(self, options):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClockWarning)  # a step that is adjusted once
+            try:
+                config = RunConfig(**options)
+            except InputDataError:
+                assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert RunConfig(**dataclasses.asdict(config)) == config
+            assert dataclasses.replace(config) == config

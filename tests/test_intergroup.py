@@ -486,11 +486,17 @@ class TestIntergroupClocks:
                 build(dataset, grouping, *args)
 
     def test_alpha_zero_empty_arrows(self):
-        dataset = shifted_fixture()
+        # a RunConfig refuses alpha=0, so the empty edge comes from two groups
+        # that X does not separate, whose smallest Wald p-value lies above alpha
+        dataset = shifted_fixture(shift=0.0)
         grouping = from_labels(dataset)
         mst = mst_over_centers(grouping)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClockWarning)
+            every = build_intergroup_clocks(dataset, grouping, mst, RunConfig(alpha=1.0))[0].arrows
+        assert len(every) == 3 and min(a.p0 for a in every) > 0.05
         with pytest.warns(ClockWarning, match="no significant"):
-            clocks = build_intergroup_clocks(dataset, grouping, mst, RunConfig(alpha=0.0))
+            clocks = build_intergroup_clocks(dataset, grouping, mst, RunConfig(alpha=0.05))
         assert clocks[0].arrows == ()
 
     @pytest.mark.filterwarnings("ignore::featureclock.ClockWarning")

@@ -14,6 +14,7 @@ from featureclock import (
     Clock,
     ClockArrow,
     ComputationError,
+    InputDataError,
     RunConfig,
     build_clock,
     from_labels,
@@ -76,6 +77,21 @@ class TestScatter:
         grouping = from_labels(make_dataset(dataset.X[:rows], dataset.Y[:rows], ["g"] * rows))
         with pytest.raises(ComputationError, match=f"^grouping covers {rows} points but the dataset has 50$"):
             render_scatter(dataset, grouping)
+
+    @pytest.mark.parametrize("canvas", [(50, 50), (900, 100), (100, 600)])
+    def test_canvas_without_room_to_draw_rejected(self, canvas):
+        # with no room inside the 50 px margins, 900x100 drew every marker at one
+        # point and 50x50 drew the scatter mirrored; RunConfig holds the same rule
+        rng = np.random.default_rng(3)
+        dataset = make_dataset(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
+        message = f"^canvas sides must exceed 100 px, twice the margin, got {canvas[0]}x{canvas[1]}$"
+        with pytest.raises(InputDataError, match=message):
+            render_scatter(dataset, canvas=canvas)
+        with pytest.raises(InputDataError, match=message):
+            RunConfig(canvas=canvas)
+        svg = svg_text(render_scatter(dataset, canvas=(101, 101)))
+        cx = [float(v) for v in re.findall(r'<circle cx="([\d.-]+)"', svg)]
+        assert np.corrcoef(cx, dataset.Y[:, 0])[0, 1] > 0.999
 
     def test_group_colors_cycle_past_ten_groups(self):
         # groups g0..g11 get ids 0..11 in first-appearance order; every 13th row is noise
@@ -256,12 +272,12 @@ class TestClockGlyph:
         svg = svg_text(render_clock(scene, clock))
         assert ">f0<" in svg
 
-    @pytest.mark.parametrize("canvas", [(900, 600), (900, 300), (400, 100), (150, 100)])
+    @pytest.mark.parametrize("canvas", [(900, 600), (900, 300), (400, 101), (150, 101)])
     def test_long_legend_stays_on_the_canvas(self, canvas):
         # 60 features: the first column holds the rows above the bottom margin;
-        # 400x100 has room for two columns of two rows, 150x100 for one column,
+        # 400x101 has room for two columns of two rows, 150x101 for one column,
         # and the last of those rows counts the rest
-        shown = {(400, 100): 3, (150, 100): 1}.get(canvas, 60)
+        shown = {(400, 101): 3, (150, 101): 1}.get(canvas, 60)
         arrows = [arrow(f"f{j}", math.cos(j), math.sin(j)) for j in range(60)]
         x = np.column_stack([np.arange(3.0), np.ones(3)])
         scene = render_scatter(make_dataset(x, [[-2.0, -2.0], [2.0, 2.0], [0.0, 1.0]]), canvas=canvas)
