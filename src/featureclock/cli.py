@@ -53,25 +53,21 @@ def _parse_canvas(text: str) -> tuple[int, int]:
         raise InputDataError(f"canvas must look like 900x600, got {text!r}") from None
 
 
+_CLUSTERINGS = {"kmeans": ("kmeans:<k>", ("cluster_k",)),
+                "dbscan": ("dbscan:<eps>,<min_pts>", ("cluster_eps", "cluster_min_pts"))}
+
+
 def _parse_cluster(text: str) -> dict:
+    """--cluster's method, and its values as text under the names of the RunConfig fields that check them."""
     head, _, tail = text.partition(":")
     method = head.strip().lower()
-    if method == "kmeans":
-        try:
-            return {"cluster_method": "kmeans", "cluster_k": int(tail)}
-        except ValueError:
-            raise InputDataError(f"expected kmeans:<k>, got {text!r}") from None
-    if method == "dbscan":
-        try:
-            eps_text, min_text = tail.split(",")
-            return {
-                "cluster_method": "dbscan",
-                "cluster_eps": float(eps_text),
-                "cluster_min_pts": int(min_text),
-            }
-        except ValueError:
-            raise InputDataError(f"expected dbscan:<eps>,<min_pts>, got {text!r}") from None
-    raise InputDataError(f"unknown clustering {text!r}; use kmeans:<k> or dbscan:<eps>,<min_pts>")
+    if method not in _CLUSTERINGS:
+        raise InputDataError(f"unknown clustering {text!r}; use kmeans:<k> or dbscan:<eps>,<min_pts>")
+    syntax, names = _CLUSTERINGS[method]
+    values = tail.split(",")
+    if len(values) != len(names):
+        raise InputDataError(f"expected {syntax}, got {text!r}")
+    return {"cluster_method": method, **dict(zip(names, values))}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputDataError
-from .ingest import Dataset, cluster_space
+from .ingest import Dataset, cluster_space, count, positive
 from .numstats import distinct
 
 # Label value for points no cluster claims. The token "noise" (any case) in a
@@ -94,21 +94,19 @@ def kmeans(dataset: Dataset, k: int, seed: int, *, on: str = "x") -> GroupingRes
     cluster keeps a member. Identical data, k, and seed give identical
     labels. The points are the rows of ``dataset.X`` (``on="x"``) or of
     the embedding ``dataset.Y`` (``on="y"``); centers are always computed
-    from ``dataset.Y``. Squared distances (or their k-means++ total) that
-    overflow raise ComputationError.
+    from ``dataset.Y``. k and seed obey RunConfig's rules, with its texts,
+    and k may not exceed n. Squared distances (or their k-means++ total)
+    that overflow raise ComputationError.
 
     Memory beyond the points is one block of rows, about ``_BLOCK_CELLS``
     differences and as many squared distances, plus O(n): the labels, each
     point's distance to its center and a copy of one feature column.
     """
     arr = _space(dataset, on)
+    k, seed = count("k", k, 1), count("seed", seed, 0)
     n = arr.shape[0]
-    if k < 1:
-        raise InputDataError(f"k must be at least 1, got {k}")
     if k > n:
         raise InputDataError(f"k={k} exceeds the number of points ({n})")
-    if seed < 0:
-        raise InputDataError(f"seed must be non-negative, got {seed}")
 
     # a block of rows at a time: its differences to one center, then its
     # squared distances to every center
@@ -331,7 +329,8 @@ def dbscan(dataset: Dataset, eps: float, min_pts: int, *, on: str = "x") -> Grou
     point (a non-core neighbor of core points) joins the lowest cluster id
     that reaches it, so results are deterministic. The points are the rows
     of ``dataset.X`` (``on="x"``) or of the embedding ``dataset.Y``
-    (``on="y"``); centers are always computed from ``dataset.Y``.
+    (``on="y"``); centers are always computed from ``dataset.Y``. eps and
+    min_pts obey RunConfig's rules, with its texts.
 
     The points are sorted by their first coordinate, and each block of sorted
     rows is compared only with the columns whose first coordinate lies within
@@ -351,10 +350,7 @@ def dbscan(dataset: Dataset, eps: float, min_pts: int, *, on: str = "x") -> Grou
     numpy adds in pairs, so a distance may differ from it by 1 ulp.
     """
     arr = _space(dataset, on)
-    if not (math.isfinite(eps) and eps > 0):
-        raise InputDataError(f"eps must be positive and finite, got {eps}")
-    if min_pts < 1:
-        raise InputDataError(f"min_pts must be at least 1, got {min_pts}")
+    eps, min_pts = positive("eps", eps), count("min_pts", min_pts, 1)
 
     labels, clusters = _dbscan_labels(arr, eps * eps, min_pts)
     names = {g: str(g) for g in range(clusters)}

@@ -10,6 +10,7 @@ InputDataError naming the file's first fault by row and column.
 
 A Dataset and a RunConfig each check themselves when they are made;
 ``validate_config`` is the RunConfig's front door for a dict of raw options.
+The groupings and the renderer share its rules: count, positive, cluster_space and canvas_size.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import sys
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
@@ -95,6 +97,7 @@ class Dataset:
 SIGNIFICANCE_RULES = ("or", "and")
 CLUSTER_SPACES = ("x", "y")
 CANVAS_MARGIN = 50.0  # px the renderer leaves blank on each side of the canvas
+_BOOLS = (bool, np.bool_)  # never a count or a number: int() and float() of None raise
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,14 @@ class RunConfig:
     """Options shared by the clock builders, the renderer, and the CLI.
 
     A RunConfig checks itself when made, also by :func:`validate_config` or
-    ``dataclasses.replace``, raising InputDataError. alpha is in (0, 1]; top_k,
-    k-means' k and DBSCAN's min_pts are at least 1; its eps and the scale are
-    positive; the seed is non-negative; the switches are bools. Numbers are
-    stored as floats, counts as ints (from a whole float or integer string,
-    not a fraction), and the rule, cluster method and space lower-cased. The
-    projection step is at least 0.1 degrees; one that does not divide 180 is
-    raised to the next 180/m, and one above 90 clamped to 90, with a warning.
+    ``dataclasses.replace``, raising InputDataError. alpha is in (0, 1]; the
+    counts obey :func:`count` (top_k, k-means' k and DBSCAN's min_pts at least
+    1, the seed at least 0), DBSCAN's eps and the scale :func:`positive`, and
+    the switches are bools. Only one rule reads two fields: DBSCAN needs an
+    eps. Numbers are stored as floats, counts as ints, and the rule, cluster
+    method and space lower-cased. The projection step is at least 0.1 degrees;
+    one that does not divide 180 is raised to the next 180/m, and one above 90
+    clamped to 90, with a warning at the line that made the RunConfig.
     A canvas side must exceed twice ``CANVAS_MARGIN``.
     """
 
@@ -132,39 +136,30 @@ class RunConfig:
         put("alpha", _finite("alpha", self.alpha))
         if not 0.0 < self.alpha <= 1.0:
             raise InputDataError(f"alpha must be in (0, 1], got {self.alpha}")
-        for name in ("seed", "cluster_k", "cluster_min_pts"):
-            put(name, _integer(name, getattr(self, name)))
-        if self.top_k is not None:
-            put("top_k", _integer("top_k", self.top_k))
-            if self.top_k < 1:
-                raise InputDataError(f"top_k must be at least 1, got {self.top_k}")
+        put("top_k", None if self.top_k is None else count("top_k", self.top_k, 1))
         step = _finite("theta_step", self.theta_step_deg)
         if step < 0.1:
             raise InputDataError(f"theta_step must be at least 0.1 degrees, got {step}")
         lines = 180.0 / step
         if abs(lines - round(lines)) > 1e-9 or round(lines) < 2:
             step, given = 180.0 / max(2, int(lines + 1e-9)), step
+            level, frame = 2, sys._getframe(1)  # warn at the first line outside this module and dataclasses
+            while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+                level, frame = level + 1, frame.f_back
             warnings.warn(f"theta_step {given} does not divide 180 into at least 2 lines; using {step}",
-                          ClockWarning, stacklevel=3)  # past __init__, to the code that made the RunConfig
+                          ClockWarning, stacklevel=level)
         put("theta_step_deg", step)
-        put("clock_scale", _finite("scale", self.clock_scale))
-        if self.clock_scale <= 0:
-            raise InputDataError(f"scale must be positive, got {self.clock_scale}")
+        put("clock_scale", positive("scale", self.clock_scale))
         put("significance_rule", _choice("significance rule", self.significance_rule, SIGNIFICANCE_RULES))
-        put("cluster_on", cluster_space(self.cluster_on))
-        if self.cluster_eps is not None:
-            put("cluster_eps", _finite("eps", self.cluster_eps))
+        put("seed", count("seed", self.seed, 0))
         if self.cluster_method is not None:
             put("cluster_method", _choice("cluster method", self.cluster_method, ("kmeans", "dbscan")))
-        if self.cluster_method == "kmeans" and self.cluster_k < 1:
-            raise InputDataError("kmeans needs k >= 1")
-        if self.cluster_method == "dbscan" and (self.cluster_eps is None or self.cluster_eps <= 0):
-            raise InputDataError("dbscan needs eps > 0")
-        if self.cluster_method == "dbscan" and self.cluster_min_pts < 1:
-            raise InputDataError("dbscan needs min_pts >= 1")
+        put("cluster_k", count("k", self.cluster_k, 1))
+        if self.cluster_eps is not None or self.cluster_method == "dbscan":  # DBSCAN needs an eps
+            put("cluster_eps", positive("eps", self.cluster_eps))
+        put("cluster_min_pts", count("min_pts", self.cluster_min_pts, 1))
+        put("cluster_on", cluster_space(self.cluster_on))
         put("canvas", canvas_size(self.canvas))
-        if self.seed < 0:
-            raise InputDataError(f"seed must be non-negative, got {self.seed}")
         for name in ("standardize_x", "circles"):
             if not isinstance(getattr(self, name), bool):
                 raise InputDataError(f"{name} must be True or False, got {getattr(self, name)!r}")
@@ -277,11 +272,19 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
 
 def _finite(name: str, value) -> float:
     try:
-        number = float(value)
+        number = float(None if isinstance(value, _BOOLS) else value)
     except (TypeError, ValueError, OverflowError):
         raise InputDataError(f"{name} must be a finite number, got {value!r}") from None
     if not math.isfinite(number):
         raise InputDataError(f"{name} must be a finite number, got {number}")
+    return number
+
+
+def positive(name: str, value) -> float:
+    """``value`` as a finite float above 0."""
+    number = _finite(name, value)
+    if number <= 0:
+        raise InputDataError(f"{name} must be positive, got {number}")
     return number
 
 
@@ -291,14 +294,16 @@ def _whole(value, number: int) -> bool:
     return isinstance(value, (str, bytes)) or number == value
 
 
-def _integer(name: str, value) -> int:
-    try:
-        number = int(value)
-        if _whole(value, number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InputDataError(f"{name} must be an integer, got {value!r}")
+def count(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``: a whole number or an integer string, not a fraction."""
+    number = None
+    with suppress(TypeError, ValueError, OverflowError):
+        number = int(None if isinstance(value, _BOOLS) else value)
+    if number is None or not _whole(value, number):
+        raise InputDataError(f"{name} must be an integer, got {value!r}")
+    if number < low:
+        raise InputDataError(f"{name} must be {f'at least {low}' if low else 'non-negative'}, got {number}")
+    return number
 
 
 def _choice(what: str, value, choices: tuple[str, ...]) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from .clockcore import Clock, check_coverage, unit_vector
 from .errors import ComputationError
 from .grouping import NOISE, GroupingResult
-from .ingest import CANVAS_MARGIN, Dataset, canvas_size
+from .ingest import CANVAS_MARGIN, Dataset, canvas_size, positive
 from .intergroup import IntergroupClock
 
 PALETTE = (
@@ -158,14 +158,14 @@ def _arrow_specs(scene: Scene, arrows, full_length: float) -> list[ArrowSpec]:
 
 
 def _radius(clock: Clock, clock_scale: float) -> float:
-    radius = clock.scale * clock_scale
+    radius = clock.scale * positive("scale", clock_scale)
     if not (math.isfinite(radius) and radius > 0):
         raise ComputationError(f"clock radius must be positive and finite, got {radius}")
     return radius
 
 
 def render_clock(scene: Scene, clock: Clock, *, clock_scale: float = 1.0) -> Scene:
-    """Add a clock glyph: circle, arrows scaled to the longest one, rim labels."""
+    """Add a clock glyph: circle, arrows scaled to the longest, rim labels; the scale obeys RunConfig's rule."""
     radius = _radius(clock, clock_scale)
     arrows = _arrow_specs(scene, clock.arrows, radius)
     caption = None if arrows else "no significant features"

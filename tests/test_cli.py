@@ -140,6 +140,25 @@ class TestGlobalCommand:
         assert f"{name} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, cluster, message",
+        [
+            ("local", "kmeans:0", "k must be at least 1, got 0"),
+            ("local", "kmeans:2.5", "k must be an integer, got '2.5'"),
+            ("intergroup", "dbscan:0,5", "eps must be positive, got 0.0"),
+            ("local", "dbscan:0.5,0", "min_pts must be at least 1, got 0"),
+            ("local", "dbscan:0.5", "expected dbscan:<eps>,<min_pts>, got 'dbscan:0.5'"),
+            ("local", "kmeans:3,4", "expected kmeans:<k>, got 'kmeans:3,4'"),
+        ],
+    )
+    def test_cluster_values_read_by_run_config_rules(self, noise_inputs, tmp_path, capsys, command, cluster, message):
+        # --cluster's values get the texts a library call gets for them
+        x, y = noise_inputs
+        out = tmp_path / "out"
+        assert run([command, "--x", x, "--y", y, "--cluster", cluster, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_negative_seed_exit_2(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         out = tmp_path / "out"

@@ -366,9 +366,9 @@ REJECTED = {
     "circles": (1, "circles must be True or False, got 1"),
     "seed": (-1, "seed must be non-negative, got -1"),
     "cluster_method": ("Optics", "cluster method must be 'kmeans' or 'dbscan', got 'optics'"),
-    "cluster_k": (2.5, "cluster_k must be an integer, got 2.5"),
+    "cluster_k": (2.5, "k must be an integer, got 2.5"),
     "cluster_eps": (float("nan"), "eps must be a finite number, got nan"),
-    "cluster_min_pts": ("five", "cluster_min_pts must be an integer, got 'five'"),
+    "cluster_min_pts": ("five", "min_pts must be an integer, got 'five'"),
     "cluster_on": ("z", "cluster space must be 'x' or 'y', got 'z'"),
     "canvas": ((900, 100), "canvas sides must exceed 100 px, twice the margin, got 900x100"),
 }
@@ -437,6 +437,23 @@ class TestValidateConfig:
         with pytest.warns(ClockWarning, match="7.2"):
             config = validate_config({"theta_step_deg": 7.0})
         assert config.theta_step_deg == pytest.approx(7.2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RunConfig(theta_step_deg=7.0),
+            lambda: validate_config({"theta_step_deg": 7.0}),  # once named validate_config's own line
+            lambda: dataclasses.replace(RunConfig(), theta_step_deg=7.0),
+        ],
+        ids=["RunConfig", "validate_config", "replace"],
+    )
+    def test_theta_warning_names_the_calling_line(self, make):
+        # Python's default filter shows a warning once per line, so one line
+        # inside the package would hide it from every later caller
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("always")
+            make()
+        assert (w[0].filename, w[0].lineno) == (__file__, make.__code__.co_firstlineno)
 
     def test_theta_divisor_kept(self):
         config = validate_config({"theta_step_deg": 4.5})
@@ -513,7 +530,8 @@ class TestValidateConfig:
     )
     def test_non_integral_integer_option_rejected(self, options, name):
         value = options[name]
-        with pytest.raises(InputDataError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        shown = {"cluster_k": "k", "cluster_min_pts": "min_pts"}.get(name, name)  # as --cluster names them
+        with pytest.raises(InputDataError, match=f"^{shown} must be an integer, got {re.escape(repr(value))}$"):
             validate_config(options)
 
     @pytest.mark.parametrize("canvas", [(900, 600, 5), "900x600", (900,), 900])
