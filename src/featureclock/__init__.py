@@ -15,7 +15,6 @@ from .clockcore import (
     build_clock,
     build_global_clock,
     build_local_clocks,
-    circle_sweep,
     max_contribution,
 )
 from .errors import (
@@ -72,7 +71,6 @@ __all__ = [
     "build_intergroup_clocks",
     "build_local_clocks",
     "center_columns",
-    "circle_sweep",
     "dbscan",
     "from_labels",
     "kmeans",

@@ -29,7 +29,7 @@ from .ingest import CLUSTER_SPACES, SIGNIFICANCE_RULES, Dataset, RunConfig, load
 from .intergroup import IntergroupClock, build_intergroup_clocks
 from .render import render_circles, render_clock, render_intergroup, render_scatter
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @contextmanager
@@ -78,19 +78,17 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="kmeans:<k> or dbscan:<eps>,<min_pts> (local and intergroup only)")
     parser.add_argument("--cluster-on", dest="cluster_on", choices=CLUSTER_SPACES, default=None,
                         help="space to cluster in, with --cluster (default: x)")
-    parser.add_argument("--alpha", type=float, default=None, help="significance level (default 0.05)")
-    parser.add_argument("--top-k", dest="top_k", type=int, default=None, help="keep only the k strongest arrows")
-    parser.add_argument("--theta-step", dest="theta_step_deg", type=float, default=None,
-                        help="sweep step in degrees, with --circles (default 5)")
+    # the numbers stay text: RunConfig converts and checks them, as it does --cluster's values
+    parser.add_argument("--alpha", default=None, help="significance level (default 0.05)")
+    parser.add_argument("--top-k", dest="top_k", default=None, help="keep only the k strongest arrows")
     parser.add_argument("--no-standardize-x", dest="standardize_x", action="store_const",
                         const=False, default=None, help="skip feature standardization")
     parser.add_argument("--significance-rule", dest="significance_rule", choices=SIGNIFICANCE_RULES,
                         default=None, help="axis p-value combination (default or)")
     parser.add_argument("--circles", action="store_const", const=True, default=None,
-                        help="draw the full coefficient sweep instead of single arrows")
-    parser.add_argument("--scale", dest="clock_scale", type=float, default=None,
-                        help="clock radius multiplier (default 1)")
-    parser.add_argument("--seed", type=int, default=None,
+                        help="draw each feature's coefficient circle instead of its arrow")
+    parser.add_argument("--scale", dest="clock_scale", default=None, help="clock radius multiplier (default 1)")
+    parser.add_argument("--seed", default=None,
                         help="k-means seed, with --cluster kmeans (default 0)")
     parser.add_argument("--canvas", default=None, help="canvas size as WIDTHxHEIGHT (default 900x600)")
     parser.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
@@ -130,7 +128,7 @@ _UNREAD = {
         dest: f"{flag} applies to global and local only"
         for dest, flag in (("standardize_x", "--no-standardize-x"),
                            ("significance_rule", "--significance-rule"), ("circles", "--circles"),
-                           ("theta_step_deg", "--theta-step"), ("clock_scale", "--scale"))
+                           ("clock_scale", "--scale"))
     },
 }
 
@@ -151,8 +149,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InputDataError("--cluster-on applies with --cluster only")
     if args.seed is not None and raw["cluster_method"] != "kmeans":
         raise InputDataError("--seed applies with --cluster kmeans:<k> only")
-    if args.theta_step_deg is not None and args.circles is None:
-        raise InputDataError("--theta-step applies with --circles only")
     return validate_config(raw)
 
 
@@ -170,8 +166,6 @@ def _resolve_grouping(args: argparse.Namespace, dataset: Dataset, config: RunCon
 
 
 def _normalize_floats(obj):
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -186,7 +180,7 @@ def format_report(report: dict) -> str:
 
 
 def _clock_record(clock: Clock) -> dict:
-    record = {
+    return {
         "variant": clock.variant,
         "group": clock.group,
         "member_count": clock.member_count,
@@ -194,9 +188,6 @@ def _clock_record(clock: Clock) -> dict:
         "scale": clock.scale,
         "arrows": [dataclasses.asdict(a) for a in clock.arrows],
     }
-    if clock.circles is not None:
-        record["circles"] = clock.circles
-    return record
 
 
 def _intergroup_record(clock: IntergroupClock) -> dict:
@@ -270,11 +261,9 @@ def _cmd_view(args: argparse.Namespace, stem: str = "clock") -> list[str]:
         by_id = {g.id: g.name for g in grouping.groups}
         report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst]
     else:
+        glyph = render_circles if config.circles else render_clock
         for clock in clocks:
-            if clock.circles is not None:
-                render_circles(scene, clock, clock_scale=config.clock_scale)
-            else:
-                render_clock(scene, clock, clock_scale=config.clock_scale)
+            glyph(scene, clock, clock_scale=config.clock_scale)
         report = _report(view, config, dataset, [_clock_record(c) for c in clocks], notes)
     _write_outputs(args.out_dir, stem, scene, report)
     return notes

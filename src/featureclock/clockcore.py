@@ -5,11 +5,13 @@ which that feature's linear influence is strongest. Two regressions (targets:
 the x and y coordinates of the centered embedding) give the coefficient pair
 (beta0, beta90) per feature; the strongest contribution has magnitude
 sqrt(beta0^2 + beta90^2) at the full-quadrant angle of that pair, so no sweep
-over angles is needed. A sweep is still available, derived analytically from
-the axis pair. ``numstats.fit_design`` builds, sizes and names the
-``numstats.Design`` that both fits read: a clock's pair of axis regressions
-here, and an edge's logistic fit in ``intergroup``. The fits raise the
-too-small and rank errors, named by the Design.
+over angles is needed. The coefficient at any angle follows from the pair,
+beta_theta = beta0*cos(theta) + beta90*sin(theta); over all angles it traces
+the circle whose diameter runs from the origin to (beta0, beta90), which
+``render.render_circles`` draws exactly. ``numstats.fit_design`` builds,
+sizes and names the ``numstats.Design`` that both fits read: a clock's pair
+of axis regressions here, and an edge's logistic fit in ``intergroup``. The
+fits raise the too-small and rank errors, named by the Design.
 """
 
 from __future__ import annotations
@@ -57,25 +59,6 @@ def max_contribution(beta0: float, beta90: float) -> tuple[float, float]:
     return magnitude, angle
 
 
-def circle_sweep(beta0, beta90, m: int):
-    """Coefficient of every feature at each of m projection angles i*180/m.
-
-    The sweep follows from the two axis coefficient vectors through
-    beta_theta = beta0*cos(theta) + beta90*sin(theta). Returns, per feature,
-    a list of (angle_deg, coefficient).
-    """
-    if m < 2:
-        raise ComputationError(f"need at least 2 projection lines, got {m}")
-    angles = [i * 180.0 / m for i in range(m)]
-    cos = np.array([unit_vector(a)[0] for a in angles])
-    sin = np.array([unit_vector(a)[1] for a in angles])
-    coef = np.outer(beta0, cos) + np.outer(beta90, sin)
-    return [
-        [(angles[i], float(coef[j, i])) for i in range(m)]
-        for j in range(coef.shape[0])
-    ]
-
-
 @dataclass(frozen=True)
 class ClockArrow:
     """One feature's strongest contribution and its significance evidence."""
@@ -99,7 +82,6 @@ class Clock:
     scale: float
     arrows: tuple[ClockArrow, ...]
     member_count: int
-    circles: dict[str, tuple[tuple[float, float], ...]] | None = None
     group: str | None = None
 
 
@@ -190,14 +172,8 @@ def build_clock(
     if scale <= 0.0:
         scale = 1.0
 
-    circles = None
-    out_variant = variant
-    if config.circles:
-        sweep = circle_sweep(b0, b90, round(180.0 / config.theta_step_deg))  # the step is 180/m
-        circles = {names[j]: tuple(sweep[i]) for i, j in enumerate(kept)}
-        out_variant = "circles"
-
-    return Clock(out_variant, anchor, scale, arrows, members.size, circles, group)
+    out_variant = "circles" if config.circles else variant
+    return Clock(out_variant, anchor, scale, arrows, members.size, group)
 
 
 def build_global_clock(dataset: Dataset, config: RunConfig | None = None) -> Clock:

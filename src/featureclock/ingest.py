@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import sys
-import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -28,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClockWarning, ComputationError, InputDataError
+from .errors import ComputationError, InputDataError
 from .numstats import as_matrix
 
 
@@ -110,15 +108,12 @@ class RunConfig:
     1, the seed at least 0), DBSCAN's eps and the scale :func:`positive`, and
     the switches are bools. Only one rule reads two fields: DBSCAN needs an
     eps. Numbers are stored as floats, counts as ints, and the rule, cluster
-    method and space lower-cased. The projection step is at least 0.1 degrees;
-    one that does not divide 180 is raised to the next 180/m, and one above 90
-    clamped to 90, with a warning at the line that made the RunConfig.
-    A canvas side must exceed twice ``CANVAS_MARGIN``.
+    method and space lower-cased. A canvas side must exceed twice
+    ``CANVAS_MARGIN``.
     """
 
     alpha: float = 0.05
     top_k: int | None = None
-    theta_step_deg: float = 5.0
     standardize_x: bool = True
     clock_scale: float = 1.0
     significance_rule: str = "or"
@@ -137,18 +132,6 @@ class RunConfig:
         if not 0.0 < self.alpha <= 1.0:
             raise InputDataError(f"alpha must be in (0, 1], got {self.alpha}")
         put("top_k", None if self.top_k is None else count("top_k", self.top_k, 1))
-        step = _finite("theta_step", self.theta_step_deg)
-        if step < 0.1:
-            raise InputDataError(f"theta_step must be at least 0.1 degrees, got {step}")
-        lines = 180.0 / step
-        if abs(lines - round(lines)) > 1e-9 or round(lines) < 2:
-            step, given = 180.0 / max(2, int(lines + 1e-9)), step
-            level, frame = 2, sys._getframe(1)  # warn at the first line outside this module and dataclasses
-            while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
-                level, frame = level + 1, frame.f_back
-            warnings.warn(f"theta_step {given} does not divide 180 into at least 2 lines; using {step}",
-                          ClockWarning, stacklevel=level)
-        put("theta_step_deg", step)
         put("clock_scale", positive("scale", self.clock_scale))
         put("significance_rule", _choice("significance rule", self.significance_rule, SIGNIFICANCE_RULES))
         put("seed", count("seed", self.seed, 0))

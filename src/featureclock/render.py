@@ -79,9 +79,11 @@ class SegmentGlyph:
 
 @dataclass
 class CircleTrace:
+    cx: float  # data coordinates, before pixel rounding
+    cy: float
+    radius: float
     color: str
     dash: str
-    points: list[tuple[float, float]]  # data coordinates, before pixel rounding
 
 
 @dataclass
@@ -184,33 +186,26 @@ def render_intergroup(scene: Scene, clocks: list[IntergroupClock]) -> Scene:
 
 
 def render_circles(scene: Scene, clock: Clock, *, clock_scale: float = 1.0) -> Scene:
-    """Add the full-sweep view: one closed coefficient trace per drawn feature.
+    """Add the full-sweep view: one coefficient circle per drawn arrow.
 
-    Samples cover [0, 180); the sweep at theta+180 lands on the same 2D point
-    (the coefficient flips sign exactly as the direction flips), so the loop
-    closes by returning to the first vertex. Only features that survived
-    significance filtering (the clock's arrows) are drawn.
+    On the direction theta a feature's coefficient is
+    c = beta0*cos(theta) + beta90*sin(theta), and the points
+    c*(cos(theta), sin(theta)) trace the circle whose diameter runs from
+    the anchor to the arrow's tip (beta0, beta90). Each circle is drawn
+    exactly, scaled by the clock radius over the largest drawn magnitude,
+    so the strongest feature's diameter is the radius and every circle lies
+    inside the rim. Only the clock's arrows, the features that survived
+    significance filtering, are drawn.
     """
-    if clock.circles is None:
-        raise ComputationError("clock carries no sweep samples; rebuild with circles on")
     radius = _radius(clock, clock_scale)
     cx, cy = clock.anchor
-    drawn = [a.feature for a in clock.arrows if a.feature in clock.circles]
-    peak = 0.0
-    for feature in drawn:
-        for _angle, coef in clock.circles[feature]:
-            peak = max(peak, abs(coef))
-    scale = radius / peak if peak > 0 else 1.0
+    peak = max((a.magnitude for a in clock.arrows), default=0.0)
+    half = 0.5 * (radius / peak if peak > 0 else 1.0)
     traces = []
-    for feature in drawn:
-        color, dash = _style_for(scene, feature)
-        _add_legend(scene, feature, color, dash)
-        loop = []
-        for angle, coef in clock.circles[feature]:
-            ux, uy = unit_vector(angle)
-            loop.append((scale * coef * ux, scale * coef * uy))
-        loop.append(loop[0])
-        traces.append(CircleTrace(color, dash, [(cx + px, cy + py) for px, py in loop]))
+    for a in clock.arrows:
+        color, dash = _style_for(scene, a.feature)
+        _add_legend(scene, a.feature, color, dash)
+        traces.append(CircleTrace(cx + half * a.beta0, cy + half * a.beta90, half * a.magnitude, color, dash))
     scene.circles.append(CirclesGlyph(cx, cy, radius, traces))
     return scene
 
@@ -235,10 +230,7 @@ def _data_bounds(scene: Scene, points: np.ndarray) -> tuple[float, float, float,
         ys.extend((s.y1, s.y2))
     for g in scene.circles:
         xs.extend((g.cx - g.radius, g.cx + g.radius))
-        ys.extend((g.cy - g.radius, g.cy + g.radius))
-        for t in g.traces:
-            xs.extend(p[0] for p in t.points)
-            ys.extend(p[1] for p in t.points)
+        ys.extend((g.cy - g.radius, g.cy + g.radius))  # every trace lies inside its rim
     if not xs:
         return 0.0, 0.0, 1.0, 1.0
     return min(xs), min(ys), max(xs), max(ys)
@@ -345,10 +337,10 @@ def _svg_pieces(scene: Scene) -> Iterator[str]:
             f'stroke-width="1"/>'
         )
         for trace in g.traces:
-            coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in trace.points)
             dash = f' stroke-dasharray="{trace.dash}"' if trace.dash else ""
             parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{trace.color}" '
+                f'<circle cx="{_fmt(tx(trace.cx))}" cy="{_fmt(ty(trace.cy))}" '
+                f'r="{_fmt(s * trace.radius)}" fill="none" stroke="{trace.color}" '
                 f'stroke-width="1.5"{dash}/>'
             )
 

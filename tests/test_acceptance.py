@@ -247,7 +247,7 @@ def test_criterion_8_equivariance_and_determinism(tmp_path):
         ).digest()
 
 
-@criterion(9, "default run uses alpha=0.05, 5-degree step, standardized X, centered Y")
+@criterion(9, "default run uses alpha=0.05, standardized X, centered Y; no angle step is sampled")
 def test_criterion_9_defaults_conformance(tmp_path, iris_dataset):
     from featureclock.cli import demo_paths
 
@@ -256,7 +256,7 @@ def test_criterion_9_defaults_conformance(tmp_path, iris_dataset):
     assert main(["global", "--x", str(x_path), "--y", str(y_path), "--out-dir", str(out)]) == 0
     config = json.loads((out / "clock.json").read_text())["config"]
     assert config["alpha"] == 0.05
-    assert config["theta_step_deg"] == 5.0
+    assert "theta_step_deg" not in config  # --circles draws each circle exactly
     assert config["standardize_x"] is True
 
     # Y is centered: an offset added to every embedding row moves each anchor

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,26 @@ import featureclock
 import featureclock.cli as cli_module
 import featureclock.clockcore as clockcore_module
 import featureclock.render as render_module
-from featureclock import dbscan, from_labels, kmeans
+from featureclock import InputDataError, dbscan, from_labels, kmeans, validate_config
 from featureclock.cli import demo_paths, main
+from featureclock.render import PALETTE
 
 from oracles import make_dataset, pca_2d, standardize_reference
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def svg_traces(svg):
+    """(cx, cy, r) in pixels of every coefficient circle of a --circles SVG: the unfilled circles but the grey rims."""
+    return [
+        tuple(float(c.get(key)) for key in ("cx", "cy", "r"))
+        for c in ET.fromstring(svg).iter(f"{SVG_NS}circle")
+        if c.get("fill") == "none" and c.get("stroke") != "#bbbbbb"
+    ]
 
 
 def write_matrix(path, header, rows):
@@ -125,8 +138,8 @@ class TestGlobalCommand:
         "command, flags, name",
         [
             ("global", ["--alpha", "nan"], "alpha"),
-            ("global", ["--theta-step", "nan", "--circles"], "theta_step"),
-            ("global", ["--theta-step", "inf", "--circles"], "theta_step"),
+            ("global", ["--alpha", "inf"], "alpha"),
+            ("local", ["--scale", "nan"], "scale"),
             ("global", ["--scale", "nan"], "scale"),
             ("global", ["--scale", "inf"], "scale"),
             ("local", ["--cluster", "dbscan:nan,5"], "eps"),
@@ -213,10 +226,9 @@ class TestGlobalCommand:
         assert run(["global", "--x", x, "--y", y, "--out-dir", out]) == 0
         config = json.loads((out / "clock.json").read_text())["config"]
         assert config["alpha"] == 0.05
-        assert config["theta_step_deg"] == 5.0
         assert config["standardize_x"] is True
         assert config["significance_rule"] == "or"
-        assert not {"center_y", "anchor", "standardize_betas"} & set(config)
+        assert not {"center_y", "anchor", "standardize_betas", "theta_step_deg"} & set(config)
 
     @pytest.mark.parametrize(
         "cluster, expected",
@@ -231,14 +243,14 @@ class TestGlobalCommand:
         x, y, _ = iris_paths
         out = tmp_path / "out"
         seed = ["--seed", "3"] if cluster.startswith("kmeans") else []
-        flags = ["--alpha", "0.01", "--top-k", "2", "--theta-step", "6", "--no-standardize-x",
+        flags = ["--alpha", "0.01", "--top-k", "2", "--no-standardize-x",
                  "--significance-rule", "and", "--circles",
                  "--scale", "2", *seed, "--canvas", "800x500", "--cluster-on", "y",
                  "--cluster", cluster]
         assert run(["local", "--x", x, "--y", y, *flags, "--out-dir", out]) == 0
         config = json.loads((out / "clock.json").read_text())["config"]
         expected = {
-            "alpha": 0.01, "top_k": 2, "theta_step_deg": 6.0, "standardize_x": False,
+            "alpha": 0.01, "top_k": 2, "standardize_x": False,
             "significance_rule": "and",
             "circles": True, "clock_scale": 2.0, "canvas": [800, 500],
             "cluster_on": "y", **expected,
@@ -284,24 +296,6 @@ class TestGlobalCommand:
         assert capsys.readouterr().err == f"error: {flags[0]} applies to local and intergroup only\n"
         assert not out.exists()
 
-    def test_tiny_theta_step_exit_2(self, iris_paths, tmp_path, capsys):
-        x, y, _ = iris_paths
-        out = tmp_path / "out"
-        args = ["global", "--x", x, "--y", y, "--theta-step", "1e-308", "--circles"]
-        assert run([*args, "--out-dir", out]) == 2
-        assert "theta_step must be at least 0.1 degrees, got 1e-308" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("view", ["global", "local"])
-    def test_theta_step_without_circles_exit_2(self, iris_paths, tmp_path, capsys, view):
-        # only the coefficient sweep of --circles reads the step
-        x, y, labels = iris_paths
-        out = tmp_path / "out"
-        args = [view, "--x", x, "--y", y, "--labels", labels, "--theta-step", "6"]
-        assert run([*args, "--out-dir", out]) == 2
-        assert capsys.readouterr().err == "error: --theta-step applies with --circles only\n"
-        assert not out.exists()
-
     def test_canvas_beyond_float_exit_2(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         out = tmp_path / "out"
@@ -343,39 +337,66 @@ class TestGlobalCommand:
         assert "empty slice" not in capsys.readouterr().err
         assert json.loads((out / "clock.json").read_text())["warnings"] == []
 
-    def test_theta_adjustment_warned_and_recorded(self, iris_paths, tmp_path, capsys):
-        x, y, _ = iris_paths
-        out = tmp_path / "out"
-        args = ["global", "--x", x, "--y", y, "--theta-step", "7", "--circles"]
-        assert run([*args, "--out-dir", out]) == 0
-        assert "7.2" in capsys.readouterr().err
-        report = json.loads((out / "clock.json").read_text())
-        assert report["config"]["theta_step_deg"] == 7.2
-        assert any("7.2" in w for w in report["warnings"])
-
     def test_circles_flag_switches_variant(self, iris_paths, tmp_path):
+        # the report is the arrows' own; the SVG draws one circle per arrow
         x, y, _ = iris_paths
-        out = tmp_path / "out"
+        out, plain = tmp_path / "out", tmp_path / "plain"
         assert run(["global", "--x", x, "--y", y, "--circles", "--out-dir", out]) == 0
-        report = json.loads((out / "clock.json").read_text())
-        clock = report["clocks"][0]
+        assert run(["global", "--x", x, "--y", y, "--out-dir", plain]) == 0
+        clock = json.loads((out / "clock.json").read_text())["clocks"][0]
         assert clock["variant"] == "circles"
-        assert len(clock["circles"]["petal_length"]) == 36
-        assert "<polyline" in (out / "clock.svg").read_text()
+        assert {**clock, "variant": "global"} == json.loads((plain / "clock.json").read_text())["clocks"][0]
+        svg = (out / "clock.svg").read_text()
+        assert "<polyline" not in svg
+        assert len(svg_traces(svg)) == len(clock["arrows"]) == 4
 
     def test_circles_sweep_passes_through_arrow_pair(self, iris_paths, tmp_path):
-        # The sweep at 0 and 90 degrees is the drawn arrow's (beta0, beta90).
+        # each circle runs through the anchor and, at the clock's scale k, the arrow's tip (beta0, beta90)
         x, y, _ = iris_paths
         out = tmp_path / "out"
-        args = ["global", "--x", x, "--y", y, "--alpha", "0.01", "--top-k", "2", "--theta-step", "6",
+        args = ["global", "--x", x, "--y", y, "--alpha", "0.01", "--top-k", "2",
                 "--no-standardize-x", "--significance-rule", "and", "--circles",
                 "--scale", "2", "--canvas", "800x500", "--out-dir", out]
         assert run(args) == 0
         clock = json.loads((out / "clock.json").read_text())["clocks"][0]
-        assert clock["arrows"]
-        for arrow in clock["arrows"]:
-            sweep = dict(map(tuple, clock["circles"][arrow["feature"]]))
-            assert (sweep[0.0], sweep[90.0]) == (arrow["beta0"], arrow["beta90"])
+        svg = (out / "clock.svg").read_text()
+        (rim,) = [c for c in ET.fromstring(svg).iter(f"{SVG_NS}circle") if c.get("stroke") == "#bbbbbb"]
+        ax, ay, rim_r = (float(rim.get(key)) for key in ("cx", "cy", "r"))
+        k = rim_r / max(arrow["magnitude"] for arrow in clock["arrows"])  # pixels per unit coefficient
+        traces = svg_traces(svg)
+        assert len(traces) == len(clock["arrows"]) == 2
+        for arrow, (cx, cy, r) in zip(clock["arrows"], traces):
+            tip = (ax + k * arrow["beta0"], ay - k * arrow["beta90"])  # pixel y points down
+            assert (cx, cy) == (pytest.approx((ax + tip[0]) / 2, abs=0.011), pytest.approx((ay + tip[1]) / 2, abs=0.011))
+            assert r == pytest.approx(0.5 * k * arrow["magnitude"], abs=0.011)
+
+    @pytest.mark.parametrize("view", ["global", "local"])
+    def test_theta_step_is_unrecognized(self, iris_paths, tmp_path, capsys, view):
+        # --circles draws each circle exactly: no step samples it
+        x, y, labels = iris_paths
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run([view, "--x", x, "--y", y, "--labels", labels, "--circles", "--theta-step", "5", "--out-dir", out])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --theta-step 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [(flag, text) for flag in ("--alpha", "--top-k", "--scale", "--seed") for text in ("2.5", "abc", "nan", "-1")
+         if (flag, text) != ("--scale", "2.5")],
+    )
+    def test_numeric_flag_read_by_run_config_rules(self, iris_paths, tmp_path, capsys, flag, text):
+        # one text per rule: the CLI hands the flag's text to the RunConfig field that checks it
+        x, y, _ = iris_paths
+        field = {"--alpha": "alpha", "--top-k": "top_k", "--scale": "clock_scale", "--seed": "seed"}[flag]
+        with pytest.raises(InputDataError) as raised:
+            validate_config({field: text})
+        out = tmp_path / "out"
+        args = ["local", "--x", x, "--y", y, "--cluster", "kmeans:3", flag, text, "--out-dir", out]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert not out.exists()
 
 
 class TestLocalCommand:
@@ -545,8 +566,9 @@ class TestIntergroupCommand:
     @pytest.mark.parametrize(
         "flags",
         # given two unread flags, the message names the first in _UNREAD's order
-        [["--no-standardize-x"], ["--circles", "--theta-step", "7"], ["--no-standardize-x", "--scale", "2"],
-         ["--significance-rule", "and"], ["--circles"], ["--theta-step", "7"], ["--scale", "2"]],
+        # and a flag is rejected as unread before its value is read
+        [["--no-standardize-x"], ["--circles", "--scale", "2"], ["--no-standardize-x", "--scale", "2"],
+         ["--significance-rule", "and"], ["--circles"], ["--scale", "abc"], ["--scale", "2"]],
     )
     def test_unread_flag_exit_2(self, iris_paths, tmp_path, capsys, flags):
         x, y, labels = iris_paths
@@ -636,17 +658,17 @@ def hash_tree(directory):
 # sha256 of every demo output; regenerate with `featureclock demo` if the
 # rendering or report format changes on purpose.
 DEMO_GOLDEN = {
-    "global_clock.json": "f894d2e93a9210f2ab83e10f70a1846237735e5352bcf67d5c288938a1f00a17",
+    "global_clock.json": "ab7ae8344b911383a508f1e5eb9970f3561b663600959e9532cfa53e3ac59aff",
     "global_clock.svg": "fb9b7986b4c9e1fca592f9fe9a2164aa9277b09558ccebae0e2280045421a618",
-    "intergroup_clocks.json": "32a68a967b14df440273fc8c5964ce03d958c3afe400fc3d4bc2e6aeed5aab60",
+    "intergroup_clocks.json": "e284305adc4997231eda8c7401bdc7c218a0cdaf8ebf995ad88bd93417515e28",
     "intergroup_clocks.svg": "4f5c0e7cf29aaa81bf1c17001a0a7e680dc2f1ab1c423d2950d74868e43ebf55",
-    "local_clocks.json": "d10cc68fdf352f61cfa5a8ad30b3dec6363d2afc4a338f99381b02116d845b14",
+    "local_clocks.json": "7b4cd94d79068b9b39cc6db4570ec8dc8ae7515349a76e582bb1c27f1430ef33",
     "local_clocks.svg": "412971e8936b20367f9a331b97368d609b231345e9afdc2e76bc902531827cc2",
 }
 
 
 # Flags read by both the global and the local view.
-_EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-standardize-x",
+_EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--no-standardize-x",
                "--significance-rule", "and", "--circles",
                "--scale", "1.5", "--canvas", "800x500"]
 
@@ -656,53 +678,53 @@ _EVERY_FLAG = ["--alpha", "0.1", "--top-k", "2", "--theta-step", "10", "--no-sta
 FLAG_GOLDEN = {
     "global-circles": (
         ["global", "--circles"],
-        "3dacf02cc733a23f860b138c99ab3df4c6836a4e6a5d6bbd862a16e07b0d73ba",
-        "558454657f875cd739ee606968f88c94dbe72680be5dd57a631e90c51532ff3f",
+        "1835b9c9d7b9c3b38aae53fe0bfd910671cf67b21908bcca2f60c98d3435a2fe",
+        "e92a918bb4f61f7ea42b86f4ef0af6823a80dade6c74530d6a29a046f202d14c",
     ),
     "global-labels-raw-x": (
         ["global", "--labels", "--no-standardize-x"],
-        "b4ca6961e53535fe08055c1397cb731781c10f0826bb7742078104e7209469f1",
+        "af6ee342633e9baa047315a28326dc396a11f19e946c603fc8951b1002bff15d",
         "1f8d031da61381e0c7e9d9eba2c1014d883492216d0295cd1429fc482e49e314",
     ),
     "global-every-flag": (
         ["global", "--labels", *_EVERY_FLAG],
-        "0893857ac05604271d7e7bf579cb886fc5bbb35909ff687bc246842b47e8bb5c",
-        "438289ba5eb215bffd4686d410dfb6c548df5b7727d2a5864d0f278a10f1e335",
+        "778f29917a65c0600c3fef7341b2057c27683becd8e16495212a5df5dc110e92",
+        "f72961c1a80f8720232f34f587a4b81aeef75e9cd2b3ca06dd406270f942dfa2",
     ),
     "local-kmeans": (
         ["local", "--cluster", "kmeans:3"],
-        "0d71dede1735d0e5cd5ab1e2940b2c974187a9907a67dc20a241d272deca6f3b",
+        "dd88df38e03a50d94ff5cad8414a627f9bd91d73589f7b32adf6cb454b1a0a15",
         "8b81e2cdec3846bee6d442ebda122143ae4dc34757c2c40fe95855ab773c0c9f",
     ),
     "local-circles-labels": (
         ["local", "--circles", "--labels"],
-        "aaa594acb664dbf15195728dc2ebc2018644c3ab85dbf4f9178f4801449e4cae",
-        "6c067ad9307fc3b29b5401d362bf0fc4694f1a51f1bb55052d8d74916dc36c5c",
+        "8db3324f108922a04b742cff1c416890893fac476923099d52c770a040aefb16",
+        "e22cf70825a0656c2baecfa944206ddec73c56d69a1705c5bb7f8103ad4ab889",
     ),
     "local-dbscan": (
         ["local", "--cluster", "dbscan:0.4,4"],
-        "11e1b90bd8252841c3c24e3d2aa783edb760dc323343db613c3e99982498d97d",
+        "9a76bf235fa3b1ec4ff20a47b189d31fed24dfa8f44b676e848e9d835ea629d3",
         "099e370f47cdc14bc6245a7dac7e548331edb58754976eb0ab14cf0ba53ff0ca",
     ),
     "local-every-flag": (
         ["local", "--cluster", "kmeans:3", "--cluster-on", "y", "--seed", "5", *_EVERY_FLAG],
-        "3069506c976c22a5c8d78beccf704da42a524f68ffc3166d7f4cbeb4bd634a19",
-        "f52b1f9a1b4e6f65b0839ad116c92b17eaaa62b94f6a84f750a1405bf3a7996c",
+        "ca759f99b8a5cadc64943d1bf1301f6724a898355475e727fab8d8c2c651ae66",
+        "c7678b8f5ceba99c453fe51fc9948e38a20ffccb4ee1bbaac47423cc6074e288",
     ),
     "intergroup-kmeans": (
         ["intergroup", "--cluster", "kmeans:4"],
-        "9855cfee87f5f2d5221910627eee263bf5bf12081ccd1fb1f82b3d5d8ca7409a",
+        "04b830a5fd0ca64fb4137d916aee829fd6a2d749421a6d310a89bc8a1d32dc6b",
         "82fd0efb712b460e5b6b0494bc14f204b95c3565117200b535b65c562f6627b4",
     ),
     "intergroup-dbscan": (
         ["intergroup", "--cluster", "dbscan:0.5,5"],
-        "7640336748ff2040b3aa4bdbfbaef02084ed8cb1b516404db0c8468d2df04ba6",
+        "068e5c4e5897ba36718c9b582c058d5129536486d6d19c9f03c444107ddedd9f",
         "628b7bb84fdec9c264c51ce7fe2c18e1d3fa1e9097b63e53b74fcb3cb94b9d2d",
     ),
     "intergroup-every-flag": (
         ["intergroup", "--cluster", "kmeans:4", "--cluster-on", "y", "--seed", "2",
                               "--alpha", "0.1", "--top-k", "2", "--canvas", "800x500"],
-        "20bb7026a6cb8cb8c8106bc4e6c45f7de377df5a89d9ab82d7e3f2ab4ed07144",
+        "0e9d30cbdf02511ca96c4d9d5d112bb7f2dd2fa592dbebd43d5a9455e3fcd90c",
         "e1aa1b222788a92633c00394c9fcab7355b496eb25755193821c07b3333db481",
     ),
 }
@@ -820,7 +842,7 @@ class TestDemo:
         out = tmp_path / "demo"
         assert run(["demo", "--out-dir", out]) == 0
         report = json.loads((out / "global_clock.json").read_text())
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["tool"] == "featureclock"
         assert report["inputs"]["x"] == "iris_features.csv"
         assert report["inputs"]["rows"] == 150
@@ -907,3 +929,26 @@ def test_benchmark_reads_the_clusterings_labels():
         assert type(labels) is list and len(labels) == 60
         assert all(type(v) is int for v in labels)
         assert labels == result.labels.tolist()
+
+
+@pytest.mark.parametrize("args", [["global", "--circles"], ["global", "--labels", "--circles"],
+                                  ["local", "--labels", "--circles"]])
+def test_benchmark_marker_rule_on_circles(iris_paths, iris_dataset, tmp_path, args):
+    """The benchmark reads the scatter markers as the <circle>s that carry fill-opacity.
+
+    Its checks import scipy, so this restates the rule: a --circles SVG has one
+    such circle per row, in row order and in its group's colour, and no
+    coefficient circle carries the attribute.
+    """
+    x, y, labels = iris_paths
+    argv = [part for arg in args for part in ((arg, labels) if arg == "--labels" else (arg,))]
+    assert run([argv[0], "--x", x, "--y", y, *argv[1:], "--out-dir", tmp_path]) == 0
+    svg = (tmp_path / "clock.svg").read_text(encoding="utf-8")
+    circles = list(ET.fromstring(svg).iter(f"{SVG_NS}circle"))
+    markers = [c.get("fill") for c in circles if c.get("fill-opacity") is not None]
+    groups = from_labels(iris_dataset).labels if "--labels" in args else np.zeros(150, int)
+    assert markers == [PALETTE[g % len(PALETTE)] for g in groups.tolist()]
+    unfilled = [c for c in circles if c.get("fill") == "none"]
+    assert all(c.get("fill-opacity") is None for c in unfilled)
+    report = json.loads((tmp_path / "clock.json").read_text(encoding="utf-8"))
+    assert len(svg_traces(svg)) == sum(len(clock["arrows"]) for clock in report["clocks"]) > 0

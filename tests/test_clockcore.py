@@ -18,10 +18,11 @@ from featureclock import (
     build_global_clock,
     build_local_clocks,
     center_columns,
-    circle_sweep,
     from_labels,
     max_contribution,
     ols_fit,
+    render_circles,
+    render_scatter,
 )
 from featureclock import numstats
 from featureclock.clockcore import unit_vector
@@ -208,56 +209,67 @@ class TestMaxContribution:
             assert abs(row[best] - magnitude) <= 1e-6 * magnitude
 
 
+def drawn_circles(dataset, config=None):
+    """The clock over every row of ``dataset`` and the trace circles ``render_circles`` draws for it."""
+    clock = build_clock(dataset, range(dataset.X.shape[0]), config or RunConfig(alpha=1.0, circles=True))
+    glyph = render_circles(render_scatter(dataset), clock).circles[0]
+    return clock, glyph
+
+
 class TestCircleSweep:
+    """The coefficient over all projection angles is the circle that render_circles draws.
+
+    Per arrow, the trace's center is the anchor plus k/2 times (beta0, beta90)
+    and its radius k/2 times the magnitude, k being the clock radius over the
+    largest magnitude; so in the anchor's frame and divided by k, the points
+    coefficient(theta) * (cos theta, sin theta) must lie on it.
+    """
+
     def test_cosine_response(self):
         x, y = identity_fixture()
-        fit0, fit90 = ols_fit(array_design(x, y))
-        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 3)  # angles 0, 60, 120
-        angle, coef = sweep[0][1]
-        assert angle == pytest.approx(60.0)
-        assert coef == pytest.approx(0.5, abs=1e-10)
+        clock, glyph = drawn_circles(make_dataset(x, y))
+        k = glyph.radius / max(a.magnitude for a in clock.arrows)
+        f0 = glyph.traces[[a.feature for a in clock.arrows].index("f0")]
+        # f0 is the embedding's x: its coefficient at 60 degrees is cos(60) = 0.5
+        ux, uy = unit_vector(60.0)
+        point = (clock.anchor[0] + 0.5 * k * ux, clock.anchor[1] + 0.5 * k * uy)
+        assert math.hypot(point[0] - f0.cx, point[1] - f0.cy) == pytest.approx(f0.radius, abs=1e-10)
 
-    def test_m2_gives_axis_coefficients(self):
+    def test_axes_cross_at_axis_coefficients(self):
+        # a circle through the anchor crosses each axis a second time at the chord 2 * (center - anchor)
         rng = np.random.default_rng(5)
-        x = standardize_reference(rng.normal(size=(30, 3)))
-        y = center_columns(rng.normal(size=(30, 2)))
-        fit0, fit90 = ols_fit(array_design(x, y))
-        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 2)
-        for j in range(3):
-            assert sweep[j][0] == (0.0, pytest.approx(fit0.coefficients[j]))
-            assert sweep[j][1] == (90.0, pytest.approx(fit90.coefficients[j]))
+        clock, glyph = drawn_circles(make_dataset(rng.normal(size=(30, 3)), rng.normal(size=(30, 2))))
+        k = glyph.radius / max(a.magnitude for a in clock.arrows)
+        for arrow, trace in zip(clock.arrows, glyph.traces, strict=True):
+            chord = (2.0 * (trace.cx - clock.anchor[0]) / k, 2.0 * (trace.cy - clock.anchor[1]) / k)
+            assert chord == (pytest.approx(arrow.beta0, rel=1e-12), pytest.approx(arrow.beta90, rel=1e-12))
 
     def test_samples_lie_on_diameter_circle(self):
         rng = np.random.default_rng(6)
         x = standardize_reference(rng.normal(size=(50, 4)))
         y = center_columns(rng.normal(size=(50, 2)))
-        fit0, fit90 = ols_fit(array_design(x, y))
-        sweep = circle_sweep(fit0.coefficients, fit90.coefficients, 36)
-        for j in range(4):
-            b0 = float(fit0.coefficients[j])
-            b90 = float(fit90.coefficients[j])
-            center = np.array([b0 / 2.0, b90 / 2.0])
-            radius = 0.5 * math.hypot(b0, b90)
-            for angle, coef in sweep[j]:
-                rad = math.radians(angle)
-                point = np.array([coef * math.cos(rad), coef * math.sin(rad)])
-                assert abs(np.linalg.norm(point - center) - radius) < 1e-8
+        clock, glyph = drawn_circles(make_dataset(x, y))
+        k = glyph.radius / max(a.magnitude for a in clock.arrows)
+        angles, grid = refit_sweep(x, y, 36)
+        rad = np.radians(angles)
+        for arrow, trace in zip(clock.arrows, glyph.traces, strict=True):
+            coef = grid[int(arrow.feature[1:])]
+            px = clock.anchor[0] + k * coef * np.cos(rad) - trace.cx
+            py = clock.anchor[1] + k * coef * np.sin(rad) - trace.cy
+            assert np.abs(np.hypot(px, py) - trace.radius).max() < 1e-8 * glyph.radius
 
     def test_analytic_matches_refit(self):
+        # the chord along direction theta is k times the refit coefficient there, sign included
         rng = np.random.default_rng(7)
         x = standardize_reference(rng.normal(size=(40, 3)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(array_design(x, y))
-        fast = circle_sweep(fit0.coefficients, fit90.coefficients, 12)
+        clock, glyph = drawn_circles(make_dataset(x, y))
+        k = glyph.radius / max(a.magnitude for a in clock.arrows)
         angles, slow = refit_sweep(x, y, 12)
-        for j in range(3):
-            for i, (angle, coef) in enumerate(fast[j]):
-                assert angle == pytest.approx(angles[i], abs=1e-12)
-                assert abs(coef - slow[j, i]) < 1e-9
-
-    def test_m_too_small(self):
-        with pytest.raises(ComputationError):
-            circle_sweep(np.ones(2), np.zeros(2), 1)
+        rad = np.radians(angles)
+        for arrow, trace in zip(clock.arrows, glyph.traces, strict=True):
+            chord = 2.0 * ((trace.cx - clock.anchor[0]) * np.cos(rad) + (trace.cy - clock.anchor[1]) * np.sin(rad))
+            assert np.abs(chord / k - slow[int(arrow.feature[1:])]).max() < 1e-9
 
 
 class TestBuildClock:
@@ -423,19 +435,13 @@ class TestBuildClock:
         assert std_off.arrows[0].magnitude == pytest.approx(0.5, abs=1e-9)
 
     def test_circles_flag_attaches_sweep(self):
+        # the arrows carry the whole sweep: --circles changes the variant and nothing else
         x, y = identity_fixture()
-        clock = build_clock(make_dataset(x, y), range(len(x)), RunConfig(circles=True))
+        dataset = make_dataset(x, y)
+        clock = build_clock(dataset, range(len(x)), RunConfig(circles=True))
         assert clock.variant == "circles"
-        assert clock.circles is not None
-        assert set(clock.circles) == {"f0", "f1"}
-        assert len(clock.circles["f0"]) == 36  # 180/5
-
-    def test_adjusted_step_gives_its_line_count(self):
-        x, y = identity_fixture()
-        with pytest.warns(ClockWarning, match="^theta_step 7.0 does not divide 180 into at least 2 lines; using 7.2$"):
-            config = RunConfig(circles=True, theta_step_deg=7.0)
-        clock = build_clock(make_dataset(x, y), range(len(x)), config)
-        assert len(clock.circles["f0"]) == 25
+        assert dataclasses.replace(clock, variant="global") == build_clock(dataset, range(len(x)))
+        assert {a.feature for a in clock.arrows} == {"f0", "f1"}
 
     @pytest.mark.parametrize("rule", ["and", "AND", "And"])
     def test_rule_read_in_any_case(self, rule):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from featureclock import (
-    ClockWarning,
     ComputationError,
     Dataset,
     InputDataError,
@@ -359,7 +358,6 @@ class TestFileEncoding:
 REJECTED = {
     "alpha": (7.0, "alpha must be in (0, 1], got 7.0"),
     "top_k": (0, "top_k must be at least 1, got 0"),
-    "theta_step_deg": (0.0, "theta_step must be at least 0.1 degrees, got 0.0"),
     "standardize_x": ("no", "standardize_x must be True or False, got 'no'"),
     "clock_scale": (0, "scale must be positive, got 0.0"),
     "significance_rule": ("joint", "significance rule must be 'or' or 'and', got 'joint'"),
@@ -379,7 +377,6 @@ REJECTED = {
 VALID_VALUES = {
     "alpha": st.one_of(st.floats(1e-12, 1.0), st.sampled_from(["0.1", 1])),
     "top_k": st.one_of(st.none(), st.integers(1, 50), st.sampled_from([2.0, "3"])),
-    "theta_step_deg": st.one_of(st.floats(0.1, 400.0), st.sampled_from([7.0, 7.2, 4.5, 90, "0.1"])),
     "standardize_x": st.booleans(),
     "clock_scale": st.one_of(st.floats(1e-6, 1e6), st.sampled_from(["2", 3])),
     "significance_rule": st.sampled_from(["or", "and", "AND", "Or"]),
@@ -412,7 +409,6 @@ class TestValidateConfig:
     def test_defaults(self):
         config = validate_config({})
         assert config.alpha == 0.05
-        assert config.theta_step_deg == 5.0
         assert config.standardize_x is True
         assert config.significance_rule == "or"
         assert config.top_k is None
@@ -432,52 +428,6 @@ class TestValidateConfig:
     def test_top_k_zero_rejected(self):
         with pytest.raises(InputDataError, match="top_k"):
             validate_config({"top_k": 0})
-
-    def test_theta_seven_adjusted(self):
-        with pytest.warns(ClockWarning, match="7.2"):
-            config = validate_config({"theta_step_deg": 7.0})
-        assert config.theta_step_deg == pytest.approx(7.2)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: RunConfig(theta_step_deg=7.0),
-            lambda: validate_config({"theta_step_deg": 7.0}),  # once named validate_config's own line
-            lambda: dataclasses.replace(RunConfig(), theta_step_deg=7.0),
-        ],
-        ids=["RunConfig", "validate_config", "replace"],
-    )
-    def test_theta_warning_names_the_calling_line(self, make):
-        # Python's default filter shows a warning once per line, so one line
-        # inside the package would hide it from every later caller
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            make()
-        assert (w[0].filename, w[0].lineno) == (__file__, make.__code__.co_firstlineno)
-
-    def test_theta_divisor_kept(self):
-        config = validate_config({"theta_step_deg": 4.5})
-        assert config.theta_step_deg == 4.5
-
-    def test_theta_above_ninety_clamped(self):
-        with pytest.warns(ClockWarning):
-            config = validate_config({"theta_step_deg": 120.0})
-        assert config.theta_step_deg == 90.0
-
-    def test_theta_nonpositive_rejected(self):
-        with pytest.raises(InputDataError, match="theta_step"):
-            validate_config({"theta_step_deg": 0.0})
-
-    @pytest.mark.parametrize("step", [1e-300, 0.05])
-    def test_theta_below_tenth_degree_rejected(self, step):
-        with pytest.raises(InputDataError, match="theta_step must be at least 0.1 degrees"):
-            validate_config({"theta_step_deg": step})
-
-    def test_theta_tenth_degree_kept(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = validate_config({"theta_step_deg": 0.1})
-        assert config.theta_step_deg == 0.1
 
     def test_unknown_option_rejected(self):
         with pytest.raises(InputDataError, match="unknown options"):
@@ -503,11 +453,13 @@ class TestValidateConfig:
             validate_config({"anchor": anchor})
 
     @pytest.mark.parametrize(
-        "options", [{"center_y": False}, {"anchor": (0.0, 0.0)}, {"standardize_betas": True}]
+        "options",
+        [{"center_y": False}, {"anchor": (0.0, 0.0)}, {"standardize_betas": True}, {"theta_step_deg": 5}],
     )
     def test_removed_options_are_unknown(self, options):
-        # Y is always centered, every clock sits at its members' centroid, and
-        # the default standardize_x already reports standardized coefficients
+        # Y is always centered, every clock sits at its members' centroid, the
+        # default standardize_x already reports standardized coefficients, and
+        # --circles draws each feature's exact circle instead of sampling it
         with pytest.raises(InputDataError, match=f"^unknown options: {next(iter(options))}$"):
             validate_config(options)
 
@@ -547,7 +499,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize(
         "key, name",
-        [("alpha", "alpha"), ("theta_step_deg", "theta_step"), ("clock_scale", "scale"), ("cluster_eps", "eps")],
+        [("alpha", "alpha"), ("clock_scale", "scale"), ("cluster_eps", "eps")],
     )
     def test_non_numeric_number_option_rejected(self, key, name):
         with pytest.raises(InputDataError, match=f"^{name} must be a finite number, got 'abc'$"):
@@ -598,12 +550,10 @@ class TestValidateConfig:
     @settings(max_examples=200, deadline=None)
     @given(st.fixed_dictionaries({}, optional=VALID_VALUES))
     def test_rebuilt_config_is_equal(self, options):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClockWarning)  # a step that is adjusted once
-            try:
-                config = RunConfig(**options)
-            except InputDataError:
-                assume(False)
+        try:
+            config = RunConfig(**options)
+        except InputDataError:
+            assume(False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert RunConfig(**dataclasses.asdict(config)) == config

@@ -37,8 +37,8 @@ def arrow(feature, beta0, beta90, p=0.001):
     return ClockArrow(feature, beta0, beta90, magnitude, angle, p, p, True)
 
 
-def manual_clock(arrows, anchor=(0.0, 0.0), scale=1.0, circles=None, variant="global"):
-    return Clock(variant, anchor, scale, tuple(arrows), 3, circles)
+def manual_clock(arrows, anchor=(0.0, 0.0), scale=1.0, variant="global"):
+    return Clock(variant, anchor, scale, tuple(arrows), 3)
 
 
 def simple_scene(extra_points=None):
@@ -166,7 +166,7 @@ class TestStreaming:
         clock = build_clock(renamed, range(150), RunConfig(circles=True))
         scene = render_scatter(iris_dataset, grouping)
         render_circles(scene, clock)
-        render_clock(scene, dataclasses.replace(clock, circles=None))
+        render_clock(scene, clock)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(render_module, "_MARKER_CHUNK", chunk)
             with open(tmp_path / "out.svg", "w", encoding="utf-8") as handle:
@@ -297,36 +297,53 @@ class TestClockGlyph:
 
 
 class TestCirclesGlyph:
-    def sweep_clock(self, beta0=1.0, beta90=0.0, m=36):
-        samples = []
-        for i in range(m):
-            angle = i * 180.0 / m
-            rad = math.radians(angle)
-            samples.append((angle, beta0 * math.cos(rad) + beta90 * math.sin(rad)))
-        circles = {"f0": tuple(samples)}
-        return manual_clock([arrow("f0", beta0, beta90)], circles=circles, variant="circles")
-
-    def test_trace_vertices_on_half_circle(self):
+    def test_trace_is_the_diameter_circle(self):
+        # the sweep of (1, 0) is the circle through the anchor with diameter to (1, 0)
         scene = simple_scene()
-        clock = self.sweep_clock()
+        clock = manual_clock([arrow("f0", 1.0, 0.0)], variant="circles")
         render_circles(scene, clock)
         trace = scene.circles[0].traces[0]
-        # closed loop through origin with diameter to (1, 0): center (0.5, 0), radius 0.5
-        for x, y in trace.points:
-            assert abs(math.hypot(x - 0.5, y) - 0.5) < 1e-8
+        assert (trace.cx, trace.cy, trace.radius) == (0.5, 0.0, 0.5)
 
-    def test_two_point_sweep_still_valid(self):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=6).filter(
+            lambda pairs: max(math.hypot(*p) for p in pairs) > 1e-6),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-2, 1e2),
+    )
+    def test_trace_geometry_is_exact(self, pairs, anchor, scale, clock_scale):
+        arrows = [arrow(f"f{i}", b0, b90) for i, (b0, b90) in enumerate(pairs)]
+        clock = manual_clock(arrows, anchor=anchor, scale=scale, variant="circles")
+        glyph = render_circles(simple_scene(), clock, clock_scale=clock_scale).circles[0]
+        k = glyph.radius / max(a.magnitude for a in arrows)
+        assert len(glyph.traces) == len(arrows)
+        near = 1e-12 * (abs(anchor[0]) + abs(anchor[1]) + glyph.radius)  # a centre may sit at 0
+        for a, trace in zip(arrows, glyph.traces):
+            tip = (anchor[0] + k * a.beta0, anchor[1] + k * a.beta90)
+            assert trace.cx == pytest.approx(0.5 * (anchor[0] + tip[0]), rel=1e-12, abs=near)
+            assert trace.cy == pytest.approx(0.5 * (anchor[1] + tip[1]), rel=1e-12, abs=near)
+            half = 0.5 * math.hypot(tip[0] - anchor[0], tip[1] - anchor[1])
+            assert trace.radius == pytest.approx(half, rel=1e-12)
+        assert 2.0 * max(t.radius for t in glyph.traces) == pytest.approx(glyph.radius, rel=1e-12)
+
+    def test_traces_are_unfilled_circles_in_the_feature_style(self):
         scene = simple_scene()
-        clock = self.sweep_clock(m=2)
+        clock = manual_clock([arrow("f0", 1.0, 0.0), arrow("f1", 0.0, -0.5)], variant="circles")
         svg = svg_text(render_circles(scene, clock))
         minidom.parseString(svg)
-        assert "<polyline" in svg
+        traces = re.findall(r'<circle [^>]*fill="none" stroke="(#\w+)" stroke-width="1.5"/>', svg)
+        assert traces == [PALETTE[0], PALETTE[1]]
+        assert "<polyline" not in svg
+        assert len(re.findall("fill-opacity", svg)) == 3  # the scatter markers only
 
     def test_insignificant_features_not_drawn(self):
         scene = simple_scene()
-        clock = Clock("circles", (0.0, 0.0), 1.0, (), (0, 1, 2), {"f0": ((0.0, 1.0),)})
-        svg = svg_text(render_circles(scene, clock))
-        assert "<polyline" not in svg
+        clock = Clock("circles", (0.0, 0.0), 1.0, (), 3)
+        render_circles(scene, clock)
+        assert scene.circles[0].traces == []
+        assert 'stroke-width="1.5"' not in svg_text(scene)
 
 
 class TestIntergroupGlyph:
