@@ -35,15 +35,7 @@ from .grouping import (
     mst_over_centers,
 )
 from .ingest import Dataset, RunConfig, load_dataset, validate_config
-from .intergroup import IntergroupClock, LogisticFit, build_intergroup_clocks, logistic_fit
-from .numstats import (
-    RegressionFit,
-    center_columns,
-    normal_two_sided_p,
-    ols_fit,
-    regularized_incomplete_beta,
-    student_t_two_sided_p,
-)
+from .intergroup import IntergroupClock, build_intergroup_clocks
 from .render import Scene, render_circles, render_clock, render_intergroup, render_scatter
 
 __version__ = "0.1.0"
@@ -61,31 +53,23 @@ __all__ = [
     "GroupTooSmallError",
     "InputDataError",
     "IntergroupClock",
-    "LogisticFit",
     "RankDeficientError",
-    "RegressionFit",
     "RunConfig",
     "Scene",
     "build_clock",
     "build_global_clock",
     "build_intergroup_clocks",
     "build_local_clocks",
-    "center_columns",
     "dbscan",
     "from_labels",
     "kmeans",
     "load_dataset",
-    "logistic_fit",
     "max_contribution",
     "mst_over_centers",
-    "normal_two_sided_p",
-    "ols_fit",
-    "regularized_incomplete_beta",
     "render_circles",
     "render_clock",
     "render_intergroup",
     "render_scatter",
-    "student_t_two_sided_p",
     "validate_config",
     "__version__",
 ]

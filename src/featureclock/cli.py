@@ -45,12 +45,12 @@ def _capture_warnings(sink: list[str]):
                                    source=item.source)
 
 
-def _parse_canvas(text: str) -> tuple[int, int]:
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError:
-        raise InputDataError(f"canvas must look like 900x600, got {text!r}") from None
+def _parse_canvas(text: str) -> tuple[str, str]:
+    """--canvas's two sides as text, for RunConfig's canvas rule to read."""
+    w, sep, h = text.lower().partition("x")
+    if not sep:
+        raise InputDataError(f"canvas must look like 900x600, got {text!r}")
+    return w, h
 
 
 _CLUSTERINGS = {"kmeans": ("kmeans:<k>", ("cluster_k",)),
@@ -202,18 +202,16 @@ def _intergroup_record(clock: IntergroupClock) -> dict:
     }
 
 
-def _report(command: str, config: RunConfig, dataset: Dataset, clock_records, notes) -> dict:
+def _report(args: argparse.Namespace, config: RunConfig, dataset: Dataset, clock_records, notes) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "featureclock",
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "inputs": {
-            "x": Path(dataset.provenance.x_path).name,
-            "y": Path(dataset.provenance.y_path).name,
-            "labels": Path(dataset.provenance.labels_path).name
-            if dataset.provenance.labels_path
-            else None,
+            "x": Path(args.x).name,
+            "y": Path(args.y).name,
+            "labels": Path(args.labels).name if args.labels else None,
             "rows": dataset.X.shape[0],
             "features": len(dataset.feature_names),
         },
@@ -257,14 +255,14 @@ def _cmd_view(args: argparse.Namespace, stem: str = "clock") -> list[str]:
     scene = render_scatter(dataset, grouping, canvas=config.canvas)
     if view == "intergroup":
         render_intergroup(scene, clocks)
-        report = _report(view, config, dataset, [_intergroup_record(c) for c in clocks], notes)
+        report = _report(args, config, dataset, [_intergroup_record(c) for c in clocks], notes)
         by_id = {g.id: g.name for g in grouping.groups}
         report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst]
     else:
         glyph = render_circles if config.circles else render_clock
         for clock in clocks:
             glyph(scene, clock, clock_scale=config.clock_scale)
-        report = _report(view, config, dataset, [_clock_record(c) for c in clocks], notes)
+        report = _report(args, config, dataset, [_clock_record(c) for c in clocks], notes)
     _write_outputs(args.out_dir, stem, scene, report)
     return notes
 

@@ -8,7 +8,9 @@ whitespace. Only a table that loadtxt refuses, or that has the wrong width or
 a non-finite value, is read again by the csv module, cell by cell, to raise an
 InputDataError naming the file's first fault by row and column.
 
-A Dataset and a RunConfig each check themselves when they are made;
+A Dataset is its arrays alone: feature names, X, its 2D embedding Y and
+optional labels, with X and Y stored read-only (``load_dataset``'s without a
+copy). A Dataset and a RunConfig each check themselves when they are made;
 ``validate_config`` is the RunConfig's front door for a dict of raw options.
 The groupings and the renderer share its rules: count, positive, cluster_space and canvas_size.
 """
@@ -30,15 +32,6 @@ from .errors import ComputationError, InputDataError
 from .numstats import as_matrix
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a dataset came from."""
-
-    x_path: str
-    y_path: str
-    labels_path: str | None
-
-
 def _name_fault(names) -> str | None:
     """What is wrong with a list of feature names: the first empty one, else the first repeat."""
     for idx, name in enumerate(names):
@@ -52,27 +45,39 @@ def _name_fault(names) -> str | None:
     return None
 
 
+def _read_only(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, the float64 form of ``given``, marked read-only; a copy if the caller could write into it."""
+    converted = isinstance(given, np.ndarray) and given.dtype != arr.dtype  # into fresh memory
+    if not (arr.flags.owndata and (converted or not arr.flags.writeable)):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """High-dimensional features, their 2D embedding, and optional labels.
 
     A Dataset checks itself when it is made, so every clock builder reads it
-    unchecked. X and Y become finite, non-empty 2-D float64 arrays (a float64
-    array is kept, not copied), Y has 2 columns and as many rows as X, and
-    the names, stored as a tuple, are one distinct, non-empty name per column
-    of X. The labels, if any, are stored as a tuple of one token per row of X.
-    A fault raises ComputationError.
+    unchecked. X and Y become finite, non-empty 2-D float64 arrays, Y has 2
+    columns and as many rows as X, and the names, stored as a tuple, are one
+    distinct, non-empty name per column of X. The labels, if any, are stored
+    as a tuple of one token per row of X. A fault raises ComputationError.
+
+    X and Y are stored read-only, so no later write can undo the check. An
+    array that owns its memory and is read-only already is kept as it is; a
+    writable float64 array or a view is copied, and the caller's array stays
+    writable.
     """
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     Y: np.ndarray
-    labels: tuple[str, ...] | None
-    provenance: Provenance
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x = as_matrix(self.X, name="X")
-        y = as_matrix(self.Y, name="Y")
+        x = _read_only(as_matrix(self.X, name="X"), self.X)
+        y = _read_only(as_matrix(self.Y, name="Y"), self.Y)
         if y.shape[1] != 2:
             raise ComputationError(f"embedding must have 2 columns, got {y.shape[1]}")
         if x.shape[0] != y.shape[0]:
@@ -249,8 +254,8 @@ def load_dataset(x_path, y_path, labels_path=None) -> Dataset:
     if n < 5:
         raise InputDataError(f"need at least 5 rows, found {n}")
 
-    provenance = Provenance(str(x_path), str(y_path), str(labels_path) if labels_path else None)
-    return Dataset(tuple(x_header), X, Y, labels, provenance)
+    X.flags.writeable = Y.flags.writeable = False  # fresh arrays: the Dataset keeps them as they are
+    return Dataset(tuple(x_header), X, Y, labels)
 
 
 def _finite(name: str, value) -> float:
@@ -306,13 +311,16 @@ def canvas_size(canvas) -> tuple[int, int]:
     """A canvas's (width, height) as ints; each side must exceed twice ``CANVAS_MARGIN``."""
     try:
         w, h = canvas  # exactly two sides: not three, nor the characters of "900x600"
-        width, height = int(w), int(h)
-        float(width), float(height)  # the renderer draws in floats
     except (TypeError, ValueError):
         raise InputDataError(f"canvas must be a (width, height) pair, got {canvas!r}") from None
+    try:
+        width, height = int(w), int(h)
+        float(width), float(height)  # the renderer draws in floats
     except OverflowError:
         raise InputDataError(f"canvas sides must be finite numbers, got {w}x{h}") from None
-    if not (_whole(w, width) and _whole(h, height)):
+    except (TypeError, ValueError):  # "900.5", "abc", None
+        width = height = None
+    if width is None or not (_whole(w, width) and _whole(h, height)):
         raise InputDataError(f"canvas sides must be integers, got {w}x{h}")
     bound = 2 * CANVAS_MARGIN
     if min(width, height) <= bound:

@@ -11,6 +11,10 @@ argument: standardize_columns (in place, one block of rows at a time),
 qr_r_in_place (the factorization, in a scratch buffer that r_factor owns)
 and fill (a design's rows, into a buffer its caller owns). ols_fit leaves
 its design's arrays as they were.
+
+The kernel is not part of the package's contract, which is the pipeline that
+``featureclock`` exports. Its inputs come from a Dataset, which has checked
+them, so center_columns reads its array unchecked.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def as_matrix(values, *, name: str = "matrix") -> np.ndarray:
 
 def center_columns(m) -> np.ndarray:
     """Subtract each column's mean. Two passes keep residual means near machine zero."""
-    x = as_matrix(m)
+    x = np.asarray(m, dtype=float)
     centered = x - x.mean(axis=0)
     centered -= centered.mean(axis=0)
     return centered

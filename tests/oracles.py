@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from featureclock.ingest import Dataset, Provenance
+from featureclock.ingest import Dataset
 from featureclock.intergroup import L2_PENALTY, LogisticFit
 from featureclock.numstats import (
     Design,
@@ -72,8 +72,7 @@ def make_dataset(x, y, labels=None, names=None) -> Dataset:
     is one token per row, or None.
     """
     names = tuple(f"f{j}" for j in range(np.shape(x)[1])) if names is None else tuple(names)
-    provenance = Provenance("x.csv", "y.csv", None if labels is None else "labels.csv")
-    return Dataset(names, x, y, labels, provenance)
+    return Dataset(names, x, y, labels)
 
 
 def svg_text(scene) -> str:

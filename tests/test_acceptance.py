@@ -20,15 +20,13 @@ from featureclock import (
     build_global_clock,
     build_intergroup_clocks,
     build_local_clocks,
-    center_columns,
     from_labels,
-    logistic_fit,
     max_contribution,
     mst_over_centers,
-    ols_fit,
-    student_t_two_sided_p,
 )
 from featureclock.cli import main
+from featureclock.intergroup import logistic_fit
+from featureclock.numstats import center_columns, ols_fit, student_t_two_sided_p
 
 from oracles import (
     array_design,

@@ -398,6 +398,22 @@ class TestGlobalCommand:
         assert capsys.readouterr().err == f"error: {raised.value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, sides", [("900.5x600", ("900.5", "600")), ("abcX600", ("abc", "600")), ("900", None)])
+    def test_canvas_read_by_run_config_rule(self, iris_paths, tmp_path, capsys, text, sides):
+        # the CLI splits --canvas on its first x and hands both sides to RunConfig as text;
+        # text with no x at all keeps the flag's syntax text
+        x, y, _ = iris_paths
+        if sides is None:
+            message = f"canvas must look like 900x600, got {text!r}"
+        else:
+            with pytest.raises(InputDataError) as raised:
+                validate_config({"canvas": sides})
+            message = str(raised.value)
+        out = tmp_path / "out"
+        assert run(["global", "--x", x, "--y", y, "--canvas", text, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestLocalCommand:
     def test_iris_species_three_clocks(self, iris_paths, tmp_path):

@@ -17,16 +17,14 @@ from featureclock import (
     build_clock,
     build_global_clock,
     build_local_clocks,
-    center_columns,
     from_labels,
     max_contribution,
-    ols_fit,
     render_circles,
     render_scatter,
 )
 from featureclock import numstats
 from featureclock.clockcore import unit_vector
-from featureclock.numstats import fill, fit_design
+from featureclock.numstats import center_columns, fill, fit_design, ols_fit
 
 from oracles import (
     array_design,
@@ -388,9 +386,10 @@ class TestBuildClock:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4000, 100))
         y = rng.normal(size=(4000, 2))
+        dataset = make_dataset(x, y)  # its copies of x and y are not the fit's memory
         tracemalloc.start()
         try:
-            build_clock(make_dataset(x, y), range(4000))
+            build_clock(dataset, range(4000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

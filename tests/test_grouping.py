@@ -275,10 +275,11 @@ class TestKmeans:
         rng = np.random.default_rng(0)
         centers = rng.normal(size=(8, 20)) * 100.0
         data = centers[rng.integers(8, size=40_000)] + rng.normal(size=(40_000, 20))
+        dataset = make_dataset(data, data[:, :2])  # its copies of the data are not kmeans' memory
         for k in (8, 1):
             tracemalloc.start()
             try:
-                grouping = kmeans(make_dataset(data, data[:, :2]), k, seed=0)
+                grouping = kmeans(dataset, k, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -466,9 +467,10 @@ class TestDbscan:
 
     @staticmethod
     def dbscan_peak(data, eps, min_pts):
+        dataset = make_dataset(data, data)  # its copies of the data are not dbscan's memory
         tracemalloc.start()
         try:
-            grouping = dbscan(make_dataset(data, data), eps=eps, min_pts=min_pts)
+            grouping = dbscan(dataset, eps=eps, min_pts=min_pts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -16,10 +16,11 @@ from featureclock import (
     Dataset,
     InputDataError,
     RunConfig,
+    build_global_clock,
     load_dataset,
     validate_config,
 )
-from featureclock.ingest import Provenance, _read_table
+from featureclock.ingest import _read_table
 
 from oracles import read_table_reference
 
@@ -134,7 +135,7 @@ class TestLoadDataset:
 def good_dataset_fields():
     rng = np.random.default_rng(0)
     return {"feature_names": ("a", "b", "c"), "X": rng.normal(size=(6, 3)),
-            "Y": rng.normal(size=(6, 2)), "labels": None, "provenance": Provenance("x", "y", None)}
+            "Y": rng.normal(size=(6, 2)), "labels": None}
 
 
 class TestDataset:
@@ -172,11 +173,30 @@ class TestDataset:
         assert np.array_equal(dataset.X, x)
         assert dataset.feature_names == ("a", "b", "c")
 
-    def test_float64_arrays_are_kept_not_copied(self):
+    def test_only_owned_read_only_arrays_are_kept(self):
         fields = good_dataset_fields()
-        dataset = Dataset(**fields)
-        assert dataset.X is fields["X"]
-        assert dataset.Y is fields["Y"]
+        x, y = fields["X"], fields["Y"][::-1]  # a writable array and a view
+        dataset = Dataset(**{**fields, "Y": y})
+        for given, stored in ((x, dataset.X), (y, dataset.Y)):
+            assert stored is not given and np.array_equal(stored, given)
+            assert given.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = np.nan
+        frozen = Dataset(**fields)
+        assert dataclasses.replace(frozen, labels=tuple("abcdef")).X is frozen.X
+        x.flags.writeable = False
+        assert Dataset(**fields).X is x
+
+    def test_write_into_the_callers_array_changes_no_clock(self):
+        # a NaN written after the check once reached the fit, which blamed an overflow
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(50, 3))
+        y = x[:, :2] + rng.normal(size=(50, 2))
+        dataset = Dataset(("a", "b", "c"), x, y)
+        before = build_global_clock(dataset, RunConfig())
+        x[3, 1] = np.nan
+        y[0, 0] = np.inf
+        assert build_global_clock(dataset, RunConfig()) == before
 
 
 def write_table(path, header, rows):
@@ -300,6 +320,17 @@ class TestBlockedReader:
                 assert str(caught.value) == expected
             else:
                 assert load_dataset(x, y).X.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_loadtxt_arrays_are_stored_without_a_copy(self, tmp_path, monkeypatch, width):
+        parse, parsed = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: parsed.append(parse(*args, **kwargs)) or parsed[-1])
+        x = write_table(tmp_path / "x.csv", [f"f{j}" for j in range(width)], np.ones((5, width)))
+        y = write_table(tmp_path / "y.csv", ["x", "y"], np.zeros((5, 2)))
+        dataset = load_dataset(x, y)
+        assert len(parsed) == 2 and dataset.X is parsed[0] and dataset.Y is parsed[1]
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.X[0, 0] = 2.0
 
     def test_memory_stays_near_the_matrix(self, tmp_path, monkeypatch):
         # np.loadtxt's own parse sets the peak (1.13x measured); after it the
@@ -494,8 +525,10 @@ class TestValidateConfig:
             RunConfig(canvas=canvas)
 
     def test_fractional_canvas_side_rejected(self):
-        with pytest.raises(InputDataError, match="^canvas sides must be integers, got 900.5x600$"):
-            validate_config({"canvas": (900.5, 600)})
+        # a side given as text was once read as no pair at all
+        for canvas in ((900.5, 600), ("900.5", "600")):
+            with pytest.raises(InputDataError, match="^canvas sides must be integers, got 900.5x600$"):
+                validate_config({"canvas": canvas})
 
     @pytest.mark.parametrize(
         "key, name",

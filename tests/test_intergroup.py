@@ -17,11 +17,11 @@ from featureclock import (
     build_intergroup_clocks,
     build_local_clocks,
     from_labels,
-    logistic_fit,
     mst_over_centers,
 )
 from featureclock import intergroup as intergroup_module
 from featureclock import numstats
+from featureclock.intergroup import logistic_fit
 from featureclock.numstats import check_rank, fill, fit_design, r_factor
 
 from oracles import (

@@ -8,26 +8,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from featureclock import (
-    regularized_incomplete_beta,
     ClockWarning,
     ComputationError,
     GroupTooSmallError,
     RankDeficientError,
     build_clock,
-    center_columns,
-    normal_two_sided_p,
-    ols_fit,
-    student_t_two_sided_p,
 )
 from featureclock import numstats
 from featureclock.numstats import (
     as_matrix,
+    center_columns,
     column_stats,
     distinct,
     fill,
     fit_design,
+    normal_two_sided_p,
+    ols_fit,
     qr_r_in_place,
     r_factor,
+    regularized_incomplete_beta,
+    student_t_two_sided_p,
 )
 
 from oracles import (
