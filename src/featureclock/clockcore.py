@@ -151,18 +151,15 @@ def build_clock(
 
     design = fit_design(x, members, center_columns(ym), names, f"group {label!r}",
                         scale=config.standardize_x)
-    kept = design.kept
-    fit0, fit90 = ols_fit(design)
-    b0, b90 = fit0.coefficients, fit90.coefficients
+    fit = ols_fit(design)
 
     # the "and" rule needs both axis p-values below alpha, the "or" rule either
     combine = max if config.significance_rule == "and" else min
     arrows_all = []
-    for i, j in enumerate(kept):
-        magnitude, angle = max_contribution(float(b0[i]), float(b90[i]))
-        p0, p90 = float(fit0.p_values[i]), float(fit90.p_values[i])
-        arrows_all.append(ClockArrow(names[j], float(b0[i]), float(b90[i]), magnitude, angle,
-                                     p0, p90, combine(p0, p90) < config.alpha))
+    for j, (b0, b90), (p0, p90) in zip(design.kept, fit.coefficients.tolist(), fit.p_values.tolist()):
+        magnitude, angle = max_contribution(b0, b90)
+        arrows_all.append(ClockArrow(names[j], b0, b90, magnitude, angle, p0, p90,
+                                     combine(p0, p90) < config.alpha))
     arrows = select_arrows(arrows_all, config, f"clock for group {label!r}")
 
     anchor = (float(ym[:, 0].mean()), float(ym[:, 1].mean()))

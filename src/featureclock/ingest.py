@@ -47,7 +47,8 @@ def _name_fault(names) -> str | None:
 
 def _read_only(arr: np.ndarray, given) -> np.ndarray:
     """``arr``, the float64 form of ``given``, marked read-only; a copy if the caller could write into it."""
-    converted = isinstance(given, np.ndarray) and given.dtype != arr.dtype  # into fresh memory
+    # into fresh memory: a list or tuple always is; an object with __array__ may hand back its own
+    converted = isinstance(given, (list, tuple)) or (isinstance(given, np.ndarray) and given.dtype != arr.dtype)
     if not (arr.flags.owndata and (converted or not arr.flags.writeable)):
         arr = arr.copy()
     arr.flags.writeable = False
@@ -67,7 +68,7 @@ class Dataset:
     X and Y are stored read-only, so no later write can undo the check. An
     array that owns its memory and is read-only already is kept as it is; a
     writable float64 array or a view is copied, and the caller's array stays
-    writable.
+    writable. A list, a tuple or an array of another dtype is converted once.
     """
 
     feature_names: tuple[str, ...]

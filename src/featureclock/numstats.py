@@ -311,33 +311,38 @@ def fit_size(design: Design) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class RegressionFit:
-    """Per-feature least-squares results on centered data (intercept absorbed)."""
+class AxisFit:
+    """Least-squares results of a clock's k targets on centered data (intercept absorbed).
+
+    ``coefficients``, ``std_errors``, ``t_stats`` and ``p_values`` are
+    (d, k) arrays: row i belongs to feature i and column j to target j.
+    ``residual_variance`` holds each target's s^2 = RSS / dof.
+    """
 
     coefficients: np.ndarray
     std_errors: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
     dof: int
-    residual_variance: float
+    residual_variance: np.ndarray
 
 
-def ols_fit(design: Design) -> tuple[RegressionFit, ...]:
+def ols_fit(design: Design) -> AxisFit:
     """Least squares of each of the design's k targets on its d feature columns.
 
     ``design`` is the [X | Y] that :func:`fit_design` builds: a centered
-    or standardized X followed by k centered targets. Returns a tuple of k
-    fits, all from the one R factor that :func:`r_factor` accumulates over
+    or standardized X followed by k centered targets. Returns one record of
+    all k fits, from the one R factor that :func:`r_factor` accumulates over
     the design's row blocks; the target norms of the exact-fit test come
     from the targets themselves. :func:`fit_size` and :func:`check_rank`
     raise the errors, named by the design.
     With R11 the leading d x d block of R, R12 the block beside it and R22
     the block below, beta = R11^-1 R12, RSS_j = ||R22[:, j]||^2 and
-    diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
+    c = diag((X^T X)^-1) is the row sums of squares of R11^-1. :func:`check_rank`
     reads the rank from the diagonal of R11 first. Standard errors are
-    s^2 * diag((X^T X)^-1) with s^2 = RSS / dof and dof = n - d - 1 (one
-    degree lost to the centering that absorbed the intercept). p-values are
-    two-sided Student-t tails.
+    sqrt(c * s^2) with s^2 = RSS / dof and dof = n - d - 1 (one degree lost
+    to the centering that absorbed the intercept). p-values are two-sided
+    Student-t tails.
     """
     n, d = fit_size(design)
     k = design.targets.shape[1]
@@ -350,28 +355,23 @@ def ols_fit(design: Design) -> tuple[RegressionFit, ...]:
 
     # One solve against [R12 | I] gives beta and R11^-1 together.
     solution = np.linalg.solve(r11, np.column_stack([r[:d, d:], np.eye(d)]))
+    beta = solution[:, :k]
     rinv = solution[:, k:]
-    xtx_inv_diag = (rinv * rinv).sum(axis=1)
+    c = (rinv * rinv).sum(axis=1)
     rss = (r[d:, d:] ** 2).sum(axis=0)
     dof = n - d - 1
-
-    fits = []
-    for j in range(k):
-        beta = solution[:, j].copy()
-        s2 = float(rss[j]) / dof
-        se = np.sqrt(s2 * xtx_inv_diag)
-        t = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-        if negligible(math.sqrt(rss[j]), target_norms[j]):
-            # Exact fit: t statistics are ratios of rounding noise. A feature
-            # counts as idle when its coefficient is within the rounding
-            # noise that the target's size and the design's conditioning
-            # allow (the same ratio as for the residual).
-            idle = negligible(np.abs(beta) / np.sqrt(xtx_inv_diag), target_norms[j])
-            p = np.where(idle, 1.0, 0.0)
-        else:
-            p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
-        fits.append(RegressionFit(beta, se, t, p, dof, s2))
-    return tuple(fits)
+    s2 = rss / dof
+    se = np.sqrt(c[:, None] * s2)
+    t = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
+    # Exact fit: t statistics are ratios of rounding noise. A feature counts
+    # as idle when its coefficient is within the rounding noise that the
+    # target's size and the design's conditioning allow (the same ratio as
+    # for the residual).
+    exact = negligible(np.sqrt(rss), target_norms)
+    p = np.where(negligible(np.abs(beta) / np.sqrt(c)[:, None], target_norms), 1.0, 0.0)
+    for j in np.flatnonzero(~exact):
+        p[:, j] = [student_t_two_sided_p(tv, dof) for tv in t[:, j].tolist()]
+    return AxisFit(beta, se, t, p, dof, s2)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

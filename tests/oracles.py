@@ -14,14 +14,18 @@ an earlier design of the library as the reference that the current one must
 match bit for bit. The k-means oracle holds the full n x k distance matrix
 where the library takes a block of rows at a time, with the same random
 draws. Three of the last four keep the earlier design path (separate copies,
-then a column stack) that the one-buffer path must match; the fourth keeps
-the earlier IRLS loop of the logistic fit.
+then a column stack) that the one-buffer path must match, and
+``ols_fit_reference`` also the loop of one fit per target that the one
+record of all the targets must match; the fourth keeps the earlier IRLS loop
+of the logistic fit.
 
 ``array_design`` is no oracle: it is the one way the tests hand arrays to
-the fits, which read only a ``numstats.Design``. Nor is ``make_dataset``:
-it is the one way the tests hand arrays to the clock builders, which read
-only a checked ``Dataset``. Nor is ``svg_text``: it is the one way the tests
-read a scene's SVG, which ``Scene.to_svg`` only streams to a file.
+the fits, which read only a ``numstats.Design``. Nor is ``target_fit``: it
+is the one way the tests read one target's fit out of the one record that
+``ols_fit`` returns for all of them. Nor is ``make_dataset``: it is the one
+way the tests hand arrays to the clock builders, which read only a checked
+``Dataset``. Nor is ``svg_text``: it is the one way the tests read a
+scene's SVG, which ``Scene.to_svg`` only streams to a file.
 """
 
 import csv
@@ -38,7 +42,6 @@ from featureclock.ingest import Dataset
 from featureclock.intergroup import L2_PENALTY, LogisticFit
 from featureclock.numstats import (
     Design,
-    RegressionFit,
     as_matrix,
     center_columns,
     check_rank,
@@ -63,6 +66,24 @@ def array_design(x, targets=None, names=None, where="design") -> Design:
     names = [f"f{j}" for j in range(d)] if names is None else list(names)
     zeros = np.zeros(d)
     return Design(x, np.arange(n), list(range(d)), zeros, zeros, None, targets, names, where)
+
+
+@dataclass(frozen=True)
+class TargetFit:
+    """One target's least-squares fit: (d,) arrays, its dof and its s^2."""
+
+    coefficients: np.ndarray
+    std_errors: np.ndarray
+    t_stats: np.ndarray
+    p_values: np.ndarray
+    dof: int
+    residual_variance: float
+
+
+def target_fit(fit, j) -> TargetFit:
+    """Column ``j`` of a ``numstats.AxisFit``: the fit of its target j alone."""
+    return TargetFit(fit.coefficients[:, j], fit.std_errors[:, j], fit.t_stats[:, j],
+                     fit.p_values[:, j], fit.dof, float(fit.residual_variance[j]))
 
 
 def make_dataset(x, y, labels=None, names=None) -> Dataset:
@@ -417,13 +438,15 @@ def fit_design_reference(x, rows, targets, *, scale=True):
 
 
 def ols_fit_reference(x, y):
-    """Per-target OLS fits of ``y`` (n, k) on ``x`` in the two-argument form.
+    """Per-target OLS fits of ``y`` (n, k) on ``x`` in the two-argument form: a tuple of k TargetFits.
 
     One QR of ``np.column_stack([x, y])``, a C-ordered stack, with every
     statistic taken as the library took it before it factored a caller's
-    [X | Y] buffer as given. The one other difference: the exact-fit test
-    reads the target norms from that C-ordered stack, and numpy sums the
-    columns of a C-ordered (n, k >= 2) array row by row, not pairwise.
+    [X | Y] buffer as given, and each target fitted by its own turn of a
+    loop, as the library did before it returned one record of all k. The
+    one other difference: the exact-fit test reads the target norms from
+    that C-ordered stack, and numpy sums the columns of a C-ordered
+    (n, k >= 2) array row by row, not pairwise.
     """
     n, d = x.shape
     k = y.shape[1]
@@ -446,7 +469,7 @@ def ols_fit_reference(x, y):
             p = np.where(idle, 1.0, 0.0)
         else:
             p = np.array([student_t_two_sided_p(float(tv), dof) for tv in t])
-        fits.append(RegressionFit(beta, se, t, p, dof, s2))
+        fits.append(TargetFit(beta, se, t, p, dof, s2))
     return tuple(fits)
 
 

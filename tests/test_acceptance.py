@@ -38,6 +38,7 @@ from oracles import (
     refit_sweep,
     simpson_t_two_sided,
     standardize_reference,
+    target_fit,
 )
 
 
@@ -69,11 +70,11 @@ def random_problem(seed, n=60, d=5):
 def test_criterion_1_closed_form_maximum():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = ols_fit(array_design(x, y))
+        fit = ols_fit(array_design(x, y))
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
-                float(fit0.coefficients[j]), float(fit90.coefficients[j])
+                float(fit.coefficients[j, 0]), float(fit.coefficients[j, 1])
             )
             row = np.abs(grid[j])
             best = int(row.argmax())
@@ -88,13 +89,13 @@ def test_criterion_1_closed_form_maximum():
 def test_criterion_2_circle_theorem():
     for seed in range(100):
         x, y = random_problem(seed)
-        fit0, fit90 = ols_fit(array_design(x, y))
+        fit = ols_fit(array_design(x, y))
         angles, grid = refit_sweep(x, y, 1800)
         rad = np.radians(angles)
         cos, sin = np.cos(rad), np.sin(rad)
         for j in range(5):
-            b0 = float(fit0.coefficients[j])
-            b90 = float(fit90.coefficients[j])
+            b0 = float(fit.coefficients[j, 0])
+            b90 = float(fit.coefficients[j, 1])
             px = grid[j] * cos - b0 / 2.0
             py = grid[j] * sin - b90 / 2.0
             radius = 0.5 * math.hypot(b0, b90)
@@ -133,7 +134,7 @@ def test_criterion_4_ols_oracle():
         n, d = 30, 4
         x = rng.normal(size=(n, d))
         y = x @ rng.normal(size=d) + rng.normal(size=n)
-        (fit,) = ols_fit(array_design(x, y))
+        fit = target_fit(ols_fit(array_design(x, y)), 0)
         beta, se, p = normal_equations_fit(x, y)
         assert float(np.max(np.abs(fit.coefficients - beta))) < 1e-8
         assert float(np.max(np.abs(fit.std_errors - se))) < 1e-8

@@ -531,6 +531,29 @@ class TestLocalCommand:
         assert [c["group"] for c in report["clocks"]] == ["big"]
         assert message in report["warnings"]
 
+    def test_warnings_keep_the_order_of_the_groups(self, tmp_path, capsys):
+        # group a drops a constant feature, b is too small to fit and c is
+        # noise: each group's warnings come in turn, in stderr and the report
+        rng = np.random.default_rng(7)
+        xm = rng.normal(size=(63, 3))
+        xm[:30, 2] = 4.0
+        ym = rng.normal(size=(63, 2))
+        ym[:30] = xm[:30, :2] + 0.1 * ym[:30]
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1", "f2"], xm)
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], ym)
+        labels = write_labels(tmp_path / "l.csv", ["a"] * 30 + ["b"] * 3 + ["c"] * 30)
+        out = tmp_path / "out"
+        assert run(["local", "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 0
+        expected = [
+            "group 'a': dropping zero-variance features: f2",
+            "skipping group 'b': group 'b' too small for clock: 3 points for 3 features (need at least 5)",
+            "clock for group 'c': no significant features at alpha=0.05",
+        ]
+        assert capsys.readouterr().err == "".join(f"warning: {note}\n" for note in expected)
+        report = json.loads((out / "clock.json").read_text())
+        assert report["warnings"] == expected
+        assert [c["group"] for c in report["clocks"]] == ["a", "c"]
+
     def test_global_too_small_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         x = write_matrix(tmp_path / "x.csv", [f"f{j}" for j in range(5)], rng.normal(size=(6, 5)))

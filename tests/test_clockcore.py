@@ -34,6 +34,7 @@ from oracles import (
     pca_2d,
     refit_sweep,
     standardize_reference,
+    target_fit,
 )
 
 
@@ -79,30 +80,30 @@ class TestProjection:
 class TestAxisRegressions:
     def test_identity_embedding(self):
         x, y = identity_fixture(d=3)
-        fit0, fit90 = ols_fit(array_design(x, y))
-        assert np.allclose(fit0.coefficients, [1.0, 0.0, 0.0], atol=1e-10)
-        assert np.allclose(fit90.coefficients, [0.0, 1.0, 0.0], atol=1e-10)
-        assert fit0.p_values[0] == 0.0  # exact fit
-        assert fit0.p_values[2] == 1.0
+        fit = ols_fit(array_design(x, y))
+        assert np.allclose(fit.coefficients[:, 0], [1.0, 0.0, 0.0], atol=1e-10)
+        assert np.allclose(fit.coefficients[:, 1], [0.0, 1.0, 0.0], atol=1e-10)
+        assert fit.p_values[0, 0] == 0.0  # exact fit
+        assert fit.p_values[2, 0] == 1.0
 
     def test_swapped_embedding_swaps_fits(self):
         rng = np.random.default_rng(2)
         x = standardize_reference(rng.normal(size=(40, 4)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(array_design(x, y))
-        swapped0, swapped90 = ols_fit(array_design(x, y[:, ::-1]))
-        assert np.allclose(fit0.coefficients, swapped90.coefficients)
-        assert np.allclose(fit90.coefficients, swapped0.coefficients)
+        fit = ols_fit(array_design(x, y))
+        swapped = ols_fit(array_design(x, y[:, ::-1]))
+        assert np.allclose(fit.coefficients[:, 0], swapped.coefficients[:, 1])
+        assert np.allclose(fit.coefficients[:, 1], swapped.coefficients[:, 0])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(3)
         x = standardize_reference(rng.normal(size=(40, 5)))
         y = center_columns(rng.normal(size=(40, 2)))
-        fit0, fit90 = ols_fit(array_design(x, y))
+        fit = ols_fit(array_design(x, y))
         beta0, *_ = np.linalg.lstsq(x, y[:, 0], rcond=None)
         beta90, *_ = np.linalg.lstsq(x, y[:, 1], rcond=None)
-        assert np.max(np.abs(fit0.coefficients - beta0)) < 1e-8
-        assert np.max(np.abs(fit90.coefficients - beta90)) < 1e-8
+        assert np.max(np.abs(fit.coefficients[:, 0] - beta0)) < 1e-8
+        assert np.max(np.abs(fit.coefficients[:, 1] - beta90)) < 1e-8
 
 
 class TestFitDesign:
@@ -153,8 +154,9 @@ class TestFitDesign:
             m = len(design.kept)
             ref_fits = ols_fit_reference(ref[:, :m], ref[:, m:])
             for fits in (ols_fit(design), ols_fit(array_design(xy[:, :m], xy[:, m:]))):
-                assert len(fits) == k
-                for fit, expected in zip(fits, ref_fits):
+                assert fits.coefficients.shape == (m, k)
+                for j, expected in enumerate(ref_fits):
+                    fit = target_fit(fits, j)
                     for field in dataclasses.fields(fit):
                         assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name))
 
@@ -193,11 +195,11 @@ class TestMaxContribution:
         rng = np.random.default_rng(4)
         x = standardize_reference(rng.normal(size=(60, 5)))
         y = center_columns(rng.normal(size=(60, 2)))
-        fit0, fit90 = ols_fit(array_design(x, y))
+        fit = ols_fit(array_design(x, y))
         angles, grid = refit_sweep(x, y, 1800)
         for j in range(5):
             magnitude, angle = max_contribution(
-                float(fit0.coefficients[j]), float(fit90.coefficients[j])
+                float(fit.coefficients[j, 0]), float(fit.coefficients[j, 1])
             )
             row = np.abs(grid[j])
             best = int(row.argmax())

@@ -187,6 +187,24 @@ class TestDataset:
         x.flags.writeable = False
         assert Dataset(**fields).X is x
 
+    def test_lists_are_converted_once(self):
+        # a list's float64 form is fresh memory that no caller holds: it was copied once more
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5000, 40))
+        rows, embedding = x.tolist(), x[:, :2].tolist()
+        names = tuple(f"f{j}" for j in range(40))
+        tracemalloc.start()
+        try:
+            dataset = Dataset(names, rows, tuple(embedding))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * x.nbytes
+        assert np.array_equal(dataset.X, x) and np.array_equal(dataset.Y, x[:, :2])
+        for stored in (dataset.X, dataset.Y):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = np.nan
+
     def test_write_into_the_callers_array_changes_no_clock(self):
         # a NaN written after the check once reached the fit, which blamed an overflow
         rng = np.random.default_rng(1)

@@ -39,6 +39,7 @@ from oracles import (
     pca_2d,
     simpson_t_two_sided,
     standardize_reference,
+    target_fit,
 )
 
 
@@ -142,14 +143,14 @@ class TestOlsFit:
     def test_exact_fit_single_column(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=12)
-        (fit,) = ols_fit(array_design(y[:, None], y))
+        fit = target_fit(ols_fit(array_design(y[:, None], y)), 0)
         assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.residual_variance == pytest.approx(0.0, abs=1e-20)
         assert fit.p_values[0] == 0.0
 
     def test_zero_target(self):
         rng = np.random.default_rng(4)
-        (fit,) = ols_fit(array_design(rng.normal(size=(15, 3)), np.zeros(15)))
+        fit = target_fit(ols_fit(array_design(rng.normal(size=(15, 3)), np.zeros(15))), 0)
         assert np.allclose(fit.coefficients, 0.0)
         assert np.allclose(fit.t_stats, 0.0)
         assert np.allclose(fit.p_values, 1.0)
@@ -158,7 +159,7 @@ class TestOlsFit:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 3))
         y = x @ np.array([0.5, -1.0, 2.0]) + rng.normal(size=20)
-        (fit,) = ols_fit(array_design(x, y))
+        fit = target_fit(ols_fit(array_design(x, y)), 0)
         beta, se, p = normal_equations_fit(x, y)
         assert np.max(np.abs(fit.coefficients - beta)) < 1e-8
         assert np.max(np.abs(fit.std_errors - se)) < 1e-8
@@ -240,12 +241,12 @@ class TestOlsFit:
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(25, 4)))
         y = rng.normal(size=25)
-        (fit,) = ols_fit(array_design(q, y))
+        fit = target_fit(ols_fit(array_design(q, y)), 0)
         assert np.max(np.abs(fit.coefficients - q.T @ y)) < 1e-10
 
     def test_dof_is_n_minus_d_minus_1(self):
         rng = np.random.default_rng(9)
-        (fit,) = ols_fit(array_design(rng.normal(size=(20, 3)), rng.normal(size=20)))
+        fit = target_fit(ols_fit(array_design(rng.normal(size=(20, 3)), rng.normal(size=20))), 0)
         assert fit.dof == 16
 
     @given(
@@ -260,10 +261,11 @@ class TestOlsFit:
         x = rng.normal(size=(n, d))
         y = x @ rng.normal(size=(d, 2)) + rng.normal(size=(n, 2))
         pair = ols_fit(array_design(x, y))
-        assert len(pair) == 2
+        assert pair.coefficients.shape == (d, 2)
         reference, *_ = np.linalg.lstsq(x, y, rcond=None)
-        for j, fit in enumerate(pair):
-            (single,) = ols_fit(array_design(x, y[:, j]))
+        for j in range(2):
+            fit = target_fit(pair, j)
+            single = target_fit(ols_fit(array_design(x, y[:, j])), 0)
             scale = 1.0 + np.max(np.abs(reference[:, j]))
             assert np.max(np.abs(fit.coefficients - reference[:, j])) < 1e-9 * scale
             assert np.max(np.abs(fit.coefficients - single.coefficients)) < 1e-12 * scale
@@ -271,6 +273,46 @@ class TestOlsFit:
             assert np.allclose(fit.p_values, single.p_values, rtol=1e-7, atol=1e-12)
             assert fit.dof == single.dof == n - d - 1
             assert fit.residual_variance == pytest.approx(single.residual_variance, rel=1e-9)
+
+    @given(
+        d=st.integers(min_value=1, max_value=6),
+        n_extra=st.integers(min_value=0, max_value=30),
+        kinds=st.lists(st.sampled_from(["exact", "zero", "noisy"]), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(d=3, n_extra=5, kinds=["exact", "noisy"], seed=0)
+    @example(d=3, n_extra=5, kinds=["noisy", "exact"], seed=1)
+    @example(d=2, n_extra=0, kinds=["zero", "noisy"], seed=2)
+    @example(d=4, n_extra=10, kinds=["exact", "zero", "noisy"], seed=3)
+    def test_record_equals_the_per_target_loop(self, d, n_extra, kinds, seed):
+        # One block, so R is one QR of the whole [X | Y], as the reference's.
+        # An exact target has some zero coefficients (idle features, p = 1)
+        # beside planted ones (p = 0); beside a noisy target, a mask or a
+        # tail applied across both columns would change one of them.
+        rng = np.random.default_rng(seed)
+        n = d + 2 + n_extra
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-50.0, 50.0, size=d)
+        columns = []
+        for kind in kinds:
+            if kind == "exact":
+                coef = rng.normal(size=d) * (rng.random(d) < 0.6)
+                columns.append(x @ coef)
+            elif kind == "zero":
+                columns.append(np.zeros(n))
+            else:
+                columns.append(rng.normal(size=n) * 10.0 ** rng.uniform(-50.0, 50.0))
+        y = np.column_stack(columns)
+        assert n <= numstats._block_rows(d + y.shape[1])
+        fit = ols_fit(array_design(x, y))
+        expected = ols_fit_reference(x, y)
+        assert fit.coefficients.shape == (d, len(kinds))
+        for j, reference in enumerate(expected):
+            column = target_fit(fit, j)
+            if kinds[j] != "noisy":  # fitted exactly: each p-value says idle (1) or not (0)
+                assert set(column.p_values.tolist()) <= {0.0, 1.0}
+            for field in dataclasses.fields(reference):
+                assert np.array_equal(getattr(column, field.name), getattr(reference, field.name)), field.name
 
     def test_scaling_cancels_through_standardization(self):
         rng = np.random.default_rng(10)
@@ -280,7 +322,7 @@ class TestOlsFit:
 
         def coefs(matrix):
             z = standardize_reference(matrix)
-            return ols_fit(array_design(z, yc))[0].coefficients
+            return ols_fit(array_design(z, yc)).coefficients[:, 0]
 
         scaled = x.copy()
         scaled[:, 1] *= 37.5
@@ -365,10 +407,9 @@ class TestInPlace:
             runs.append(ols_fit(design))
             assert np.array_equal(design.x, x)
             assert np.array_equal(design.targets, targets)
-        for fits in runs[1:]:
-            for fit, expected in zip(fits, runs[0]):
-                for field in dataclasses.fields(fit):
-                    assert np.array_equal(getattr(fit, field.name), getattr(expected, field.name))
+        for fit in runs[1:]:
+            for field in dataclasses.fields(fit):
+                assert np.array_equal(getattr(fit, field.name), getattr(runs[0], field.name))
 
 
 class TestRowBlocks:
@@ -412,7 +453,9 @@ class TestRowBlocks:
         assert np.abs(r * signs[:, None] - expected_r).max() <= 32 * eps * np.linalg.norm(whole)
 
         m = len(kept)
-        for fit, expected in zip(fits, ols_fit_reference(whole[:, :m], whole[:, m:]), strict=True):
+        assert fits.coefficients.shape == (m, k)
+        for j, expected in enumerate(ols_fit_reference(whole[:, :m], whole[:, m:])):
+            fit = target_fit(fits, j)
             scale = 1.0 + np.max(np.abs(expected.coefficients))
             assert np.max(np.abs(fit.coefficients - expected.coefficients)) < 1e-9 * scale
             assert np.allclose(fit.std_errors, expected.std_errors, rtol=1e-9, atol=0)
