@@ -4,8 +4,9 @@ Each view command (global, local, intergroup) runs one pipeline: read the
 flags and files, group the points, build the clocks, render and report.
 ``demo`` runs those three commands on the bundled iris fixture.
 
-Exit codes: 0 success, 2 bad input (files or flags), 3 computation failure.
-Warnings go to stderr and are echoed in the JSON report. Reports are
+Exit codes: 0 success, 2 bad input (flags, or files missing, unreadable or
+malformed), 3 computation failure. Warnings go to stderr, before the error
+line when a run fails, and are echoed in the JSON report. Reports are
 key-sorted with floats trimmed to 12 significant digits, so identical runs
 produce identical bytes.
 """
@@ -34,15 +35,18 @@ SCHEMA_VERSION = 4
 
 @contextmanager
 def _capture_warnings(sink: list[str]):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    for item in caught:
-        if issubclass(item.category, ClockWarning):
-            sink.append(str(item.message))
-        else:  # not ours to report: hand it back to the caller's filters
-            warnings.warn_explicit(item.message, item.category, item.filename, item.lineno,
-                                   source=item.source)
+    """Append the block's ClockWarning messages to ``sink`` in order, also when the block raises."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    finally:
+        for item in caught:
+            if issubclass(item.category, ClockWarning):
+                sink.append(str(item.message))
+            else:  # not ours to report: hand it back to the caller's filters
+                warnings.warn_explicit(item.message, item.category, item.filename, item.lineno,
+                                       source=item.source)
 
 
 def _parse_canvas(text: str) -> tuple[str, str]:
@@ -232,15 +236,16 @@ def _write_outputs(out_dir, stem: str, scene, report: dict) -> None:
         raise InputDataError(f"{out}: cannot write outputs: {exc.strerror or exc}") from None
 
 
-def _cmd_view(args: argparse.Namespace, stem: str = "clock") -> list[str]:
+def _cmd_view(args: argparse.Namespace, notes: list[str], stem: str = "clock") -> None:
     """Run one view command and write its ``<stem>.svg`` and ``<stem>.json``.
 
     ``args.command`` is ``global``, ``local`` or ``intergroup``. Warnings
     raised while the flags are read, the files loaded, the points grouped and
-    the clocks built are echoed in the report and returned.
+    the clocks built are appended to ``notes``, also when one of these steps
+    fails, and echoed in the report.
     """
     view = args.command
-    notes: list[str] = []
+    first = len(notes)
     with _capture_warnings(notes):
         config = _config_from_args(args)
         dataset = load_dataset(args.x, args.y, args.labels)
@@ -255,16 +260,15 @@ def _cmd_view(args: argparse.Namespace, stem: str = "clock") -> list[str]:
     scene = render_scatter(dataset, grouping, canvas=config.canvas)
     if view == "intergroup":
         render_intergroup(scene, clocks)
-        report = _report(args, config, dataset, [_intergroup_record(c) for c in clocks], notes)
+        report = _report(args, config, dataset, [_intergroup_record(c) for c in clocks], notes[first:])
         by_id = {g.id: g.name for g in grouping.groups}
         report["mst"] = [[by_id[a], by_id[b], length] for a, b, length in mst]
     else:
         glyph = render_circles if config.circles else render_clock
         for clock in clocks:
             glyph(scene, clock, clock_scale=config.clock_scale)
-        report = _report(args, config, dataset, [_clock_record(c) for c in clocks], notes)
+        report = _report(args, config, dataset, [_clock_record(c) for c in clocks], notes[first:])
     _write_outputs(args.out_dir, stem, scene, report)
-    return notes
 
 
 def demo_paths() -> tuple[Path, Path, Path]:
@@ -277,34 +281,34 @@ def demo_paths() -> tuple[Path, Path, Path]:
     )
 
 
-def _cmd_demo(args: argparse.Namespace) -> list[str]:
+def _cmd_demo(args: argparse.Namespace, notes: list[str]) -> None:
     """Run the three view commands on the bundled iris fixture with ``--labels`` and default flags."""
     x, y, labels = (str(path) for path in demo_paths())
-    notes: list[str] = []
     for view, stem in (
         ("global", "global_clock"),
         ("local", "local_clocks"),
         ("intergroup", "intergroup_clocks"),
     ):
         argv = [view, "--x", x, "--y", y, "--labels", labels, f"--out-dir={args.out_dir}"]
-        notes += _cmd_view(build_parser().parse_args(argv), stem)
-    return notes
+        _cmd_view(build_parser().parse_args(argv), notes, stem)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    notes: list[str] = []
+    code, error = 0, None
     try:
-        notes = args.handler(args)
+        args.handler(args, notes)
     except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    return 0
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -82,6 +82,7 @@ def from_labels(dataset: Dataset) -> GroupingResult:
     return GroupingResult(labels, _make_groups(labels, names, dataset.Y))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises ComputationError below
 def kmeans(dataset: Dataset, k: int, seed: int, *, on: str = "x") -> GroupingResult:
     """Lloyd's iterations from a seeded k-means++ start; no noise labels.
 
@@ -96,7 +97,7 @@ def kmeans(dataset: Dataset, k: int, seed: int, *, on: str = "x") -> GroupingRes
     the embedding ``dataset.Y`` (``on="y"``); centers are always computed
     from ``dataset.Y``. k and seed obey RunConfig's rules, with its texts,
     and k may not exceed n. Squared distances (or their k-means++ total)
-    that overflow raise ComputationError.
+    that overflow raise ComputationError, with no numpy warning.
 
     Memory beyond the points is one block of rows, about ``_BLOCK_CELLS``
     differences and as many squared distances, plus O(n): the labels, each
@@ -358,27 +359,25 @@ def dbscan(dataset: Dataset, eps: float, min_pts: int, *, on: str = "x") -> Grou
 
 
 def mst_over_centers(grouping: GroupingResult) -> tuple[tuple[int, int, float], ...]:
-    """Kruskal MST over the group centers as (id_a, id_b, length) triples.
+    """Prim's minimum spanning tree over the group centers, as (id_a, id_b, length) triples.
 
-    Edge weights are Euclidean. Equal-length edges are taken in order of
-    their (id_a, id_b) pair, so the tree is deterministic.
+    The triples have id_a < id_b and come sorted by the key (length, id_a,
+    id_b), a strict total order, so the tree is unique. A length is
+    ``math.dist``'s, the same bits whichever end comes first. Each group
+    outside the tree keeps only its lightest edge into it: O(G) memory.
     """
     centers = {g.id: g.center for g in grouping.groups}
-    ids = sorted(centers)
-    candidates = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            length = math.dist(centers[a], centers[b])
-            candidates.append((length, a, b))
-    candidates.sort()
-
-    tree = {gid: gid for gid in ids}  # group id -> id of the tree holding it
+    if not centers:
+        return ()
+    root, *rest = sorted(centers)
+    best = {gid: (math.dist(centers[root], centers[gid]), root, gid) for gid in rest}
     edges = []
-    for length, a, b in candidates:
-        ta, tb = tree[a], tree[b]
-        if ta != tb:
-            tree = {gid: ta if t == tb else t for gid, t in tree.items()}
-            edges.append((a, b, length))
-            if len(edges) == len(ids) - 1:
-                break
-    return tuple(edges)
+    while best:
+        joined = min(best, key=best.__getitem__)
+        edges.append(best.pop(joined))
+        here = centers[joined]
+        for gid, key in best.items():
+            length = math.dist(here, centers[gid])
+            if length <= key[0]:
+                best[gid] = min(key, (length, min(joined, gid), max(joined, gid)))
+    return tuple((a, b, length) for length, a, b in sorted(edges))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -154,12 +154,22 @@ class RunConfig:
                 raise InputDataError(f"{name} must be True or False, got {getattr(self, name)!r}")
 
 
+@contextmanager
+def _open(p: Path):
+    """``p`` open for reading as text; an OS error while it is open raises InputDataError."""
+    try:
+        with open(p, encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise InputDataError(f"{p}: cannot read: {exc.strerror or exc}") from None
+
+
 def _rows(p: Path):
     """Yield a CSV file's stripped header, then (record number, cells) per non-blank row."""
     if not p.is_file():
         raise InputDataError(f"input file not found: {p}")
     try:
-        with open(p, encoding="utf-8-sig", newline="") as handle:
+        with _open(p) as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -201,7 +211,7 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     rows = _rows(p)
     # raises on a missing, empty or row-less file; loadtxt only warns on the last
     header, first = next(rows), next(rows)
-    with suppress(ValueError), open(p, encoding="utf-8-sig", newline="") as handle:
+    with suppress(ValueError), _open(p) as handle:
         next(csv.reader(handle))  # the header record, which may span lines
         values = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=2)
         # NaN propagates through min and max and an infinity is one of them,

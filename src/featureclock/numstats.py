@@ -86,6 +86,7 @@ def center_columns(m) -> np.ndarray:
     return centered
 
 
+@np.errstate(over="ignore", invalid="ignore")  # fit_design raises on a stat that overflows
 def column_stats(x, rows) -> np.ndarray:
     """Statistics of each column of ``x[rows]``, taken without gathering all of it.
 
@@ -97,7 +98,8 @@ def column_stats(x, rows) -> np.ndarray:
     of the whole gather in F order, and the std's deviations are those of
     ``np.std``, so m1 and the std equal ``x[rows].mean(axis=0)`` and
     ``x[rows].std(axis=0, ddof=1)`` of an F-ordered gather bit for bit.
-    Raises IndexError for a row out of range.
+    Raises IndexError for a row out of range. A stat that overflows is inf
+    or NaN, with no numpy warning.
     """
     n, d = len(rows), x.shape[1]
     step = max(1, _BLOCK_CELLS // n)

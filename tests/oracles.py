@@ -2,18 +2,19 @@
 
 Each oracle deliberately takes a different path than the library code it
 checks: quadrature instead of continued fractions, extended-precision normal
-equations instead of QR, exhaustive enumeration instead of Kruskal, bulk
+equations instead of QR, exhaustive enumeration instead of Prim's tree, bulk
 per-angle refits instead of the closed-form maximum, a PCA biplot from
 an eigendecomposition instead of regressions on the embedding, and a
 point-by-point breadth-first DBSCAN instead of blocked distances and
 frontier expansion, and a csv-module table read cell by cell with float()
 instead of one np.loadtxt call.
 
-The k-means oracle and the last four functions are different: each keeps
-an earlier design of the library as the reference that the current one must
-match bit for bit. The k-means oracle holds the full n x k distance matrix
-where the library takes a block of rows at a time, with the same random
-draws. Three of the last four keep the earlier design path (separate copies,
+The k-means and spanning-tree oracles and the last four functions are
+different: each keeps an earlier design of the library as the reference that
+the current one must match bit for bit. The k-means oracle holds the full
+n x k distance matrix where the library takes a block of rows at a time,
+with the same random draws. The spanning-tree oracle is Kruskal's algorithm
+over all sorted candidate edges, where the library grows Prim's tree. Three of the last four keep the earlier design path (separate copies,
 then a column stack) that the one-buffer path must match, and
 ``ols_fit_reference`` also the loop of one fit per target that the one
 record of all the targets must match; the fourth keeps the earlier IRLS loop
@@ -240,6 +241,33 @@ def min_spanning_weight(centers) -> float:
         weight = sum(float(np.linalg.norm(pts[a] - pts[b])) for a, b in edges)
         best = min(best, weight)
     return best
+
+
+def mst_reference(grouping) -> tuple:
+    """Kruskal's spanning tree over the group centers, the library's earlier design.
+
+    Every pair of ids a < b is a candidate ``(length, a, b)``; the candidates
+    are sorted, and each one that joins two trees is taken, in that order.
+    """
+    centers = {g.id: g.center for g in grouping.groups}
+    ids = sorted(centers)
+    candidates = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            length = math.dist(centers[a], centers[b])
+            candidates.append((length, a, b))
+    candidates.sort()
+
+    tree = {gid: gid for gid in ids}  # group id -> id of the tree holding it
+    edges = []
+    for length, a, b in candidates:
+        ta, tb = tree[a], tree[b]
+        if ta != tb:
+            tree = {gid: ta if t == tb else t for gid, t in tree.items()}
+            edges.append((a, b, length))
+            if len(edges) == len(ids) - 1:
+                break
+    return tuple(edges)
 
 
 def dbscan_reference(data, eps: float, min_pts: int) -> np.ndarray:

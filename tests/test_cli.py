@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -17,12 +18,21 @@ import pytest
 import featureclock
 import featureclock.cli as cli_module
 import featureclock.clockcore as clockcore_module
+import featureclock.ingest as ingest_module
 import featureclock.render as render_module
-from featureclock import InputDataError, dbscan, from_labels, kmeans, validate_config
+from featureclock import (
+    ClockWarning,
+    ComputationError,
+    InputDataError,
+    dbscan,
+    from_labels,
+    kmeans,
+    validate_config,
+)
 from featureclock.cli import demo_paths, main
 from featureclock.render import PALETTE
 
-from oracles import make_dataset, pca_2d, standardize_reference
+from oracles import make_dataset, mst_reference, pca_2d, standardize_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -337,6 +347,36 @@ class TestGlobalCommand:
         assert "empty slice" not in capsys.readouterr().err
         assert json.loads((out / "clock.json").read_text())["warnings"] == []
 
+    def test_foreign_warning_reaches_the_caller_when_the_run_fails(self, iris_paths, tmp_path, capsys,
+                                                                   monkeypatch):
+        def failing_build(*args):
+            warnings.warn("mean of empty slice", RuntimeWarning)
+            warnings.warn("a note of ours", ClockWarning)
+            raise ComputationError("no clock")
+
+        monkeypatch.setattr(cli_module, "build_global_clock", failing_build)
+        x, y, _ = iris_paths
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="mean of empty slice"):
+            assert run(["global", "--x", x, "--y", y, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == "warning: a note of ours\nerror: no clock\n"
+        assert not out.exists()
+
+    def test_warning_before_an_error_is_printed_first(self, tmp_path, capsys):
+        # the constant k is dropped with a warning; then a_plus_b fails the rank check
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 40))
+        x = write_matrix(tmp_path / "x.csv", ["a", "b", "a_plus_b", "k"],
+                         np.column_stack([a, b, a + b, np.full(40, 4.0)]))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(40, 2)))
+        out = tmp_path / "out"
+        assert run(["global", "--x", x, "--y", y, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == (
+            "warning: group 'global': dropping zero-variance features: k\n"
+            "error: group 'global': features are linear combinations of the others: a_plus_b\n"
+        )
+        assert not out.exists()
+
     def test_circles_flag_switches_variant(self, iris_paths, tmp_path):
         # the report is the arrows' own; the SVG draws one circle per arrow
         x, y, _ = iris_paths
@@ -554,6 +594,18 @@ class TestLocalCommand:
         assert report["warnings"] == expected
         assert [c["group"] for c in report["clocks"]] == ["a", "c"]
 
+    def test_skipped_groups_are_printed_before_the_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1", "f2"], rng.normal(size=(6, 3)))
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], rng.normal(size=(6, 2)))
+        labels = write_labels(tmp_path / "l.csv", ["p", "p", "q", "q", "r", "r"])
+        out = tmp_path / "out"
+        assert run(["local", "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 3
+        skipped = "".join(f"warning: skipping group '{g}': group '{g}' too small for clock: 2 points\n"
+                          for g in "pqr")
+        assert capsys.readouterr().err == skipped + "error: all groups too small for local clocks\n"
+        assert not out.exists()
+
     def test_global_too_small_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         x = write_matrix(tmp_path / "x.csv", [f"f{j}" for j in range(5)], rng.normal(size=(6, 5)))
@@ -636,6 +688,30 @@ class TestIntergroupCommand:
         err = capsys.readouterr().err
         assert re.search(r"error: edge 'g0'-'g1': .*: a_plus_b$", err, re.MULTILINE)
 
+    def test_many_groups_span_the_reference_tree(self, tmp_path):
+        groups, size = 300, 5
+        rng = np.random.default_rng(11)
+        names = [f"g{i:03d}" for i in range(groups)]
+        tokens = [name for name in names for _ in range(size)]
+        xm = rng.normal(size=(groups * size, 3))
+        ym = np.repeat(rng.uniform(0, 100, size=(groups, 2)), size, axis=0)
+        ym += rng.normal(scale=0.5, size=ym.shape)
+        x = write_matrix(tmp_path / "x.csv", ["f0", "f1", "f2"], xm)
+        y = write_matrix(tmp_path / "y.csv", ["x", "y"], ym)
+        labels = write_labels(tmp_path / "l.csv", tokens)
+        out = tmp_path / "out"
+        assert run(["intergroup", "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 0
+        report = json.loads((out / "clock.json").read_text())
+        # the report's floats carry 12 significant digits
+        grouping = from_labels(make_dataset(xm, ym, tokens))
+        centers = {names[g.id]: [float(f"{v:.12g}") for v in g.center] for g in grouping.groups}
+        reported = {name: center for clock in report["clocks"]
+                    for name, center in zip(clock["edge"].values(), clock["centers"])}
+        assert reported == centers
+        assert report["mst"] == [[names[a], names[b], float(f"{length:.12g}")]
+                                 for a, b, length in mst_reference(grouping)]
+        assert [[c["edge"]["a"], c["edge"]["b"]] for c in report["clocks"]] == [e[:2] for e in report["mst"]]
+
     def test_single_group_exit_3(self, iris_paths, tmp_path, capsys):
         x, y, _ = iris_paths
         labels = write_labels(tmp_path / "one.csv", ["all"] * 150)
@@ -667,6 +743,33 @@ class TestFiles:
         x.write_bytes(b"a,b\n" + b"1,2\n" * 10 + b"3,\xff\xfe\n")
         assert run(["global", "--x", x, "--y", y, "--out-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {x}: ")
+
+    @pytest.mark.parametrize("flag, opening", [("--x", 1), ("--x", 2), ("--y", 1), ("--y", 2), ("--labels", 1)])
+    def test_unreadable_input_exit_2(self, iris_paths, tmp_path, capsys, monkeypatch, flag, opening):
+        # a numeric table is opened twice, for its header and for loadtxt; labels once
+        x, y, labels = iris_paths
+        target = {"--x": x, "--y": y, "--labels": labels}[flag]
+        opened = []
+
+        def guarded_open(path, *args, **kwargs):
+            if Path(path) == target:
+                opened.append(path)
+                if len(opened) == opening:
+                    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "open", guarded_open, raising=False)
+        out = tmp_path / "out"
+        assert run(["intergroup", "--x", x, "--y", y, "--labels", labels, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {target}: cannot read: Permission denied\n"
+        assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs Linux procfs")
+    def test_input_that_fails_to_read_exit_2(self, noise_inputs, tmp_path, capsys):
+        # reading a process's memory from address 0 fails with EIO
+        _, y = noise_inputs
+        assert run(["global", "--x", "/proc/self/mem", "--y", y, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: /proc/self/mem: cannot read: Input/output error\n"
 
     def test_oversized_field_exit_2(self, noise_inputs, tmp_path, capsys):
         x, y = noise_inputs

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from featureclock import (
     NOISE,
     ComputationError,
+    Group,
+    GroupingResult,
     InputDataError,
     dbscan,
     from_labels,
@@ -19,7 +21,7 @@ from featureclock import (
 )
 from featureclock import grouping as grouping_module
 
-from oracles import dbscan_reference, kmeans_reference, make_dataset, min_spanning_weight
+from oracles import dbscan_reference, kmeans_reference, make_dataset, min_spanning_weight, mst_reference
 
 
 def blob_fixture(seed=0, gap=50.0, n_per=20, spread=0.5):
@@ -514,16 +516,40 @@ class TestDbscan:
         assert base_sets == shuffled_sets
 
 
+def groups_at(ids, centers) -> GroupingResult:
+    """Groups with the given ids and embedding centers, and no members."""
+    none = np.empty(0, dtype=int)
+    return GroupingResult(none, tuple(Group(gid, str(gid), none, tuple(c)) for gid, c in zip(ids, centers)))
+
+
+@st.composite
+def spread_centers(draw):
+    """0-60 distinct, non-contiguous group ids and their centers, in one of three layouts at one scale.
+
+    Uniform centers have no ties; an integer lattice has duplicate centers
+    (zero-length edges) and many equal lengths; points evenly spaced on a
+    line, some repeated, tie every neighbor pair.
+    """
+    ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=60))
+    n = len(ids)
+    layout = draw(st.sampled_from(["uniform", "lattice", "collinear"]))
+    if layout == "uniform":
+        unit = st.floats(0.0, 1.0)
+        centers = draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n))
+    elif layout == "lattice":
+        cell = st.integers(0, 3)
+        centers = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    else:
+        steps = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        centers = [(3.0 * t, -4.0 * t) for t in steps]
+    scale = 10.0 ** draw(st.sampled_from([-150, -1, 0, 1, 150]))
+    return ids, [(x * scale, y * scale) for x, y in centers]
+
+
 class TestMst:
     def grouping_from_centers(self, centers):
         centers = np.asarray(centers, dtype=float)
-        tokens = [f"g{i}" for i in range(len(centers)) for _ in (0,)]
-        labels = []
-        rows = []
-        for i, c in enumerate(centers):
-            labels.append(f"g{i}")
-            rows.append(c)
-        return from_labels(make_dataset(np.asarray(rows), np.asarray(rows), labels))
+        return from_labels(make_dataset(centers, centers, [f"g{i}" for i in range(len(centers))]))
 
     def test_two_centers_single_edge(self):
         grouping = self.grouping_from_centers([[0.0, 0.0], [3.0, 4.0]])
@@ -579,3 +605,23 @@ class TestMst:
                 if a in seen or b in seen:
                     seen.update((a, b))
         assert seen == set(range(7))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spread_centers())
+    def test_equals_kruskal_reference(self, drawn):
+        grouping = groups_at(*drawn)
+        mst, expected = mst_over_centers(grouping), mst_reference(grouping)
+        assert mst == expected
+        assert [length.hex() for *_, length in mst] == [length.hex() for *_, length in expected]
+
+    def test_memory_stays_linear_in_the_groups(self):
+        # all 499 500 candidate edges of 1000 groups, sorted, took 47.7 MiB
+        grouping = groups_at(range(1000), np.random.default_rng(0).uniform(0, 10, size=(1000, 2)).tolist())
+        tracemalloc.start()
+        try:
+            mst = mst_over_centers(grouping)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mst) == 999
+        assert peak < 2**20
